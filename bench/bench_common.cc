@@ -375,11 +375,11 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
   }
 
   // Timed: decompress every block, parse every stored document, answer the
-  // query. The bucket path checks the pruning metadata before touching the
-  // columns, counts covered buckets straight off the metadata, and answers
-  // the survivors columnar-first (ts/lon/lat only — ids and payload
-  // residuals stay encoded), falling back to a full decode + filter only
-  // for buckets without a location column. The row path has no such
+  // query. The bucket path runs the bucket predicate kernel: metadata
+  // pruning, covered buckets counted straight off the metadata, and the
+  // survivors answered on their ts/lon/lat columns (ids and payload
+  // residuals stay encoded); only a bucket without a location column has
+  // its time-selected rows built and filtered. The row path has no such
   // shortcut: a BSON document must be parsed before it can be matched.
   // Min of three repetitions: each repetition redoes every decompress,
   // parse and filter (the store state stays cold — nothing is cached
@@ -417,36 +417,19 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
           if (expr->Matches(*doc)) ++matches;
           continue;
         }
-        const Result<storage::BucketMeta> meta =
-            storage::ParseBucketMeta(*doc);
-        if (!meta.ok()) die("bucket meta", meta.status());
-        scanned_points += meta->num_points;
-        if (!spec.MayContain(*meta)) continue;
-        if (spec.Covers(*meta)) {
-          // Every point in a covered bucket matches; the count comes off
-          // the metadata with no column access at all.
-          matches += meta->num_points;
-          continue;
-        }
-        // Columnar-first: the predicate is date range + rect, which the
-        // ts/lon/lat columns answer exactly (they are bit-exact with the
-        // reconstructed points) — the _id column and payload residuals
-        // never get decoded. Buckets without a location column (some
-        // point had a non-canonical location) fall back to full decode.
-        const Result<storage::BucketTimeLoc> cols =
-            storage::DecodeBucketTimeLoc(*doc);
-        if (!cols.ok()) die("bucket columns", cols.status());
-        if (cols->lon.size() == cols->ts.size()) {
-          for (size_t i = 0; i < cols->ts.size(); ++i) {
-            if (cols->ts[i] >= t0 && cols->ts[i] <= t1 &&
-                rect.Contains(geo::Point{cols->lon[i], cols->lat[i]})) {
-              ++matches;
-            }
-          }
+        Result<storage::BucketReader> reader =
+            storage::BucketReader::Open(*doc);
+        if (!reader.ok()) die("bucket meta", reader.status());
+        scanned_points += reader->meta().num_points;
+        const Result<storage::BucketSelection> selection =
+            reader->Select(spec);
+        if (!selection.ok()) die("bucket columns", selection.status());
+        if (selection->exact) {
+          matches += selection->rows.size();
           continue;
         }
         const Result<std::vector<bson::Document>> points =
-            storage::DecodeBucket(*doc, layout);
+            reader->Build(layout, &selection->rows);
         if (!points.ok()) die("bucket decode", points.status());
         for (const bson::Document& point : *points) {
           if (expr->Matches(point)) ++matches;

@@ -162,7 +162,7 @@ double Percentile(std::vector<double> values, double p);
 /// parses one BSON document per point, the bucket image parses one per
 /// bucket, prunes on bucket metadata, counts covered buckets off the
 /// metadata alone and answers the surviving buckets from their ts/lon/lat
-/// columns (DecodeBucketTimeLoc — the _id column and payload residuals
+/// columns (BucketReader::Select — the _id column and payload residuals
 /// stay compressed). Fills the scan columns of `row`: wall millis, points/second
 /// scanned (total points represented, not documents parsed) and the match
 /// count (which must agree across layouts — bench_bucket checks).

@@ -12,6 +12,7 @@
 #include "common/fs.h"
 #include "common/metrics.h"
 #include "keystring/keystring.h"
+#include "query/bucket_unpack.h"
 #include "query/planner.h"
 #include "storage/bucket.h"
 
@@ -732,10 +733,11 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
 }
 
 // Deleting from a bucketed collection (topology held exclusive by Delete):
-// fetch the raw bucket documents the widened expression can reach, decode
-// each, and where any point matches, remove the whole bucket and re-insert
-// a re-encoded bucket of the survivors — MongoDB's time-series deletes do
-// the same unpack/rewrite dance. Returns the number of *points* deleted.
+// fetch the raw bucket documents the widened expression can reach, run the
+// bucket predicate kernel on each, and where any point matches, decode the
+// bucket, remove it and re-insert a re-encoded bucket of the survivors —
+// MongoDB's time-series deletes do the same unpack/rewrite dance. Returns
+// the number of *points* deleted.
 Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
                                               const query::ExprPtr& expr) {
   const storage::BucketLayout& layout = *options_.exec.bucket_layout;
@@ -743,6 +745,8 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
   raw_exec.raw_buckets = true;
   const query::ExprPtr bucket_expr = Router::RoutingExpr(expr, options_.exec);
   const std::vector<int> targets = router.TargetShards(bucket_expr);
+  const query::BucketPruneSpec spec =
+      query::ExtractBucketPredicates(expr, layout);
 
   uint64_t deleted = 0;
   for (const int shard_id : targets) {
@@ -770,16 +774,29 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
                           doc.ApproxBsonSize(), 1, 1, {}});
         continue;
       }
+      Result<storage::BucketReader> reader = storage::BucketReader::Open(doc);
+      if (!reader.ok()) return reader.status();
+      Result<storage::BucketSelection> selection = reader->Select(spec);
+      if (!selection.ok()) return selection.status();
+      if (selection->rows.empty()) continue;  // nothing to delete here
       Result<std::vector<bson::Document>> points =
-          storage::DecodeBucket(doc, layout);
+          reader->Build(layout, nullptr);
       if (!points.ok()) return points.status();
       const uint64_t total = points->size();
       std::vector<bson::Document> survivors;
-      for (bson::Document& p : *points) {
-        if (expr == nullptr || expr->Matches(p)) continue;
+      size_t next = 0;  // Cursor into the ascending selected rows.
+      for (uint32_t row = 0; row < total; ++row) {
+        const bool selected =
+            next < selection->rows.size() && selection->rows[next] == row;
+        next += selected;
+        bson::Document& p = (*points)[row];
+        if (selected &&
+            (selection->exact || expr == nullptr || expr->Matches(p))) {
+          continue;
+        }
         survivors.push_back(std::move(p));
       }
-      if (survivors.size() == total) continue;  // nothing to delete here
+      if (survivors.size() == total) continue;  // no selected row matched
       doomed.push_back({r.rids[i], pattern_.KeyOf(doc), doc.ApproxBsonSize(),
                         total, total - survivors.size(),
                         std::move(survivors)});

@@ -102,34 +102,40 @@ Result<std::string> LzDecompress(std::string_view compressed) {
   if (!GetVarint(&p, end, &total)) {
     return Status::Corruption("lz: bad header");
   }
-  std::string out;
-  out.reserve(total);
+  // Ops write into the pre-sized output; neither may run past `total`.
+  std::string out(total, '\0');
+  char* const dst = out.data();
+  size_t pos = 0;
   while (p < end) {
     const uint8_t tag = static_cast<uint8_t>(*p++);
     if (tag == 0x00) {
       uint64_t len;
       if (!GetVarint(&p, end, &len) ||
-          static_cast<uint64_t>(end - p) < len) {
+          static_cast<uint64_t>(end - p) < len || total - pos < len) {
         return Status::Corruption("lz: bad literal");
       }
-      out.append(p, len);
+      std::memcpy(dst + pos, p, len);
+      pos += len;
       p += len;
     } else if (tag == 0x01) {
       uint64_t offset, len;
       if (!GetVarint(&p, end, &offset) || !GetVarint(&p, end, &len) ||
-          offset == 0 || offset > out.size()) {
+          offset == 0 || offset > pos || total - pos < len) {
         return Status::Corruption("lz: bad copy");
       }
-      // Byte-by-byte: copies may overlap their own output (RLE-style).
-      size_t src = out.size() - static_cast<size_t>(offset);
-      for (uint64_t i = 0; i < len; ++i) {
-        out.push_back(out[src++]);
+      const char* src = dst + pos - offset;
+      if (offset >= len) {
+        std::memcpy(dst + pos, src, len);
+      } else {
+        // The copy overlaps its own output (RLE-style): byte by byte.
+        for (uint64_t i = 0; i < len; ++i) dst[pos + i] = src[i];
       }
+      pos += len;
     } else {
       return Status::Corruption("lz: bad tag");
     }
   }
-  if (out.size() != total) {
+  if (pos != total) {
     return Status::Corruption("lz: length mismatch");
   }
   return out;

@@ -38,13 +38,13 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Enqueue(Job job) {
   // Fan-out pool pressure for ServerStatus: instantaneous queue depth (with
   // its high-water mark) and per-task run latency.
   STIX_METRIC_GAUGE(queue_depth, "fanout.queue_depth");
   {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
+    tasks_.push(std::move(job));
     ++in_flight_;
   }
   queue_depth.Add(1);
@@ -59,7 +59,7 @@ void ThreadPool::Wait() {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    Job job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_available_.wait(
@@ -68,7 +68,7 @@ void ThreadPool::WorkerLoop() {
         if (shutting_down_) return;
         continue;
       }
-      task = std::move(tasks_.front());
+      job = std::move(tasks_.front());
       tasks_.pop();
     }
     STIX_METRIC_GAUGE(queue_depth, "fanout.queue_depth");
@@ -76,10 +76,11 @@ void ThreadPool::WorkerLoop() {
     STIX_METRIC_COUNTER(tasks_done, "fanout.tasks_completed");
     queue_depth.Sub(1);
     Stopwatch task_timer;
-    task();
+    job.task();
     task_micros.Observe(static_cast<uint64_t>(task_timer.ElapsedMicros()));
     tasks_done.Increment();
     tasks_completed_.fetch_add(1, std::memory_order_relaxed);
+    if (job.on_done) job.on_done();
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--in_flight_ == 0) all_done_.notify_all();
@@ -92,14 +93,16 @@ void ThreadPool::TaskGroup::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(state_->mu);
     ++state_->pending;
   }
-  pool_->Submit([state = state_, task = std::move(task)] {
-    task();
-    // Notify under the lock: the waiter may destroy the TaskGroup as soon
-    // as pending hits 0, but `state` is kept alive by this closure.
-    std::lock_guard<std::mutex> lock(state->mu);
-    --state->pending;
-    state->done.notify_all();
-  });
+  // The group's count drops in the completion hook, after the pool has
+  // counted the task, so Wait() never returns ahead of tasks_completed().
+  pool_->Enqueue({std::move(task), [state = state_] {
+                    // Notify under the lock: the waiter may destroy the
+                    // TaskGroup as soon as pending hits 0, but `state` is
+                    // kept alive by this closure.
+                    std::lock_guard<std::mutex> lock(state->mu);
+                    --state->pending;
+                    state->done.notify_all();
+                  }});
 }
 
 void ThreadPool::TaskGroup::Wait() {

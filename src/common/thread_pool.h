@@ -30,7 +30,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues a task; tasks may run in any order.
-  void Submit(std::function<void()> task);
+  void Submit(std::function<void()> task) { Enqueue({std::move(task), {}}); }
 
   /// Blocks until every submitted task has finished (pool-wide; prefer
   /// TaskGroup::Wait when multiple clients share the pool).
@@ -81,10 +81,18 @@ class ThreadPool {
   };
 
  private:
+  /// A task plus the completion hook the worker runs after counting it in
+  /// tasks_completed_, so a waiter woken by the hook sees the count.
+  struct Job {
+    std::function<void()> task;
+    std::function<void()> on_done;
+  };
+
+  void Enqueue(Job job);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  std::queue<Job> tasks_;
   std::mutex mu_;
   std::condition_variable task_available_;
   std::condition_variable all_done_;

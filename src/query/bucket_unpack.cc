@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "common/metrics.h"
+
 namespace stix::query {
 namespace {
 
@@ -217,58 +219,6 @@ bool ExtractInto(const ExprPtr& expr, const storage::BucketLayout& layout,
 
 }  // namespace
 
-bool BucketPruneSpec::MayContain(const storage::BucketMeta& meta) const {
-  if (min_ts.has_value() && meta.max_ts < *min_ts) return false;
-  if (max_ts.has_value() && meta.min_ts > *max_ts) return false;
-  if (rect.has_value() && meta.has_mbr && !rect->Intersects(meta.mbr)) {
-    return false;
-  }
-  if (!hil_ranges.empty() && !meta.hil_ranges.empty()) {
-    // Both sides sorted and disjoint: two-pointer overlap test.
-    size_t i = 0, j = 0;
-    bool overlap = false;
-    while (i < hil_ranges.size() && j < meta.hil_ranges.size()) {
-      const auto& a = hil_ranges[i];
-      const auto& b = meta.hil_ranges[j];
-      if (a.second < b.first) {
-        ++i;
-      } else if (b.second < a.first) {
-        ++j;
-      } else {
-        overlap = true;
-        break;
-      }
-    }
-    if (!overlap) return false;
-  }
-  return true;
-}
-
-bool BucketPruneSpec::Covers(const storage::BucketMeta& meta) const {
-  if (!exact) return false;
-  if (min_ts.has_value() && meta.min_ts < *min_ts) return false;
-  if (max_ts.has_value() && meta.max_ts > *max_ts) return false;
-  if (rect.has_value()) {
-    // has_mbr guarantees every point carries a canonical GeoJSON location,
-    // so MBR containment implies each point matches the geo leaf.
-    if (!meta.has_mbr || !rect->ContainsRect(meta.mbr)) return false;
-  }
-  if (!hil_ranges.empty()) {
-    if (meta.hil_ranges.empty()) return false;
-    // Every meta range must lie inside one spec range (both sides sorted
-    // and disjoint, so a single forward sweep suffices).
-    size_t i = 0;
-    for (const auto& m : meta.hil_ranges) {
-      while (i < hil_ranges.size() && hil_ranges[i].second < m.first) ++i;
-      if (i == hil_ranges.size() || hil_ranges[i].first > m.first ||
-          hil_ranges[i].second < m.second) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
                                         const storage::BucketLayout& layout) {
   BucketPruneSpec spec;
@@ -283,6 +233,15 @@ BucketUnpackStage::BucketUnpackStage(
       point_expr_(std::move(point_expr)),
       layout_(std::move(layout)),
       prune_(ExtractBucketPredicates(point_expr_, *layout_)) {}
+
+BucketUnpackStage::~BucketUnpackStage() {
+  // Once per stage execution, not per bucket: the hot loop touches only
+  // the stage's own fields.
+  STIX_METRIC_COUNTER(pruned_counter, "bucket.buckets_pruned");
+  STIX_METRIC_COUNTER(unpacked_counter, "bucket.points_unpacked");
+  if (buckets_pruned_ > 0) pruned_counter.Increment(buckets_pruned_);
+  if (points_unpacked_ > 0) unpacked_counter.Increment(points_unpacked_);
+}
 
 PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
                                          const bson::Document** doc_out) {
@@ -314,30 +273,32 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
     return State::kAdvanced;
   }
 
-  Result<storage::BucketMeta> meta = storage::ParseBucketMeta(*doc);
-  if (!meta.ok()) {
+  Result<storage::BucketReader> reader = storage::BucketReader::Open(*doc);
+  Result<storage::BucketSelection> selection =
+      reader.ok() ? reader->Select(prune_)
+                  : Result<storage::BucketSelection>(reader.status());
+  if (!selection.ok()) {
     ++decode_errors_;
     return State::kNeedTime;
   }
-  if (!prune_.MayContain(*meta)) {
-    ++buckets_pruned_;
-    return State::kNeedTime;
-  }
+  buckets_pruned_ += selection->pruned;
+  points_scanned_ += selection->scanned;
+  if (selection->rows.empty()) return State::kNeedTime;
 
   Result<std::vector<bson::Document>> points =
-      storage::DecodeBucket(*doc, *layout_);
+      reader->Build(*layout_, &selection->rows);
   if (!points.ok()) {
     ++decode_errors_;
     return State::kNeedTime;
   }
   points_unpacked_ += points->size();
 
-  // A bucket whose metadata lies wholly inside an exact spec needs no
-  // per-point filtering: every decoded point matches by construction.
-  const bool covered = prune_.Covers(*meta);
+  // An exact selection is the answer; otherwise it is a superset the exact
+  // point expression filters.
+  const bool filter = !selection->exact && point_expr_ != nullptr;
   const size_t before = arena_.size();
   for (bson::Document& point : *points) {
-    if (covered || point_expr_ == nullptr || point_expr_->Matches(point)) {
+    if (!filter || point_expr_->Matches(point)) {
       arena_.push_back(std::move(point));
     }
   }
@@ -365,6 +326,7 @@ ExplainNode BucketUnpackStage::Explain() const {
   node.stage = "BUCKET_UNPACK";
   if (point_expr_ != nullptr) node.filter = point_expr_->DebugString();
   node.buckets_pruned = buckets_pruned_;
+  node.points_scanned = points_scanned_;
   node.points_unpacked = points_unpacked_;
   FillExplainBase(&node);
   node.children.push_back(child_->Explain());

@@ -4,9 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "query/plan_stage.h"
 #include "storage/bucket.h"
@@ -37,33 +34,10 @@ namespace stix::query {
 ExprPtr WidenForBuckets(const ExprPtr& expr,
                         const storage::BucketLayout& layout);
 
-/// The bucket-level pruning predicates BucketUnpackStage extracts from the
-/// point expression once, at construction: checked against BucketMeta
-/// before any column is touched.
-struct BucketPruneSpec {
-  /// Closed time bounds on the points (from time_field comparisons).
-  std::optional<int64_t> min_ts;
-  std::optional<int64_t> max_ts;
-  /// Spatial bound: the query rect, or a polygon's bounding box.
-  std::optional<geo::Rect> rect;
-  /// Sorted disjoint closed hilbertIndex ranges (from a RangeSet).
-  std::vector<std::pair<int64_t, int64_t>> hil_ranges;
-
-  /// True iff this spec IS the whole point expression — every leaf was a
-  /// conjunct the extraction captured losslessly (time cmp, rect on point
-  /// locations, one hilbert RangeSet). Polygons capture only their bounding
-  /// box, $or captures nothing; both leave exact false.
-  bool exact = false;
-
-  /// True iff a bucket with this metadata may contain a matching point.
-  bool MayContain(const storage::BucketMeta& meta) const;
-
-  /// True iff every point of a bucket with this metadata matches: the spec
-  /// is exact and the metadata lies entirely inside its bounds. Lets the
-  /// unpack stage skip the per-point filter for fully covered buckets (the
-  /// whole-bucket analogue of an index range's covered interior).
-  bool Covers(const storage::BucketMeta& meta) const;
-};
+/// The bucket-level bounds BucketUnpackStage extracts from the point
+/// expression once, at construction, and hands to the bucket predicate
+/// kernel (storage::BucketReader::Select).
+using BucketPruneSpec = storage::BucketPruneSpec;
 
 /// Extracts the prunable conjuncts of `expr` (top-level $and walk, same
 /// recognition rules as WidenForBuckets).
@@ -71,10 +45,13 @@ BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
                                         const storage::BucketLayout& layout);
 
 /// MongoDB's $_internalUnpackBucket as a plan stage: pulls bucket documents
-/// from its child (FETCH over the widened bounds, or COLLSCAN), prunes
-/// whole buckets on their metadata (time extent, MBR, hilbert ranges),
-/// decompresses the survivors and streams out the points that match the
-/// exact point-level expression.
+/// from its child (FETCH over the widened bounds, or COLLSCAN), runs the
+/// bucket predicate kernel on each — metadata pruning, then the time/rect/
+/// hil bounds over the ts/lon/lat/hil columns — and builds only the selected
+/// rows into point documents. A bucket with no selected row never has its
+/// `_id`, position or residual columns decoded. When the selection is exact
+/// it is the answer; otherwise the exact point expression filters the built
+/// rows.
 ///
 /// Decoded points live in a stage-owned arena that is never discarded while
 /// the stage lives, so emitted document pointers obey the same borrowed-
@@ -84,12 +61,16 @@ BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
 ///
 /// Counter semantics: docs_examined stays 0 here (the child's FETCH/
 /// COLLSCAN already counted each bucket load, keeping the explain
-/// sum-over-tree invariant); buckets_pruned / points_unpacked are this
-/// stage's own new explain fields.
+/// sum-over-tree invariant); buckets_pruned (skipped on metadata),
+/// points_scanned (rows checked on the columns) and points_unpacked (rows
+/// built into documents) are this stage's own explain fields. The stage
+/// adds its buckets_pruned / points_unpacked to the registry counters of
+/// the same names once, when it is destroyed.
 class BucketUnpackStage : public PlanStage {
  public:
   BucketUnpackStage(std::unique_ptr<PlanStage> child, ExprPtr point_expr,
                     std::shared_ptr<const storage::BucketLayout> layout);
+  ~BucketUnpackStage() override;
 
   State Work(storage::RecordId* rid_out,
              const bson::Document** doc_out) override;
@@ -98,6 +79,7 @@ class BucketUnpackStage : public PlanStage {
   ExplainNode Explain() const override;
 
   uint64_t buckets_pruned() const { return buckets_pruned_; }
+  uint64_t points_scanned() const { return points_scanned_; }
   uint64_t points_unpacked() const { return points_unpacked_; }
 
  protected:
@@ -116,6 +98,7 @@ class BucketUnpackStage : public PlanStage {
   storage::RecordId pending_rid_ = storage::kInvalidRecordId;
 
   uint64_t buckets_pruned_ = 0;
+  uint64_t points_scanned_ = 0;
   uint64_t points_unpacked_ = 0;
   uint64_t decode_errors_ = 0;
 };

@@ -83,6 +83,7 @@ std::string ExplainNode::ToJson(ExplainVerbosity v) const {
         << ", \"docsExamined\": " << docs_examined;
     if (stage == "BUCKET_UNPACK") {
       out << ", \"bucketsPruned\": " << buckets_pruned
+          << ", \"pointsScanned\": " << points_scanned
           << ", \"pointsUnpacked\": " << points_unpacked;
     }
     if (est_keys >= 0.0) {

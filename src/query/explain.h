@@ -39,7 +39,8 @@ struct ExplainNode {
   uint64_t keys_examined = 0;  ///< IXSCAN only.
   uint64_t docs_examined = 0;  ///< FETCH/COLLSCAN only.
   uint64_t buckets_pruned = 0;    ///< BUCKET_UNPACK: skipped via metadata.
-  uint64_t points_unpacked = 0;   ///< BUCKET_UNPACK: decompressed points.
+  uint64_t points_scanned = 0;    ///< BUCKET_UNPACK: rows checked on columns.
+  uint64_t points_unpacked = 0;   ///< BUCKET_UNPACK: rows built into docs.
   /// Wall time spent inside this stage's Work() calls, children included
   /// (MongoDB's executionTimeMillisEstimate is likewise inclusive).
   /// Negative when stage timing was not enabled for the execution.

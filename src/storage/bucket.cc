@@ -4,6 +4,8 @@
 #include <array>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <type_traits>
 
 #include "bson/codec.h"
 #include "bson/simple8b.h"
@@ -103,6 +105,32 @@ const bson::Value* GetSubField(const bson::Document& doc,
   return sub->AsDocument().Get(inner);
 }
 
+/// The `data` sub-document's column `name`, or nullptr.
+const std::string* Column(const bson::Document& data, std::string_view name) {
+  const bson::Value* v = data.Get(name);
+  if (v == nullptr || v->type() != bson::Type::kString) return nullptr;
+  return &v->AsString();
+}
+
+/// Consumes one packed int64 or double column, which must hold n values,
+/// from the front of *in.
+template <typename T>
+Status DecodeColumn(std::string_view* in, size_t n, std::vector<T>* out) {
+  Result<std::vector<T>> v = [in] {
+    if constexpr (std::is_same_v<T, double>) {
+      return bson::DecodeDoubleColumn(in);
+    } else {
+      return bson::DecodeInt64Column(in);
+    }
+  }();
+  if (!v.ok()) return v.status();
+  if (v->size() != n) {
+    return Status::Corruption("bucket column length disagrees with meta.n");
+  }
+  *out = std::move(*v);
+  return Status::OK();
+}
+
 /// Decoded "cols" residual: one column per schema field, materialized as a
 /// whole so point reconstruction is column reads, not per-point parsing.
 struct ResidualColumns {
@@ -166,30 +194,15 @@ Result<ResidualColumns> DecodeResidualColumns(std::string_view in, size_t n) {
       case bson::Type::kBool:
       case bson::Type::kInt32:
       case bson::Type::kInt64:
-      case bson::Type::kDateTime: {
-        Result<std::vector<int64_t>> v = bson::DecodeInt64Column(&in);
-        if (!v.ok()) return v.status();
-        if (v->size() != n) {
-          return Status::Corruption("bucket residual column is short");
-        }
-        f.ints = std::move(*v);
+      case bson::Type::kDateTime:
+        if (Status s = DecodeColumn(&in, n, &f.ints); !s.ok()) return s;
         break;
-      }
-      case bson::Type::kDouble: {
-        Result<std::vector<double>> v = bson::DecodeDoubleColumn(&in);
-        if (!v.ok()) return v.status();
-        if (v->size() != n) {
-          return Status::Corruption("bucket residual column is short");
-        }
-        f.doubles = std::move(*v);
+      case bson::Type::kDouble:
+        if (Status s = DecodeColumn(&in, n, &f.doubles); !s.ok()) return s;
         break;
-      }
       case bson::Type::kString: {
-        Result<std::vector<int64_t>> lens = bson::DecodeInt64Column(&in);
-        if (!lens.ok()) return lens.status();
-        if (lens->size() != n) {
-          return Status::Corruption("bucket residual column is short");
-        }
+        std::vector<int64_t> lens;
+        if (Status s = DecodeColumn(&in, n, &lens); !s.ok()) return s;
         Result<uint64_t> zlen = bson::GetVarint(&in);
         if (!zlen.ok()) return zlen.status();
         if (*zlen > in.size()) {
@@ -203,11 +216,11 @@ Result<ResidualColumns> DecodeResidualColumns(std::string_view in, size_t n) {
         size_t off = 0;
         for (size_t i = 0; i < n; ++i) {
           f.str_offsets[i] = off;
-          if ((*lens)[i] < 0 ||
-              static_cast<uint64_t>((*lens)[i]) > f.blob.size() - off) {
+          if (lens[i] < 0 ||
+              static_cast<uint64_t>(lens[i]) > f.blob.size() - off) {
             return Status::Corruption("bucket residual blob is truncated");
           }
-          off += static_cast<size_t>((*lens)[i]);
+          off += static_cast<size_t>(lens[i]);
         }
         f.str_offsets[n] = off;
         if (off != f.blob.size()) {
@@ -572,122 +585,175 @@ Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket) {
   return out;
 }
 
-Result<BucketTimeLoc> DecodeBucketTimeLoc(const bson::Document& bucket) {
-  if (!IsBucketDocument(bucket)) {
-    return Status::Corruption("not a bucket document");
+bool BucketPruneSpec::MayContain(const BucketMeta& meta) const {
+  if (min_ts.has_value() && meta.max_ts < *min_ts) return false;
+  if (max_ts.has_value() && meta.min_ts > *max_ts) return false;
+  if (rect.has_value() && meta.has_mbr && !rect->Intersects(meta.mbr)) {
+    return false;
   }
-  Result<BucketMeta> meta = ParseBucketMeta(bucket);
-  if (!meta.ok()) return meta.status();
-  const size_t n = meta->num_points;
-  const bson::Document& data = bucket.Get(kBucketDataField)->AsDocument();
-
-  const auto column = [&data](std::string_view name) -> const std::string* {
-    const bson::Value* v = data.Get(name);
-    if (v == nullptr || v->type() != bson::Type::kString) return nullptr;
-    return &v->AsString();
-  };
-
-  const std::string* ts_col = column("ts");
-  if (ts_col == nullptr) {
-    return Status::Corruption("bucket data columns are missing");
-  }
-  BucketTimeLoc out;
-  std::string_view view = *ts_col;
-  Result<std::vector<int64_t>> ts = bson::DecodeInt64Column(&view);
-  if (!ts.ok()) return ts.status();
-  if (ts->size() != n) {
-    return Status::Corruption("bucket column lengths disagree with meta.n");
-  }
-  out.ts = std::move(*ts);
-
-  if (const std::string* lon_col = column("lon")) {
-    const std::string* lat_col = column("lat");
-    if (lat_col == nullptr) {
-      return Status::Corruption("bucket lon column without lat");
+  if (!hil_ranges.empty() && !meta.hil_ranges.empty()) {
+    // Both sides sorted and disjoint: two-pointer overlap test.
+    size_t i = 0, j = 0;
+    bool overlap = false;
+    while (i < hil_ranges.size() && j < meta.hil_ranges.size()) {
+      const auto& a = hil_ranges[i];
+      const auto& b = meta.hil_ranges[j];
+      if (a.second < b.first) {
+        ++i;
+      } else if (b.second < a.first) {
+        ++j;
+      } else {
+        overlap = true;
+        break;
+      }
     }
-    view = *lon_col;
-    Result<std::vector<double>> lons = bson::DecodeDoubleColumn(&view);
-    if (!lons.ok()) return lons.status();
-    view = *lat_col;
-    Result<std::vector<double>> lats = bson::DecodeDoubleColumn(&view);
-    if (!lats.ok()) return lats.status();
-    if (lons->size() != n || lats->size() != n) {
-      return Status::Corruption("bucket location columns are short");
-    }
-    out.lon = std::move(*lons);
-    out.lat = std::move(*lats);
+    if (!overlap) return false;
   }
-  return out;
+  return true;
 }
 
-Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
-                                                 const BucketLayout& layout) {
+bool BucketPruneSpec::Covers(const BucketMeta& meta) const {
+  if (!exact) return false;
+  if (min_ts.has_value() && meta.min_ts < *min_ts) return false;
+  if (max_ts.has_value() && meta.max_ts > *max_ts) return false;
+  if (rect.has_value()) {
+    // has_mbr guarantees every point carries a canonical GeoJSON location,
+    // so MBR containment implies each point matches the geo leaf.
+    if (!meta.has_mbr || !rect->ContainsRect(meta.mbr)) return false;
+  }
+  if (!hil_ranges.empty()) {
+    if (meta.hil_ranges.empty()) return false;
+    // Every meta range must lie inside one spec range (both sides sorted
+    // and disjoint, so a single forward sweep suffices).
+    size_t i = 0;
+    for (const auto& m : meta.hil_ranges) {
+      while (i < hil_ranges.size() && hil_ranges[i].second < m.first) ++i;
+      if (i == hil_ranges.size() || hil_ranges[i].first > m.first ||
+          hil_ranges[i].second < m.second) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+Result<BucketReader> BucketReader::Open(const bson::Document& bucket) {
   if (!IsBucketDocument(bucket)) {
     return Status::Corruption("not a bucket document");
   }
   Result<BucketMeta> meta = ParseBucketMeta(bucket);
   if (!meta.ok()) return meta.status();
-  const size_t n = meta->num_points;
-  const bson::Document& data = bucket.Get(kBucketDataField)->AsDocument();
+  BucketReader reader;
+  reader.data_ = &bucket.Get(kBucketDataField)->AsDocument();
+  reader.meta_ = std::move(*meta);
+  return reader;
+}
 
-  const auto column = [&data](std::string_view name) -> const std::string* {
-    const bson::Value* v = data.Get(name);
-    if (v == nullptr || v->type() != bson::Type::kString) return nullptr;
-    return &v->AsString();
+Status BucketReader::LoadColumns(bool hil) {
+  // Decodes the named column into *out; an absent column leaves it empty.
+  const auto load = [this](std::string_view name, auto* out) {
+    const std::string* col = Column(*data_, name);
+    if (col == nullptr) return Status::OK();
+    std::string_view view = *col;
+    return DecodeColumn(&view, meta_.num_points, out);
   };
+  if (!ts_loaded_) {
+    if (Column(*data_, "ts") == nullptr ||
+        (Column(*data_, "lon") == nullptr) !=
+            (Column(*data_, "lat") == nullptr)) {
+      return Status::Corruption("bucket data columns are missing");
+    }
+    Status s = load("ts", &ts_);
+    if (s.ok()) s = load("lon", &lon_);
+    if (s.ok()) s = load("lat", &lat_);
+    if (!s.ok()) return s;
+    ts_loaded_ = true;
+  }
+  if (hil && !hil_loaded_) {
+    if (Status s = load("hil", &hil_); !s.ok()) return s;
+    hil_loaded_ = true;
+  }
+  return Status::OK();
+}
 
-  const std::string* ts_col = column("ts");
-  const std::string* pos_col = column("pos");
-  const std::string* res_col = column("res");
-  const std::string* cols_col = column("cols");
-  if (ts_col == nullptr || pos_col == nullptr ||
-      (res_col == nullptr) == (cols_col == nullptr)) {
+Result<BucketSelection> BucketReader::Select(const BucketPruneSpec& spec) {
+  BucketSelection sel;
+  const uint32_t n = meta_.num_points;
+  sel.pruned = !spec.MayContain(meta_);
+  if (sel.pruned || spec.Covers(meta_)) {
+    sel.rows.resize(sel.pruned ? 0 : n);
+    std::iota(sel.rows.begin(), sel.rows.end(), 0u);
+    sel.exact = true;
+    return sel;
+  }
+  if (Status s = LoadColumns(false); !s.ok()) return s;
+  const bool use_rect = spec.rect.has_value() && !lon_.empty();
+  const int64_t t_lo =
+      spec.min_ts.value_or(std::numeric_limits<int64_t>::min());
+  const int64_t t_hi =
+      spec.max_ts.value_or(std::numeric_limits<int64_t>::max());
+  const geo::Rect box = use_rect ? *spec.rect : geo::Rect{};
+  sel.rows.resize(n);
+  size_t k = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    // Non-short-circuit &: the time and rect tests compile branch-free.
+    bool keep = (ts_[i] >= t_lo) & (ts_[i] <= t_hi);
+    if (use_rect) {
+      keep &= (lon_[i] >= box.lo.lon) & (lon_[i] <= box.hi.lon) &
+              (lat_[i] >= box.lo.lat) & (lat_[i] <= box.hi.lat);
+    }
+    sel.rows[k] = i;
+    k += keep;
+  }
+  sel.rows.resize(k);
+  sel.scanned = n;
+
+  // The hil ranges refine the survivors, so a bucket with none never
+  // decodes its hil column.
+  bool use_hil = false;
+  if (!spec.hil_ranges.empty() && k > 0) {
+    if (Status s = LoadColumns(true); !s.ok()) return s;
+    use_hil = !hil_.empty();
+  }
+  if (use_hil) {
+    // RangeSetExpr's test: v is inside iff the first range with hi >= v
+    // starts at or below v.
+    const auto outside = [&ranges = spec.hil_ranges, this](uint32_t i) {
+      const auto it = std::partition_point(
+          ranges.begin(), ranges.end(),
+          [v = hil_[i]](const auto& r) { return r.second < v; });
+      return it == ranges.end() || it->first > hil_[i];
+    };
+    sel.rows.erase(std::remove_if(sel.rows.begin(), sel.rows.end(), outside),
+                   sel.rows.end());
+  }
+  // No row can match when none passed the bounds, whatever was checked.
+  sel.exact = sel.rows.empty() ||
+              (spec.exact && use_rect == spec.rect.has_value() &&
+               use_hil == !spec.hil_ranges.empty());
+  return sel;
+}
+
+Result<std::vector<bson::Document>> BucketReader::Build(
+    const BucketLayout& layout, const std::vector<uint32_t>* rows) {
+  const size_t n = meta_.num_points;
+  const std::string* pos_col = Column(*data_, "pos");
+  const std::string* res_col = Column(*data_, "res");
+  const std::string* cols_col = Column(*data_, "cols");
+  if (pos_col == nullptr || (res_col == nullptr) == (cols_col == nullptr)) {
     return Status::Corruption("bucket data columns are missing");
   }
-
-  std::string_view view = *ts_col;
-  Result<std::vector<int64_t>> ts = bson::DecodeInt64Column(&view);
-  if (!ts.ok()) return ts.status();
-  view = *pos_col;
-  Result<std::vector<int64_t>> positions = bson::DecodeInt64Column(&view);
-  if (!positions.ok()) return positions.status();
-  if (ts->size() != n || positions->size() != n * kNumSlots) {
-    return Status::Corruption("bucket column lengths disagree with meta.n");
-  }
-
-  std::vector<double> lon, lat;
-  if (const std::string* lon_col = column("lon")) {
-    const std::string* lat_col = column("lat");
-    if (lat_col == nullptr) {
-      return Status::Corruption("bucket lon column without lat");
-    }
-    view = *lon_col;
-    Result<std::vector<double>> lons = bson::DecodeDoubleColumn(&view);
-    if (!lons.ok()) return lons.status();
-    view = *lat_col;
-    Result<std::vector<double>> lats = bson::DecodeDoubleColumn(&view);
-    if (!lats.ok()) return lats.status();
-    if (lons->size() != n || lats->size() != n) {
-      return Status::Corruption("bucket location columns are short");
-    }
-    lon = std::move(*lons);
-    lat = std::move(*lats);
-  }
-
-  std::vector<int64_t> hil;
-  if (const std::string* hil_col = column("hil")) {
-    view = *hil_col;
-    Result<std::vector<int64_t>> hils = bson::DecodeInt64Column(&view);
-    if (!hils.ok()) return hils.status();
-    if (hils->size() != n) {
-      return Status::Corruption("bucket hilbert column is short");
-    }
-    hil = std::move(*hils);
+  if (Status s = LoadColumns(true); !s.ok()) return s;
+  std::vector<int64_t> positions;
+  std::string_view pos_view = *pos_col;
+  if (Status s = DecodeColumn(&pos_view, n * kNumSlots, &positions);
+      !s.ok()) {
+    return s;
   }
 
   std::string ids;
   bool has_ids = false;
-  if (const std::string* ids_col = column("ids")) {
+  if (const std::string* ids_col = Column(*data_, "ids")) {
     Result<std::string> raw = LzDecompress(*ids_col);
     if (!raw.ok()) return raw.status();
     if (raw->size() != n * bson::ObjectId::kSize) {
@@ -711,26 +777,38 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
     rescols = std::move(*rc);
   }
 
+  const size_t count = rows != nullptr ? rows->size() : n;
   std::vector<bson::Document> points;
-  points.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  points.reserve(count);
+  size_t res_row = 0;  // Per-point residual blobs consumed from res_view.
+  for (size_t k = 0; k < count; ++k) {
+    const size_t i = rows != nullptr ? (*rows)[k] : k;
+    if (i >= n || (rows != nullptr && k > 0 && i <= (*rows)[k - 1])) {
+      return Status::InvalidArgument("bucket rows must ascend within n");
+    }
     bson::Document res;
     size_t res_count = rescols.fields.size();
     if (res_col != nullptr) {
-      Result<uint64_t> res_len = bson::GetVarint(&res_view);
-      if (!res_len.ok()) return res_len.status();
-      if (res_view.size() < *res_len) {
-        return Status::Corruption("bucket residuals are truncated");
+      // Skip the unselected rows' blobs by their length prefix; only row
+      // i's blob is parsed.
+      for (; res_row <= i; ++res_row) {
+        Result<uint64_t> res_len = bson::GetVarint(&res_view);
+        if (!res_len.ok()) return res_len.status();
+        if (res_view.size() < *res_len) {
+          return Status::Corruption("bucket residuals are truncated");
+        }
+        if (res_row == i) {
+          Result<bson::Document> parsed =
+              bson::DecodeBson(res_view.substr(0, *res_len));
+          if (!parsed.ok()) return parsed.status();
+          res = std::move(*parsed);
+        }
+        res_view.remove_prefix(*res_len);
       }
-      Result<bson::Document> parsed =
-          bson::DecodeBson(res_view.substr(0, *res_len));
-      if (!parsed.ok()) return parsed.status();
-      res_view.remove_prefix(*res_len);
-      res = std::move(*parsed);
       res_count = res.size();
     }
 
-    const int64_t* pos = &(*positions)[i * kNumSlots];
+    const int64_t* pos = &positions[i * kNumSlots];
     const size_t total_fields =
         res_count + static_cast<size_t>(pos[kSlotTs] >= 0) +
         static_cast<size_t>(pos[kSlotLoc] >= 0) +
@@ -741,14 +819,14 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
     size_t res_next = 0;
     for (size_t fi = 0; fi < total_fields; ++fi) {
       if (pos[kSlotTs] == static_cast<int64_t>(fi)) {
-        point.Append(layout.time_field, bson::Value::DateTime((*ts)[i]));
+        point.Append(layout.time_field, bson::Value::DateTime(ts_[i]));
       } else if (pos[kSlotLoc] == static_cast<int64_t>(fi)) {
-        if (lon.size() != n) {
+        if (lon_.empty()) {
           return Status::Corruption("bucket location columns are missing");
         }
         point.Append(layout.location_field,
                      bson::Value::MakeDocument(
-                         bson::GeoJsonPoint(lon[i], lat[i])));
+                         bson::GeoJsonPoint(lon_[i], lat_[i])));
       } else if (pos[kSlotId] == static_cast<int64_t>(fi)) {
         if (!has_ids) {
           return Status::Corruption("bucket ids column is missing");
@@ -758,10 +836,10 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
                     bytes.size());
         point.Append("_id", bson::Value::Id(bson::ObjectId(bytes)));
       } else if (pos[kSlotHil] == static_cast<int64_t>(fi)) {
-        if (hil.size() != n) {
+        if (hil_.empty()) {
           return Status::Corruption("bucket hilbert column is missing");
         }
-        point.Append(layout.hilbert_field, bson::Value::Int64(hil[i]));
+        point.Append(layout.hilbert_field, bson::Value::Int64(hil_[i]));
       } else {
         if (res_next >= res_count) {
           return Status::Corruption("bucket residual fields are short");
@@ -778,6 +856,13 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
     points.push_back(std::move(point));
   }
   return points;
+}
+
+Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
+                                                 const BucketLayout& layout) {
+  Result<BucketReader> reader = BucketReader::Open(bucket);
+  if (!reader.ok()) return reader.status();
+  return reader->Build(layout, nullptr);
 }
 
 }  // namespace stix::storage

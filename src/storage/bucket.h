@@ -2,7 +2,9 @@
 #define STIX_STORAGE_BUCKET_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bson/document.h"
@@ -105,26 +107,105 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
                                     const BucketLayout& layout);
 
 /// Reverses EncodeBucket, reproducing the original point documents in
-/// insertion order.
+/// insertion order (BucketReader::Build over every row).
 Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
                                                  const BucketLayout& layout);
 
 /// Decodes only the pruning metadata (no column access).
 Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket);
 
-/// The predicate columns of one bucket: exact per-point timestamps and
-/// coordinates, decoded without touching the _id column, the position
-/// column or the payload residuals. A rect+time predicate evaluated on
-/// these is equal to evaluating it on the reconstructed points (the
-/// columns are bit-exact), so scans can filter columnar-first and
-/// materialize full documents only for matches.
-struct BucketTimeLoc {
-  std::vector<int64_t> ts;
-  /// Empty (not zero-filled) when the bucket has no location column —
-  /// callers must fall back to full DecodeBucket for spatial predicates.
-  std::vector<double> lon, lat;
+/// The per-point bounds a point query implies, in the terms a bucket can
+/// check: on its metadata (whole-bucket pruning) and on its predicate
+/// columns (per-row selection). Built by query::ExtractBucketPredicates.
+struct BucketPruneSpec {
+  /// Closed time bounds on the points (from time_field comparisons).
+  std::optional<int64_t> min_ts;
+  std::optional<int64_t> max_ts;
+  /// Spatial bound: the query rect, or a polygon's bounding box.
+  std::optional<geo::Rect> rect;
+  /// Sorted disjoint closed hilbertIndex ranges (from a RangeSet).
+  std::vector<std::pair<int64_t, int64_t>> hil_ranges;
+
+  /// True iff this spec IS the whole point expression — every leaf was a
+  /// conjunct the extraction captured losslessly (time cmp, rect on point
+  /// locations, one hilbert RangeSet). Polygons capture only their bounding
+  /// box, $or captures nothing; both leave exact false.
+  bool exact = false;
+
+  /// True iff a bucket with this metadata may contain a matching point.
+  bool MayContain(const BucketMeta& meta) const;
+
+  /// True iff every point of a bucket with this metadata matches: the spec
+  /// is exact and the metadata lies entirely inside its bounds (the
+  /// whole-bucket analogue of an index range's covered interior).
+  bool Covers(const BucketMeta& meta) const;
 };
-Result<BucketTimeLoc> DecodeBucketTimeLoc(const bson::Document& bucket);
+
+/// The rows of one bucket a BucketPruneSpec selects.
+struct BucketSelection {
+  /// Ascending row indices (insertion order).
+  std::vector<uint32_t> rows;
+  /// Rows checked on the predicate columns: 0 when the metadata alone
+  /// pruned or covered the bucket.
+  uint64_t scanned = 0;
+  /// True iff the metadata pruned the whole bucket (rows is empty).
+  bool pruned = false;
+  /// True iff `rows` are exactly the points the spec's expression matches:
+  /// always when `rows` is empty (the spec's bounds are implied by its
+  /// expression), otherwise when the spec is exact and the bucket carries
+  /// every column it bounds. Otherwise `rows` is a superset the caller
+  /// must filter.
+  bool exact = false;
+};
+
+/// Column reader over one bucket document: the one decoder behind
+/// DecodeBucket, the predicate kernel and every bucket scan. Opening parses
+/// only the metadata; each column decodes on first use, so a caller that
+/// selects on ts/lon/lat/hil never touches the `_id`, position or residual
+/// columns of a bucket with no selected row. The bucket document must
+/// outlive the reader.
+class BucketReader {
+ public:
+  /// Checks the bucket shape and parses its metadata; decodes no column.
+  static Result<BucketReader> Open(const bson::Document& bucket);
+
+  const BucketMeta& meta() const { return meta_; }
+
+  /// The predicate kernel. Prunes on the metadata, selects every row of a
+  /// bucket the spec covers, and otherwise decodes ts and lon/lat and
+  /// checks the time bounds and the rect over those arrays in one loop; the
+  /// hil ranges (binary search) then refine the survivors, so a bucket
+  /// with none never decodes its hil column. A
+  /// bound whose column the bucket lacks (non-canonical locations, no hil
+  /// column) is skipped and the selection marked inexact. The columns are
+  /// bit-exact with the built points, so an exact selection equals
+  /// evaluating the spec's expression on every decoded point.
+  Result<BucketSelection> Select(const BucketPruneSpec& spec);
+
+  /// Builds point documents, byte-identical to the encoded originals, for
+  /// the given ascending rows (nullptr: every row), in row order.
+  Result<std::vector<bson::Document>> Build(
+      const BucketLayout& layout, const std::vector<uint32_t>* rows);
+
+  /// The ts/lon/lat columns, valid after Select or Build decoded them; lon
+  /// and lat stay empty when the bucket has no location column.
+  const std::vector<int64_t>& ts() const { return ts_; }
+  const std::vector<double>& lon() const { return lon_; }
+  const std::vector<double>& lat() const { return lat_; }
+
+ private:
+  BucketReader() = default;
+  /// Decodes ts and lon/lat, and hil when asked for (each at most once;
+  /// an absent column stays empty).
+  Status LoadColumns(bool hil);
+
+  const bson::Document* data_ = nullptr;
+  BucketMeta meta_;
+  std::vector<int64_t> ts_;
+  std::vector<double> lon_, lat_;
+  std::vector<int64_t> hil_;
+  bool ts_loaded_ = false, hil_loaded_ = false;
+};
 
 }  // namespace stix::storage
 

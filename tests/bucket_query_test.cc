@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "bson/codec.h"
+#include "bson/object_id.h"
+#include "common/metrics.h"
+#include "common/rng.h"
 #include "query/bucket_unpack.h"
 #include "query/expression.h"
 #include "st/knn.h"
@@ -226,6 +229,217 @@ TEST(BucketPruneSpecTest, CoversOnlyWhenExactAndContained) {
   EXPECT_FALSE(poly_spec.Covers(inside));
 }
 
+// ---------- bucket predicate kernel vs DecodeBucket + Matches ----------
+
+// Encoding variants a random bucket is drawn from.
+struct KernelBucketShape {
+  bool mixed_schema;   // "res" residuals instead of "cols"
+  bool canonical_loc;  // false: one point has int coordinates, no lon/lat
+  bool full_hil;       // false: one point lacks hilbertIndex, no hil column
+};
+
+// Coordinates and timestamps sit on a coarse lattice so that query rects
+// and time bounds drawn from the same lattice hit points exactly on their
+// edges.
+double Lattice(Rng& rng, double origin) {
+  return origin + 0.25 * static_cast<double>(rng.NextBounded(5));
+}
+
+std::vector<bson::Document> RandomKernelPoints(Rng& rng, int64_t base,
+                                               const KernelBucketShape& shape) {
+  static bson::ObjectIdGenerator oid_gen(7);
+  const int n = 1 + static_cast<int>(rng.NextBounded(60));
+  const int odd_one = static_cast<int>(rng.NextBounded(n));
+  std::vector<bson::Document> points;
+  for (int i = 0; i < n; ++i) {
+    const int64_t ts = base + 1000 * static_cast<int64_t>(rng.NextBounded(40));
+    bson::Document p;
+    p.Append("vehicleId", bson::Value::Int32(5));
+    if (!shape.canonical_loc && i == odd_one) {
+      // Valid GeoJSON the matcher accepts, but not the canonical double
+      // form the codec lifts into columns.
+      bson::Document loc;
+      loc.Append("type", bson::Value::String("Point"));
+      bson::Array coords;
+      coords.push_back(bson::Value::Int32(23));
+      coords.push_back(bson::Value::Int32(37));
+      loc.Append("coordinates", bson::Value::MakeArray(std::move(coords)));
+      p.Append("location", bson::Value::MakeDocument(std::move(loc)));
+    } else {
+      p.Append("location", bson::Value::MakeDocument(bson::GeoJsonPoint(
+                               Lattice(rng, 23.0), Lattice(rng, 37.0))));
+    }
+    p.Append("date", bson::Value::DateTime(ts));
+    if (shape.full_hil || i != odd_one) {
+      p.Append("hilbertIndex",
+               bson::Value::Int64(static_cast<int64_t>(rng.NextBounded(64))));
+    }
+    p.Append("speed", bson::Value::Double(static_cast<double>(i % 7)));
+    if (shape.mixed_schema && i % 3 == 0) {
+      p.Append("extra", bson::Value::Int32(i));
+    }
+    p.Append("_id", bson::Value::Id(oid_gen.Generate(
+                        static_cast<uint32_t>(ts / 1000))));
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+// Point-level expressions over one bucket's lattice: exact rect/time/hil
+// conjunctions plus the inexact shapes (polygon, $or, other fields,
+// geoIntersects) and an empty intersected rect.
+std::vector<query::ExprPtr> KernelExpressions(Rng& rng, int64_t base) {
+  const auto ts_at = [&](int64_t step) {
+    return bson::Value::DateTime(base + 1000 * step);
+  };
+  const int64_t a = static_cast<int64_t>(rng.NextBounded(40));
+  const int64_t b = a + static_cast<int64_t>(rng.NextBounded(40 - a));
+  const double lon0 = Lattice(rng, 23.0), lat0 = Lattice(rng, 37.0);
+  const geo::Rect rect{{lon0, lat0},
+                       {lon0 + 0.25 * static_cast<double>(rng.NextBounded(4)),
+                        lat0 + 0.25 * static_cast<double>(rng.NextBounded(4))}};
+  const auto date_window = [&] {
+    return std::vector<query::ExprPtr>{
+        query::MakeCmp("date", query::CmpOp::kGte, ts_at(a)),
+        query::MakeCmp("date", query::CmpOp::kLte, ts_at(b))};
+  };
+  std::vector<query::RangeSetExpr::Range> ranges;
+  for (int64_t lo = static_cast<int64_t>(rng.NextBounded(8)); lo < 64;
+       lo += 4 + static_cast<int64_t>(rng.NextBounded(12))) {
+    const int64_t hi = lo + static_cast<int64_t>(rng.NextBounded(4));
+    ranges.push_back({bson::Value::Int64(lo), bson::Value::Int64(hi)});
+  }
+
+  std::vector<query::ExprPtr> out;
+  std::vector<query::ExprPtr> c = date_window();
+  c.push_back(query::MakeGeoWithinBox("location", rect));
+  out.push_back(query::MakeAnd(c));  // the hil/bslTS rect query minus hil
+  c.push_back(query::MakeRangeSet("hilbertIndex", ranges));
+  out.push_back(query::MakeAnd(c));  // the full hil rect query
+  out.push_back(query::MakeAnd(
+      {query::MakeCmp("date", query::CmpOp::kGt, ts_at(a)),
+       query::MakeCmp("date", query::CmpOp::kLt, ts_at(b))}));
+  out.push_back(query::MakeCmp("date", query::CmpOp::kEq, ts_at(a)));
+  // Two disjoint boxes: the intersected rect is empty.
+  out.push_back(query::MakeAnd(
+      {query::MakeGeoWithinBox("location", {{23.0, 37.0}, {23.25, 37.25}}),
+       query::MakeGeoWithinBox("location", {{23.5, 37.5}, {24.0, 38.0}}),
+       query::MakeCmp("date", query::CmpOp::kGte, ts_at(a))}));
+  c = date_window();
+  c.push_back(query::MakeGeoWithinPolygon(
+      "location", geo::Polygon{{{23.0, 37.0}, {24.0, 37.0}, {23.5, 38.0}}}));
+  out.push_back(query::MakeAnd(c));
+  out.push_back(query::MakeOr(
+      {query::MakeGeoWithinBox("location", rect),
+       query::MakeCmp("date", query::CmpOp::kLte, ts_at(a))}));
+  c = date_window();
+  c.push_back(query::MakeOr({query::MakeGeoWithinBox("location", rect),
+                             query::MakeCmp("speed", query::CmpOp::kGt,
+                                            bson::Value::Double(3.0))}));
+  out.push_back(query::MakeAnd(c));
+  c = date_window();
+  c.push_back(query::MakeGeoIntersectsBox("location", rect));
+  out.push_back(query::MakeAnd(c));
+  out.push_back(query::MakeAnd(
+      {query::MakeGeoWithinBox("location", rect),
+       query::MakeCmp("speed", query::CmpOp::kLte, bson::Value::Double(2.0))}));
+  return out;
+}
+
+TEST(BucketKernelTest, SelectionAndBuiltRowsEqualDecodePlusMatches) {
+  Rng rng(0x5e1ec7);
+  storage::BucketLayout layout;
+  layout.window_ms = 6 * kHourMs;
+  const int64_t base = layout.WindowBase(1530403200000);
+  uint64_t exact = 0, inexact = 0, pruned = 0, covered = 0, nonempty = 0;
+  uint64_t no_loc = 0, no_hil = 0, res = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const KernelBucketShape shape{rng.NextBounded(2) == 0,
+                                  rng.NextBounded(4) != 0,
+                                  rng.NextBounded(4) != 0};
+    const std::vector<bson::Document> points =
+        RandomKernelPoints(rng, base, shape);
+    const Result<bson::Document> bucket =
+        storage::EncodeBucket(points, layout);
+    ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
+    const bson::Document& data =
+        bucket->Get(storage::kBucketDataField)->AsDocument();
+    no_loc += data.Get("lon") == nullptr;
+    no_hil += data.Get("hil") == nullptr;
+    res += data.Get("res") != nullptr;
+    const Result<std::vector<bson::Document>> all =
+        storage::DecodeBucket(*bucket, layout);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+
+    for (const query::ExprPtr& expr : KernelExpressions(rng, base)) {
+      std::vector<std::string> want;
+      for (const bson::Document& p : *all) {
+        if (expr->Matches(p)) want.push_back(bson::EncodeBson(p));
+      }
+
+      Result<storage::BucketReader> reader =
+          storage::BucketReader::Open(*bucket);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      const Result<storage::BucketSelection> selection =
+          reader->Select(query::ExtractBucketPredicates(expr, layout));
+      ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+      std::vector<std::string> got;
+      if (!selection->rows.empty()) {
+        const Result<std::vector<bson::Document>> built =
+            reader->Build(layout, &selection->rows);
+        ASSERT_TRUE(built.ok()) << built.status().ToString();
+        ASSERT_EQ(built->size(), selection->rows.size());
+        for (size_t k = 0; k < built->size(); ++k) {
+          // Each built row is byte-identical to DecodeBucket's.
+          ASSERT_EQ(bson::EncodeBson((*built)[k]),
+                    bson::EncodeBson((*all)[selection->rows[k]]));
+          if (selection->exact || expr->Matches((*built)[k])) {
+            got.push_back(bson::EncodeBson((*built)[k]));
+          }
+        }
+      }
+      ASSERT_EQ(got, want) << "trial " << trial << " expr "
+                           << expr->DebugString();
+
+      exact += selection->exact;
+      inexact += !selection->exact;
+      pruned += selection->pruned;
+      covered += !selection->pruned && selection->scanned == 0;
+      nonempty += !want.empty();
+    }
+  }
+  // Every branch of the kernel was exercised.
+  EXPECT_GT(exact, 0u);
+  EXPECT_GT(inexact, 0u);
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(covered, 0u);
+  EXPECT_GT(nonempty, 0u);
+  EXPECT_GT(no_loc, 0u);
+  EXPECT_GT(no_hil, 0u);
+  EXPECT_GT(res, 0u);
+}
+
+TEST(BucketQueryTest, RegistryCountersMoveAfterBucketedQuery) {
+  const workload::TrajectoryOptions traj;
+  const auto bucket = LoadedStore(ApproachKind::kBslTS, true, 2000);
+  ASSERT_TRUE(bucket->FlushBuckets().ok());
+  MetricsRegistry& registry = MetricsRegistry::Instance();
+  const uint64_t pruned_before =
+      registry.GetCounter("bucket.buckets_pruned").value();
+  const uint64_t unpacked_before =
+      registry.GetCounter("bucket.points_unpacked").value();
+  const int64_t span = traj.t_end_ms - traj.t_begin_ms;
+  const StQueryResult r =
+      bucket->Query(geo::Rect{{23.0, 37.5}, {24.4, 38.5}},
+                    traj.t_begin_ms + span / 3, traj.t_begin_ms + span / 2);
+  ASSERT_TRUE(r.cluster.status.ok());
+  ASSERT_FALSE(r.cluster.docs.empty());
+  EXPECT_GT(registry.GetCounter("bucket.buckets_pruned").value(),
+            pruned_before);
+  EXPECT_GE(registry.GetCounter("bucket.points_unpacked").value(),
+            unpacked_before + r.cluster.docs.size());
+}
+
 TEST(BucketQueryTest, DeleteRemovesPointsUnderBucketLayout) {
   const workload::TrajectoryOptions traj;
   const auto store = LoadedStore(ApproachKind::kBslTS, true, 1000);
@@ -255,6 +469,49 @@ TEST(BucketQueryTest, DeleteRemovesPointsUnderBucketLayout) {
   const StQueryResult after =
       store->Query(everything, traj.t_begin_ms, traj.t_end_ms);
   EXPECT_EQ(after.cluster.docs.size(), expected_survivors);
+}
+
+TEST(BucketQueryTest, DeleteAgreesWithRowLayout) {
+  // Bucketed deletes select with the bucket predicate kernel: an exact
+  // rect + window expression deletes straight off the selection, a polygon
+  // (inexact) refines the selected rows with Matches. Both must leave the
+  // same points as the row layout.
+  const workload::TrajectoryOptions traj;
+  const auto row = LoadedStore(ApproachKind::kBslTS, false, 1500);
+  const auto bucket = LoadedStore(ApproachKind::kBslTS, true, 1500);
+  ASSERT_TRUE(bucket->FlushBuckets().ok());
+  const int64_t span = traj.t_end_ms - traj.t_begin_ms;
+  const auto window = [&](std::vector<query::ExprPtr> c) {
+    c.push_back(query::MakeCmp(
+        "date", query::CmpOp::kGte,
+        bson::Value::DateTime(traj.t_begin_ms + span / 4)));
+    c.push_back(query::MakeCmp(
+        "date", query::CmpOp::kLte,
+        bson::Value::DateTime(traj.t_begin_ms + span * 3 / 4)));
+    return query::MakeAnd(std::move(c));
+  };
+  const query::ExprPtr deletes[] = {
+      window({query::MakeGeoWithinBox("location",
+                                      {{23.0, 37.5}, {24.4, 38.5}})}),
+      window({query::MakeGeoWithinPolygon(
+          "location",
+          geo::Polygon{{{22.0, 36.5}, {25.5, 37.0}, {23.8, 40.0}}})}),
+  };
+  const geo::Rect everything{{19.0, 34.0}, {29.0, 42.0}};
+  for (const query::ExprPtr& expr : deletes) {
+    const Result<uint64_t> row_removed = row->cluster().Delete(expr);
+    const Result<uint64_t> bucket_removed = bucket->cluster().Delete(expr);
+    ASSERT_TRUE(row_removed.ok()) << row_removed.status().ToString();
+    ASSERT_TRUE(bucket_removed.ok()) << bucket_removed.status().ToString();
+    EXPECT_GT(*row_removed, 0u) << expr->DebugString();
+    EXPECT_EQ(*bucket_removed, *row_removed) << expr->DebugString();
+    const StQueryResult rr =
+        row->Query(everything, traj.t_begin_ms, traj.t_end_ms);
+    const StQueryResult br =
+        bucket->Query(everything, traj.t_begin_ms, traj.t_end_ms);
+    EXPECT_EQ(Canon(rr.cluster.docs), Canon(br.cluster.docs))
+        << expr->DebugString();
+  }
 }
 
 }  // namespace

@@ -124,23 +124,29 @@ TEST(BucketCodecTest, TimeLocColumnsAreBitExactWithDecodedPoints) {
   const std::vector<bson::Document> points = MakeWindowPoints(layout, 48);
   const Result<bson::Document> bucket = EncodeBucket(points, layout);
   ASSERT_TRUE(bucket.ok());
-  const Result<BucketTimeLoc> cols = DecodeBucketTimeLoc(*bucket);
+  Result<BucketReader> cols = BucketReader::Open(*bucket);
   ASSERT_TRUE(cols.ok()) << cols.status().ToString();
-  ASSERT_EQ(cols->ts.size(), points.size());
-  ASSERT_EQ(cols->lon.size(), points.size());
-  ASSERT_EQ(cols->lat.size(), points.size());
+  // A whole-world rect selects every row and decodes ts/lon/lat.
+  BucketPruneSpec spec;
+  spec.rect = geo::Rect{{-180.0, -90.0}, {180.0, 90.0}};
+  const Result<BucketSelection> selection = cols->Select(spec);
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  EXPECT_EQ(selection->rows.size(), points.size());
+  ASSERT_EQ(cols->ts().size(), points.size());
+  ASSERT_EQ(cols->lon().size(), points.size());
+  ASSERT_EQ(cols->lat().size(), points.size());
   const Result<std::vector<bson::Document>> back =
       DecodeBucket(*bucket, layout);
   ASSERT_TRUE(back.ok());
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(cols->ts[i], (*back)[i].Get(layout.time_field)->AsDateTime());
+    EXPECT_EQ(cols->ts()[i], (*back)[i].Get(layout.time_field)->AsDateTime());
     double lon = 0, lat = 0;
     ASSERT_TRUE(bson::ExtractGeoJsonPoint(
         *(*back)[i].Get(layout.location_field), &lon, &lat));
     // Bit-exact, not just approximately equal: a columnar predicate must
     // agree with one evaluated on the reconstructed documents.
-    EXPECT_EQ(std::memcmp(&cols->lon[i], &lon, sizeof lon), 0);
-    EXPECT_EQ(std::memcmp(&cols->lat[i], &lat, sizeof lat), 0);
+    EXPECT_EQ(std::memcmp(&cols->lon()[i], &lon, sizeof lon), 0);
+    EXPECT_EQ(std::memcmp(&cols->lat()[i], &lat, sizeof lat), 0);
   }
 }
 

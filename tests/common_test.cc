@@ -253,6 +253,18 @@ TEST(LzTest, RejectsBadTag) {
   EXPECT_FALSE(LzDecompress(c).ok());
 }
 
+TEST(LzTest, RejectsOpsPastHeaderLength) {
+  // The decoder writes into a buffer sized by the header: a header that
+  // understates the output must fail, never write past the buffer.
+  const std::string input = "hello world hello world";
+  std::string c = LzCompress(input);
+  ASSERT_EQ(static_cast<size_t>(c[0]), input.size());  // one-byte varint
+  for (const char total : {0, 5, 12}) {
+    c[0] = total;
+    EXPECT_FALSE(LzDecompress(c).ok()) << int{total};
+  }
+}
+
 // ---------- ThreadPool ----------
 
 TEST(ThreadPoolTest, RunsAllTasks) {
