@@ -80,7 +80,7 @@ class ChunkManager {
   /// Starts with one chunk [MinKey, MaxKey) on `initial_shard`.
   explicit ChunkManager(int initial_shard);
 
-  /// Rebuilds a chunk table from a saved list (snapshot restore). Fails
+  /// Rebuilds a chunk table from a saved list (recovery). Fails
   /// with Corruption when the list violates the invariants (sorted,
   /// contiguous, covering the whole key space).
   static Result<std::unique_ptr<ChunkManager>> FromChunks(

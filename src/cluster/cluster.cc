@@ -7,7 +7,6 @@
 #include <variant>
 
 #include "bson/codec.h"
-#include "cluster/snapshot.h"
 #include "common/failpoint.h"
 #include "common/fs.h"
 #include "common/metrics.h"
@@ -471,19 +470,6 @@ Status Cluster::RestoreShardingState(
   // ShardCollection/CreateIndex journaled intermediate states (default
   // chunk table); close with the fully restored topology.
   return LogTopology();
-}
-
-Status Cluster::RestoreDocumentToShard(int shard_id, bson::Document doc) {
-  if (!sharded_) {
-    return Status::Internal("restore sharding state before documents");
-  }
-  if (shard_id < 0 || shard_id >= options_.num_shards) {
-    return Status::InvalidArgument("unknown shard " +
-                                   std::to_string(shard_id));
-  }
-  Result<storage::RecordId> rid =
-      shards_[static_cast<size_t>(shard_id)]->Insert(std::move(doc));
-  return rid.ok() ? Status::OK() : rid.status();
 }
 
 void Cluster::Balance() {

@@ -175,30 +175,23 @@ class Cluster {
   /// True when the cluster writes through WALs (durability.data_dir set).
   bool durable() const { return config_wal_ != nullptr; }
 
-  /// Snapshot-restore path: installs a previously saved sharding state
-  /// (pattern, chunk table, zones) and creates the mandatory and given
-  /// secondary indexes on every shard. The cluster must be fresh. The chunk
-  /// table must satisfy ChunkManager invariants.
+  /// Recovery path: installs a journaled sharding state (pattern, chunk
+  /// table, zones) and creates the mandatory and given secondary indexes
+  /// on every shard. The cluster must be fresh. The chunk table must
+  /// satisfy ChunkManager invariants.
   Status RestoreShardingState(
       ShardKeyPattern pattern, std::vector<Chunk> chunk_table,
       std::vector<ZoneRange> zones,
       const std::vector<index::IndexDescriptor>& secondary_indexes);
-
-  /// Snapshot-restore path: inserts directly into a shard, bypassing
-  /// routing and split/balance logic (placement comes from the restored
-  /// chunk table).
-  Status RestoreDocumentToShard(int shard_id, bson::Document doc);
 
   /// Scatter/gather query through the router (open + drain of a cursor).
   ClusterQueryResult Query(const query::ExprPtr& expr) const;
 
   /// Opens a streaming cursor through the router: batched getMore rounds,
   /// optional limit pushdown (see CursorOptions). The cursor borrows the
-  /// cluster's shards and pool. Under the default yield policy it may be
-  /// consumed while inserts and balancer rounds run concurrently (it holds
-  /// the migration-commit latch shared until closed); under
-  /// YieldPolicy::kAbortOnMutation the legacy rule applies — consume it
-  /// before mutating the cluster.
+  /// cluster's shards and pool. It may be consumed while inserts and
+  /// balancer rounds run concurrently (it holds the migration-commit latch
+  /// shared until closed).
   std::unique_ptr<ClusterCursor> OpenCursor(
       const query::ExprPtr& expr,
       const CursorOptions& cursor_options = {}) const;
@@ -430,6 +423,24 @@ class Cluster {
   // open path holds only shared locks).
   mutable std::vector<std::atomic<uint64_t>> reads_per_shard_;
 };
+
+/// A cluster's sharding metadata, decoded from its BSON form: everything
+/// needed to rebuild topology before any document arrives. The config
+/// journal's kConfigMeta records carry it.
+struct ClusterMeta {
+  int num_shards = 0;
+  ShardKeyPattern pattern;
+  std::vector<Chunk> chunks;
+  std::vector<ZoneRange> zones;
+  std::vector<index::IndexDescriptor> secondary_indexes;
+};
+
+/// Encodes a cluster's sharding metadata (shard count, key pattern, chunk
+/// table, zones, secondary index declarations) as one BSON document.
+bson::Document ClusterMetadataDoc(const Cluster& cluster);
+
+/// Inverse of ClusterMetadataDoc; Corruption on missing fields.
+Result<ClusterMeta> ParseClusterMetadata(const bson::Document& meta);
 
 /// Rebuilds a durable cluster from options.durability.data_dir: parses the
 /// last journaled metadata record, restores the sharding state, recovers

@@ -1,10 +1,161 @@
 #include "bson/codec.h"
 #include "cluster/cluster.h"
-#include "cluster/snapshot.h"
 #include "common/metrics.h"
 #include "storage/wal.h"
 
 namespace stix::cluster {
+namespace {
+
+// ---- metadata codec: the payload of every config-journal record ----
+
+bson::Document ChunkToDoc(const Chunk& c) {
+  return bson::DocBuilder()
+      .Field("min", c.min)
+      .Field("max", c.max)
+      .Field("shard", static_cast<int32_t>(c.shard_id))
+      .Field("bytes", static_cast<int64_t>(c.bytes))
+      .Field("docs", static_cast<int64_t>(c.docs))
+      .Field("points", static_cast<int64_t>(c.points))
+      .Field("jumbo", c.jumbo)
+      .Build();
+}
+
+Result<Chunk> ChunkFromDoc(const bson::Document& doc) {
+  const bson::Value* min = doc.Get("min");
+  const bson::Value* max = doc.Get("max");
+  const bson::Value* shard = doc.Get("shard");
+  if (min == nullptr || max == nullptr || shard == nullptr) {
+    return Status::Corruption("chunk metadata incomplete");
+  }
+  Chunk c;
+  c.min = min->AsString();
+  c.max = max->AsString();
+  c.shard_id = shard->AsInt32();
+  if (const bson::Value* v = doc.Get("bytes")) {
+    c.bytes = static_cast<uint64_t>(v->AsInt64());
+  }
+  if (const bson::Value* v = doc.Get("docs")) {
+    c.docs = static_cast<uint64_t>(v->AsInt64());
+  }
+  if (const bson::Value* v = doc.Get("points")) {
+    c.points = static_cast<uint64_t>(v->AsInt64());
+  } else {
+    c.points = c.docs;  // written before chunks counted points
+  }
+  if (const bson::Value* v = doc.Get("jumbo")) c.jumbo = v->AsBool();
+  return c;
+}
+
+}  // namespace
+
+bson::Document ClusterMetadataDoc(const Cluster& cluster) {
+  bson::Document meta;
+  meta.Append("numShards", bson::Value::Int32(cluster.num_shards()));
+
+  bson::Array key_paths;
+  for (const std::string& p : cluster.shard_key().paths()) {
+    key_paths.push_back(bson::Value::String(p));
+  }
+  meta.Append("shardKeyPaths", bson::Value::MakeArray(std::move(key_paths)));
+  meta.Append("hashed",
+              bson::Value::Bool(cluster.shard_key().strategy() ==
+                                ShardingStrategy::kHashed));
+
+  bson::Array chunks;
+  for (const Chunk& c : cluster.chunks().chunks()) {
+    chunks.push_back(bson::Value::MakeDocument(ChunkToDoc(c)));
+  }
+  meta.Append("chunks", bson::Value::MakeArray(std::move(chunks)));
+
+  bson::Array zones;
+  for (const ZoneRange& z : cluster.zones()) {
+    zones.push_back(bson::Value::MakeDocument(
+        bson::DocBuilder()
+            .Field("min", z.min)
+            .Field("max", z.max)
+            .Field("shard", static_cast<int32_t>(z.shard_id))
+            .Build()));
+  }
+  meta.Append("zones", bson::Value::MakeArray(std::move(zones)));
+
+  // Secondary indexes (shard 0 is authoritative; _id and shard-key indexes
+  // are recreated implicitly on restore).
+  bson::Array indexes;
+  for (const auto& idx : cluster.shards()[0]->catalog().indexes()) {
+    const index::IndexDescriptor& desc = idx->descriptor();
+    if (desc.name() == "_id_" ||
+        desc.name() == cluster.shard_key_index_name()) {
+      continue;
+    }
+    bson::Array fields;
+    for (const index::IndexField& f : desc.fields()) {
+      fields.push_back(bson::Value::MakeDocument(
+          bson::DocBuilder()
+              .Field("path", f.path)
+              .Field("geo", f.kind == index::IndexFieldKind::k2dsphere)
+              .Build()));
+    }
+    indexes.push_back(bson::Value::MakeDocument(
+        bson::DocBuilder()
+            .Field("name", desc.name())
+            .Field("fields", bson::Value::MakeArray(std::move(fields)))
+            .Field("geohashBits", desc.geohash_bits())
+            .Build()));
+  }
+  meta.Append("indexes", bson::Value::MakeArray(std::move(indexes)));
+  return meta;
+}
+
+Result<ClusterMeta> ParseClusterMetadata(const bson::Document& meta) {
+  const bson::Value* num_shards = meta.Get("numShards");
+  const bson::Value* key_paths = meta.Get("shardKeyPaths");
+  const bson::Value* hashed = meta.Get("hashed");
+  const bson::Value* chunks_v = meta.Get("chunks");
+  const bson::Value* zones_v = meta.Get("zones");
+  const bson::Value* indexes_v = meta.Get("indexes");
+  if (num_shards == nullptr || key_paths == nullptr || hashed == nullptr ||
+      chunks_v == nullptr || zones_v == nullptr || indexes_v == nullptr) {
+    return Status::Corruption("cluster metadata incomplete");
+  }
+
+  ClusterMeta out;
+  out.num_shards = num_shards->AsInt32();
+
+  std::vector<std::string> paths;
+  for (const bson::Value& p : key_paths->AsArray()) {
+    paths.push_back(p.AsString());
+  }
+  out.pattern = ShardKeyPattern(std::move(paths),
+                                hashed->AsBool() ? ShardingStrategy::kHashed
+                                                 : ShardingStrategy::kRange);
+
+  for (const bson::Value& c : chunks_v->AsArray()) {
+    Result<Chunk> chunk = ChunkFromDoc(c.AsDocument());
+    if (!chunk.ok()) return chunk.status();
+    out.chunks.push_back(std::move(*chunk));
+  }
+  for (const bson::Value& z : zones_v->AsArray()) {
+    const bson::Document& zd = z.AsDocument();
+    out.zones.push_back(ZoneRange{zd.Get("min")->AsString(),
+                                  zd.Get("max")->AsString(),
+                                  zd.Get("shard")->AsInt32()});
+  }
+  for (const bson::Value& i : indexes_v->AsArray()) {
+    const bson::Document& id = i.AsDocument();
+    std::vector<index::IndexField> fields;
+    for (const bson::Value& f : id.Get("fields")->AsArray()) {
+      const bson::Document& fd = f.AsDocument();
+      fields.push_back(index::IndexField{
+          fd.Get("path")->AsString(),
+          fd.Get("geo")->AsBool() ? index::IndexFieldKind::k2dsphere
+                                  : index::IndexFieldKind::kAscending});
+    }
+    out.secondary_indexes.emplace_back(id.Get("name")->AsString(),
+                                       std::move(fields),
+                                       id.Get("geohashBits")->AsInt32());
+  }
+  return out;
+}
 
 // Whole-cluster crash recovery. The config journal is the root of trust:
 // its last committed kConfigMeta record names the shard count, shard key,

@@ -224,10 +224,8 @@ std::vector<bson::Document> ClusterCursor::NextBatch() {
   STIX_METRIC_COUNTER(cluster_batches, "cluster.batches");
   cluster_batches.Increment();
 
-  // Merge in shard-target order. Yield-policy batches arrive already
-  // materialized (shard-owned documents, moved here for free); legacy
-  // batches borrow from the record stores and this is their single
-  // materialization point.
+  // Merge in shard-target order. Batches arrive already materialized
+  // (shard-owned documents, moved here for free).
   Stopwatch merge_timer;
   size_t round_docs = 0;
   for (size_t i : active) round_docs += batches[i].docs.size();
@@ -235,17 +233,11 @@ std::vector<bson::Document> ClusterCursor::NextBatch() {
   uint64_t round_bytes = 0;
   for (size_t i : active) {
     ShardCursor::Batch& batch = batches[i];
-    batch.CheckBorrows();
-    const bool owned = !batch.owned.empty();
-    for (size_t j = 0; j < batch.docs.size(); ++j) {
+    for (size_t j = 0; j < batch.owned.size(); ++j) {
       if (cursor_options_.limit != 0 && returned_ >= cursor_options_.limit) {
         break;
       }
-      if (owned) {
-        out.push_back(std::move(batch.owned[j]));
-      } else {
-        out.push_back(*batch.docs[j]);
-      }
+      out.push_back(std::move(batch.owned[j]));
       // One size walk per document, shared by both accountings: ApproxBson-
       // Size recurses through sub-documents and is measurable at scan scale.
       const uint64_t doc_bytes = out.back().ApproxBsonSize();

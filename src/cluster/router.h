@@ -120,13 +120,11 @@ struct ClusterExplain {
 /// instead of the full result set, and a pushed-down limit stops all
 /// shard-side work as soon as it is satisfied.
 ///
-/// Lifetime: borrows the shards (via their cursors). Under the default
-/// yield policy the cursor survives concurrent inserts and balancer rounds:
-/// it holds the cluster's migration-commit latch shared for its lifetime
-/// (chunk *copies* proceed, chunk ownership cannot flip mid-stream) and
-/// every batch is shard-materialized. Under kAbortOnMutation the legacy
-/// contract applies: consume the stream before any shard mutates. Each
-/// merged batch the caller receives is owned either way.
+/// Lifetime: borrows the shards (via their cursors). The cursor survives
+/// concurrent inserts and balancer rounds: it holds the cluster's
+/// migration-commit latch shared for its lifetime (chunk *copies* proceed,
+/// chunk ownership cannot flip mid-stream) and every batch is
+/// shard-materialized, so each merged batch the caller receives is owned.
 ///
 /// Resource discipline: every path that abandons the stream — exhaustion,
 /// a shard getMore fault, a merge fault, Kill(), destruction — closes all
@@ -210,10 +208,10 @@ class ClusterCursor {
   double first_result_millis_ = -1.0;  // <0 = no result produced yet
   int num_batches_ = 0;
   Stopwatch open_timer_;
-  /// Held shared for the cursor's lifetime under the yield policy: chunk
-  /// ownership cannot commit while any cluster cursor streams (the
-  /// migration's copy phase still runs concurrently). Default-constructed
-  /// (empty) when the owning cluster has no latch or legacy mode is on.
+  /// Held shared for the cursor's lifetime: chunk ownership cannot commit
+  /// while any cluster cursor streams (the migration's copy phase still
+  /// runs concurrently). Default-constructed (empty) when the owning
+  /// cluster has no latch.
   std::shared_lock<std::shared_mutex> migration_latch_;
 };
 

@@ -217,13 +217,24 @@ Status Shard::Recover(const std::string& dir, storage::WalOptions options,
   dir_ = dir;
   checkpoint_wal_bytes_ = checkpoint_wal_bytes;
 
-  // Newest intact checkpoint wins; a damaged one falls back to the next
-  // older (its WAL coverage is still complete — the log is only truncated
-  // after a successful rename).
+  const Result<storage::WalScan> scan = storage::ReadWal(dir + "/wal.log");
+  if (!scan.ok()) return scan.status();
+
+  // Newest intact checkpoint wins. Skipping a damaged image is legal only
+  // when the log still covers every record between the image installed
+  // instead and the damaged one. A clean checkpoint prunes the older images
+  // and truncates the log, so usually nothing covers that gap and skipping
+  // would recover a shard that silently lost the damaged image's data.
+  const std::vector<storage::CheckpointRef> refs =
+      storage::ListCheckpoints(dir);
+  const storage::CheckpointRef* damaged = nullptr;  // newest unreadable
   uint64_t ckpt_lsn = 0;
-  for (const storage::CheckpointRef& ref : storage::ListCheckpoints(dir)) {
+  for (const storage::CheckpointRef& ref : refs) {
     Result<storage::CheckpointImage> image = storage::LoadCheckpoint(ref.path);
-    if (!image.ok()) continue;
+    if (!image.ok()) {
+      if (damaged == nullptr) damaged = &ref;
+      continue;
+    }
     collection_ = std::move(image->collection);
     for (storage::CheckpointIndexImage& idx : image->indexes) {
       index::Index* index = catalog_.Get(idx.name);
@@ -237,10 +248,19 @@ Status Shard::Recover(const std::string& dir, storage::WalOptions options,
     ckpt_lsn = image->lsn;
     break;
   }
+  if (damaged != nullptr) {
+    // The log only ever loses a prefix (truncation at a checkpoint), so it
+    // holds every record from its first one to its commit horizon.
+    const bool covered = !scan->committed.empty() &&
+                         scan->committed.front().lsn <= ckpt_lsn + 1 &&
+                         scan->last_lsn >= damaged->lsn;
+    if (!covered) {
+      return Status::Corruption(
+          "damaged checkpoint not covered by the wal: " +
+          damaged->path);
+    }
+  }
   ckpt_lsn_ = ckpt_lsn;
-
-  const Result<storage::WalScan> scan = storage::ReadWal(dir + "/wal.log");
-  if (!scan.ok()) return scan.status();
   for (const storage::WalRecord& record : scan->committed) {
     if (record.lsn <= ckpt_lsn) continue;  // already inside the checkpoint
     switch (record.type) {
@@ -421,13 +441,10 @@ ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
     batch.error = std::move(s);
     return batch;
   }
-  const bool yield =
-      options_.yield_policy == query::YieldPolicy::kYieldAndRestore;
   const std::shared_lock<std::shared_mutex> lock =
       LockShared(shard_.data_mutex());
   shard_.MaybeRebuildStats();
-  const storage::RecordStore& records = shard_.collection().records();
-  if (yield) exec_.RestoreState();
+  exec_.RestoreState();
   Stopwatch timer;
   storage::RecordId rid;
   const bson::Document* doc;
@@ -441,29 +458,24 @@ ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
   }
   exec_millis_ += timer.ElapsedMillis();
   batch.exhausted = done_;
-  if (yield) {
-    // Detach before the lock drops: the executor collapses to KeyString
-    // positions and the batch takes ownership of its documents, so writers
-    // and migrations may run freely until the next GetMore.
-    exec_.SaveState();
-    const bool transient = exec_.winner_transient();
-    batch.owned.reserve(batch.docs.size());
-    for (const bson::Document* d : batch.docs) {
-      if (transient) {
-        // Unpacked points are arena-owned and emitted exactly once; moving
-        // them out skips a deep copy per point (record-store borrows below
-        // must still be copied — their memory is not ours to gut).
-        batch.owned.push_back(std::move(*const_cast<bson::Document*>(d)));
-      } else {
-        batch.owned.push_back(*d);
-      }
+  // Detach before the lock drops: the executor collapses to KeyString
+  // positions and the batch takes ownership of its documents, so writers
+  // and migrations may run freely until the next GetMore.
+  exec_.SaveState();
+  const bool transient = exec_.winner_transient();
+  batch.owned.reserve(batch.docs.size());
+  for (const bson::Document* d : batch.docs) {
+    if (transient) {
+      // Unpacked points are arena-owned and emitted exactly once; moving
+      // them out skips a deep copy per point (record-store borrows below
+      // must still be copied — their memory is not ours to gut).
+      batch.owned.push_back(std::move(*const_cast<bson::Document*>(d)));
+    } else {
+      batch.owned.push_back(*d);
     }
-    for (size_t i = 0; i < batch.docs.size(); ++i) {
-      batch.docs[i] = &batch.owned[i];
-    }
-  } else {
-    batch.borrow_source = &records;
-    batch.borrow_generation = records.generation();
+  }
+  for (size_t i = 0; i < batch.docs.size(); ++i) {
+    batch.docs[i] = &batch.owned[i];
   }
   return batch;
 }

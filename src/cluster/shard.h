@@ -54,13 +54,10 @@ struct ShardExplain {
 /// stream abandoned early charges the shard only for what it produced.
 ///
 /// Concurrency: every GetMore holds the shard's lock shared for the
-/// duration of the pull. Under the default yield policy the executor
-/// detaches from storage before the lock drops (SaveState) and each batch
-/// is materialized into cursor-owned documents, so the cursor survives
-/// concurrent inserts and chunk migrations between getMores. Under
-/// YieldPolicy::kAbortOnMutation the legacy zero-copy contract applies:
-/// batches borrow from the shard's RecordStore and must be consumed before
-/// the collection next mutates (the batch carries a borrow guard).
+/// duration of the pull. The executor detaches from storage before the
+/// lock drops (SaveState) and each batch is materialized into cursor-owned
+/// documents, so the cursor survives concurrent inserts and chunk
+/// migrations between getMores.
 ///
 /// Every open cursor is tracked in the "cluster.open_cursors" gauge until
 /// Close() (called by the owning ClusterCursor on exhaustion, error and
@@ -69,30 +66,16 @@ class ShardCursor {
  public:
   /// One getMore's worth of results.
   struct Batch {
-    /// Result documents. Under kYieldAndRestore these point into `owned`
-    /// (stable across Batch moves); under kAbortOnMutation they borrow from
-    /// the shard's RecordStore.
+    /// Result documents, pointing into `owned` (stable across Batch moves).
     std::vector<const bson::Document*> docs;
     std::vector<storage::RecordId> rids;
-    /// Backing storage for `docs` under the yield policy; empty in legacy
-    /// mode.
+    /// Backing storage for `docs`.
     std::vector<bson::Document> owned;
     /// True when the stream ended at or before the end of this batch.
     bool exhausted = false;
     /// Non-OK when the shard died mid-stream (e.g. an injected fault): the
     /// batch carries no documents and the cursor is permanently exhausted.
     Status error;
-
-    /// Borrow guard, as on query::ExecutionResult: valid only while the
-    /// source store's generation is unchanged. Owned batches have no borrow
-    /// source and are always valid.
-    const storage::RecordStore* borrow_source = nullptr;
-    uint64_t borrow_generation = 0;
-    bool BorrowsValid() const {
-      return borrow_source == nullptr ||
-             borrow_source->generation() == borrow_generation;
-    }
-    void CheckBorrows() const { assert(BorrowsValid()); }
   };
 
   ~ShardCursor() { Close(); }
@@ -256,9 +239,10 @@ class Shard {
   Status CheckpointLocked();
 
   /// Rebuilds this shard's state from `dir`: loads the newest intact
-  /// checkpoint (falling back to older ones on damage), replays committed
-  /// WAL records past the checkpoint's LSN, discards the torn tail, and
-  /// reattaches the WAL for new writes. Must run after the shard's indexes
+  /// checkpoint, replays committed WAL records past the checkpoint's LSN,
+  /// discards the torn tail, and reattaches the WAL for new writes. A
+  /// damaged checkpoint is skipped only when the WAL covers everything up
+  /// to its LSN; otherwise Corruption. Must run after the shard's indexes
   /// are declared (empty) and before any insert.
   Status Recover(const std::string& dir, storage::WalOptions options,
                  uint64_t checkpoint_wal_bytes);

@@ -13,19 +13,6 @@
 
 namespace stix::query {
 
-/// What a paused executor does about concurrent collection mutation.
-enum class YieldPolicy {
-  /// Detach from btree/record-store memory at every batch boundary
-  /// (SaveState) and reposition from the last KeyString on resume
-  /// (RestoreState) — reads survive concurrent inserts and migrations, as
-  /// MongoDB's YIELD_AUTO does. The default.
-  kYieldAndRestore,
-  /// Legacy pre-yield behaviour: keep raw cursors across batches and rely
-  /// on the RecordStore generation borrow guard to catch use-after-mutate.
-  /// Only safe when the collection is quiesced for the cursor's lifetime.
-  kAbortOnMutation,
-};
-
 /// How plan selection settles on a winner when several candidates exist.
 enum class PlanSelectionMode {
   /// Always run the multi-planner trial race (the pre-stats behaviour).
@@ -65,9 +52,6 @@ struct ExecutorOptions {
   /// Per-stage wall-clock timing on every plan stage (explain/profiler
   /// executions). Off by default: normal queries pay no clock reads.
   bool stage_timing = false;
-  /// See YieldPolicy. kYieldAndRestore lets shard cursors survive
-  /// concurrent writers and the online balancer between getMore calls.
-  YieldPolicy yield_policy = YieldPolicy::kYieldAndRestore;
   /// Non-null when the collection stores bucket documents (see
   /// storage/bucket.h): queries plan as BUCKET_UNPACK over widened bounds
   /// and return decoded *points*. The layout must match what the writing

@@ -8,9 +8,9 @@
 namespace stix::query {
 
 /// MongoDB's explain verbosity ladder. In this engine every verbosity
-/// executes the query once (execution is the only way to obtain trustworthy
-/// counters here — there is no cost model to print instead); verbosity only
-/// controls how much of what was measured is serialized:
+/// executes the query once, so the counters are measured, not the cost
+/// model's estimates (those ride along per stage, see ExplainNode);
+/// verbosity only controls how much of what was measured is serialized:
 ///  - kQueryPlanner: plan shape, index names, bounds — no runtime counters.
 ///  - kExecStats: + per-stage works/advanced/keys/docs and stage timing.
 ///  - kAllPlansExecution: + the rejected candidate plans with the partial

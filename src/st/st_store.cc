@@ -175,6 +175,16 @@ Result<std::unique_ptr<StStore>> StStore::Recover(
   if (!recovered.ok()) return recovered.status();
   std::unique_ptr<StStore> store(
       new StStore(std::move(resolved), std::move(*recovered)));
+  // Under another approach the store would translate queries and key
+  // inserts for a layout the data does not have (bslTS data opened as hil
+  // answers every query with nothing).
+  if (store->approach().shard_key().paths() !=
+      store->cluster_->shard_key().paths()) {
+    return Status::InvalidArgument(
+        std::string("approach ") + store->approach().name() +
+        " does not match the recovered shard key " +
+        store->cluster_->shard_key().DebugString());
+  }
 
   // Resume the _id load clock past everything that survived, and — on
   // bucketed layouts — collect the journal LSNs already covered by flushed

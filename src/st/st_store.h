@@ -137,7 +137,8 @@ class StStore {
   /// checkpoints + WAL replay, orphan sweep), then — for bucketed layouts —
   /// replays the catalog journal, re-buffering every acknowledged point
   /// that never reached a flushed bucket. `options` must match the ones the
-  /// store was Setup() with (approach, layout, data_dir).
+  /// store was Setup() with (approach, layout, data_dir); an approach whose
+  /// shard key differs from the journaled one is InvalidArgument.
   static Result<std::unique_ptr<StStore>> Recover(
       const StStoreOptions& options);
 

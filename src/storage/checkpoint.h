@@ -46,8 +46,8 @@ struct CheckpointImage {
 /// Format (little-endian): magic "STIXCKP1" | u32 version | u64 lsn |
 /// u64 max_record_id | u64 num_docs | doc blocks | u32 num_indexes |
 /// per index: u32 name_len, name, u8 multikey, u64 num_entries,
-/// entry blocks. Blocks reuse the snapshot's LZ'd block-image shape with a
-/// CRC32 frame: u32 raw_len | u32 comp_len | u32 crc32(comp) | comp bytes,
+/// entry blocks. Blocks are LZ-compressed with a CRC32 frame:
+/// u32 raw_len | u32 comp_len | u32 crc32(comp) | comp bytes,
 /// raw_len == 0 terminating the stream. Doc blocks decompress to repeated
 /// (u64 rid | u32 len | BSON); entry blocks to repeated
 /// (u32 key_len | key | u64 rid).
@@ -56,7 +56,8 @@ Status WriteCheckpoint(const Collection& collection,
                        const std::string& dir);
 
 /// Decodes a checkpoint file; Corruption on any checksum/length/count
-/// violation (recovery then falls back to the next older checkpoint).
+/// violation (recovery then falls back to the next older checkpoint only
+/// when the WAL covers the gap; see Shard::Recover).
 Result<CheckpointImage> LoadCheckpoint(const std::string& path);
 
 /// A checkpoint file recovery may try.

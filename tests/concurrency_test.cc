@@ -149,7 +149,7 @@ TEST_F(ConcurrencyTest, ShardGetMoreAndInsertInterleaveSafely) {
   }
 
   // Writer splits btree leaves beyond the scan bounds while the main thread
-  // streams in small batches under the default yield policy. The scan's
+  // streams in small batches, yielding between them. The scan's
   // bounds exclude every inserted key, so the drain is exactly the 501
   // pre-existing matches.
   const query::ExprPtr q = query::MakeRange("date", Value::DateTime(0),

@@ -315,7 +315,6 @@ TEST_F(ShardCursorTest, GetMoreBatchesReassembleTheFullResult) {
     const ShardCursor::Batch batch = cursor->GetMore(/*batch_size=*/7);
     EXPECT_LE(batch.docs.size(), 7u);
     ASSERT_EQ(batch.docs.size(), batch.rids.size());
-    EXPECT_TRUE(batch.BorrowsValid());
     for (const bson::Document* d : batch.docs) {
       streamed.insert(d->Get("id")->AsInt32());
     }
@@ -330,23 +329,6 @@ TEST_F(ShardCursorTest, GetMoreBatchesReassembleTheFullResult) {
   EXPECT_EQ(cursor->winning_index(), reference.winning_index);
   EXPECT_EQ(cursor->stats().n_returned, reference.stats.n_returned);
   EXPECT_GT(cursor->exec_millis(), 0.0);
-}
-
-TEST_F(ShardCursorTest, BatchBorrowGuardFlipsAfterMutation) {
-  const ExprPtr q =
-      query::MakeRange("date", Value::DateTime(0),
-                       Value::DateTime(60000LL * 50));
-  // Borrowed (zero-copy) batches exist only under the legacy abort-on-
-  // mutation policy; the default yield policy materializes owned batches.
-  query::ExecutorOptions options;
-  options.yield_policy = query::YieldPolicy::kAbortOnMutation;
-  auto cursor = shard_.OpenCursor(q, options);
-  const ShardCursor::Batch batch = cursor->GetMore(/*batch_size=*/5);
-  ASSERT_GT(batch.docs.size(), 0u);
-  EXPECT_TRUE(batch.BorrowsValid());
-
-  ASSERT_TRUE(shard_.Insert(ShardDoc(kDocs + 1, 5, 5, 1)).ok());
-  EXPECT_FALSE(batch.BorrowsValid());
 }
 
 TEST_F(ShardCursorTest, ReplansMidStreamWhenCachedPlanBlowsBudget) {
@@ -990,7 +972,7 @@ TEST_P(StCursorParityTest, YieldingCursorSurvivesInterleavedInsertsAndSplits) {
   // documents dated beyond the query window: they split btree leaves under
   // the cursor's saved position (and periodically trigger the inline
   // balancer, whose commit must yield to this open cursor) without changing
-  // the expected result. The default yield policy saves executor state
+  // the expected result. The shard cursor saves executor state
   // before each round's shard lock drops and reseeks afterwards, so the
   // drain must still equal the quiesced reference exactly.
   StCursorOptions copts;

@@ -8,12 +8,14 @@
 // where `uncertain` is the set of writes that returned an error after the
 // crash was armed — a write may die before its journal commit (lost) or
 // after it (durable but unacknowledged), and both outcomes are legal.
-// Clean-shutdown round trips, delete replay, recover-twice idempotence and
-// recover-then-{balance,migrate} interleavings ride on the same fixture.
+// Clean-shutdown round trips, delete replay, recover-twice idempotence,
+// recover-then-{balance,migrate} interleavings, damaged checkpoints and
+// approach mismatches ride on the same fixture.
 
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,8 @@ namespace stix::st {
 namespace {
 
 using bson::Value;
+using stix::testing::ReadFileBytes;
+using stix::testing::WriteFileBytes;
 
 constexpr int64_t kHourMs = 3600 * 1000;
 const geo::Rect kEverywhere{{-20, -20}, {30, 30}};
@@ -468,6 +472,302 @@ TEST_F(RecoveryScenarioTest, RecoveredShardStatsAreRebuiltAndReliable) {
   }
   EXPECT_TRUE(saw_positive_estimate)
       << "no shard planned by cost with a positive estimate after recovery";
+}
+
+
+// ---------- the checkpoint image as the whole-store format ----------
+
+std::vector<int64_t> SortedIds(const StQueryResult& res) {
+  std::vector<int64_t> ids;
+  for (const bson::Document& doc : res.cluster.docs) {
+    ids.push_back(doc.Get("_id")->AsInt64());
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// ---------- the whole-store image: checkpoints + config journal ----------
+//
+// A clean Checkpoint() is the store's one persisted image. These cases pin
+// what that image must carry through StStore::Recover, and that a damaged
+// image fails loudly instead of recovering as fewer documents.
+
+class SnapshotTest : public RecoveryScenarioTest {
+ protected:
+  const index::IndexDescriptor geo_index_{
+      "location_2dsphere_date_1",
+      {{kLocationField, index::IndexFieldKind::k2dsphere},
+       {kDateField, index::IndexFieldKind::kAscending}}};
+  const geo::Rect rect_{{2, 2}, {7, 7}};
+  const int64_t t_end_ = 30000LL * 400;
+
+  /// What the source store looked like when it checkpointed.
+  std::string shard_key_;
+  std::vector<cluster::Chunk> chunks_;
+  std::vector<cluster::ZoneRange> zones_;
+  std::vector<uint64_t> shard_docs_;
+  std::vector<size_t> shard_indexes_;
+  std::vector<int64_t> ids_;
+  int nodes_ = 0;
+
+  /// Loads 600 points into a durable hil store with an extra 2dsphere
+  /// index, balances and zones it, checkpoints it cleanly and closes it.
+  void CheckpointZonedStore(const StStoreOptions& options) {
+    StStore store(options);
+    ASSERT_TRUE(store.Setup().ok());
+    ASSERT_TRUE(store.cluster().CreateIndex(geo_index_).ok());
+    for (int64_t id = 0; id < 600; ++id) {
+      ASSERT_TRUE(store.Insert(ScenarioDoc(id, 0.5 + (id * 7 % 95) / 10.0,
+                                           0.5 + (id * 3 % 89) / 10.0))
+                      .ok());
+    }
+    ASSERT_TRUE(store.FinishLoad().ok());
+    ASSERT_TRUE(store.ConfigureZones().ok());
+    ASSERT_TRUE(store.Checkpoint().ok());
+
+    const cluster::Cluster& c = store.cluster();
+    ASSERT_GT(c.chunks().num_chunks(), 3u);
+    ASSERT_EQ(c.zones().size(), 3u);
+    shard_key_ = c.shard_key().DebugString();
+    chunks_ = c.chunks().chunks();
+    zones_ = c.zones();
+    for (const auto& shard : c.shards()) {
+      shard_docs_.push_back(shard->num_documents());
+      shard_indexes_.push_back(shard->catalog().indexes().size());
+    }
+    const StQueryResult res = store.Query(rect_, 0, t_end_);
+    ids_ = SortedIds(res);
+    nodes_ = res.cluster.nodes_contacted;
+    ASSERT_FALSE(ids_.empty());
+  }
+};
+
+TEST_F(SnapshotTest, RoundTripPreservesEverything) {
+  const StStoreOptions options = DurableOptions(dir_.path(), false);
+  ASSERT_NO_FATAL_FAILURE(CheckpointZonedStore(options));
+
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  StStore& r = **recovered;
+  const cluster::Cluster& c = r.cluster();
+  EXPECT_EQ(c.shard_key().DebugString(), shard_key_);
+  ASSERT_EQ(c.chunks().num_chunks(), chunks_.size());
+  for (size_t i = 0; i < chunks_.size(); ++i) {
+    EXPECT_EQ(c.chunks().chunk(i).min, chunks_[i].min) << "chunk " << i;
+    EXPECT_EQ(c.chunks().chunk(i).shard_id, chunks_[i].shard_id)
+        << "chunk " << i;
+  }
+  ASSERT_EQ(c.zones().size(), zones_.size());
+  for (size_t i = 0; i < zones_.size(); ++i) {
+    EXPECT_EQ(c.zones()[i].min, zones_[i].min) << "zone " << i;
+    EXPECT_EQ(c.zones()[i].max, zones_[i].max) << "zone " << i;
+    EXPECT_EQ(c.zones()[i].shard_id, zones_[i].shard_id) << "zone " << i;
+  }
+  ASSERT_EQ(c.shards().size(), shard_docs_.size());
+  for (size_t s = 0; s < shard_docs_.size(); ++s) {
+    EXPECT_EQ(c.shards()[s]->num_documents(), shard_docs_[s])
+        << "shard " << s;
+    EXPECT_EQ(c.shards()[s]->catalog().indexes().size(), shard_indexes_[s])
+        << "shard " << s;
+    EXPECT_NE(c.shards()[s]->catalog().Get(geo_index_.name()), nullptr)
+        << "shard " << s;
+  }
+  const StQueryResult res = r.Query(rect_, 0, t_end_);
+  EXPECT_EQ(SortedIds(res), ids_);
+  EXPECT_EQ(res.cluster.nodes_contacted, nodes_);
+}
+
+TEST_F(SnapshotTest, RestoredClusterAcceptsNewInserts) {
+  const StStoreOptions options = DurableOptions(dir_.path(), false);
+  ASSERT_NO_FATAL_FAILURE(CheckpointZonedStore(options));
+
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_TRUE((*recovered)->Insert(ScenarioDoc(999999, 5, 5)).ok());
+  EXPECT_EQ((*recovered)->cluster().total_documents(), 601u);
+}
+
+TEST_F(RecoveryScenarioTest, HashedShardKeyRecoversAsHashed) {
+  cluster::ClusterOptions options;
+  options.num_shards = 2;
+  options.durability.data_dir = dir_.path();
+  {
+    cluster::Cluster source(options);
+    ASSERT_TRUE(source
+                    .ShardCollection(cluster::ShardKeyPattern(
+                        {kDateField}, cluster::ShardingStrategy::kHashed))
+                    .ok());
+    for (int64_t i = 0; i < 50; ++i) {
+      bson::Document doc;
+      doc.Append("_id", Value::Int64(i));
+      doc.Append(kDateField, Value::DateTime(1000LL * i));
+      ASSERT_TRUE(source.Insert(std::move(doc)).ok());
+    }
+    ASSERT_TRUE(source.Checkpoint().ok());
+  }
+  const Result<std::unique_ptr<cluster::Cluster>> recovered =
+      cluster::RecoverCluster(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->shard_key().strategy(),
+            cluster::ShardingStrategy::kHashed);
+  EXPECT_EQ((*recovered)->total_documents(), 50u);
+  // Hashed routing still works: an equality query targets one shard.
+  const query::ExprPtr eq =
+      query::MakeCmp(kDateField, query::CmpOp::kEq, Value::DateTime(5000));
+  EXPECT_EQ((*recovered)->TargetShards(eq).size(), 1u);
+}
+
+/// Loads 300 points into a durable hil store, checkpoints it cleanly and
+/// closes it. Returns a shard that holds documents: its only checkpoint
+/// is the image the corruption tests damage.
+int BuildCheckpointedStore(const StStoreOptions& options) {
+  StStore store(options);
+  EXPECT_TRUE(store.Setup().ok());
+  for (int64_t id = 0; id < 300; ++id) {
+    EXPECT_TRUE(
+        store.Insert(ScenarioDoc(id, 0.5 + (id % 95) / 10.0, 5.0)).ok());
+  }
+  EXPECT_TRUE(store.FinishLoad().ok());
+  EXPECT_TRUE(store.Checkpoint().ok());
+  for (const auto& shard : store.cluster().shards()) {
+    if (shard->num_documents() > 0) return shard->id();
+  }
+  ADD_FAILURE() << "no shard holds documents";
+  return 0;
+}
+
+std::string OnlyCheckpoint(const std::string& data_dir, int shard) {
+  const std::vector<storage::CheckpointRef> refs = storage::ListCheckpoints(
+      data_dir + "/shard-" + std::to_string(shard));
+  EXPECT_EQ(refs.size(), 1u);
+  return refs.empty() ? std::string() : refs.front().path;
+}
+
+void ExpectRecoverCorruption(const StStoreOptions& options) {
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_FALSE(recovered.ok())
+      << "a damaged checkpoint recovered as "
+      << (*recovered)->Query(kEverywhere, 0, 30000LL * 1000000)
+             .cluster.docs.size()
+      << " documents";
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption)
+      << recovered.status().ToString();
+}
+
+/// Checkpoints a store into `data_dir`, rewrites one shard's only
+/// checkpoint through `damage` and expects recovery to fail with
+/// Corruption: the clean checkpoint truncated the WAL, so nothing covers
+/// the image.
+void ExpectDamagedCheckpointIsCorruption(const std::string& data_dir,
+                                         void (*damage)(std::string*)) {
+  const StStoreOptions options = DurableOptions(data_dir, false);
+  const std::string path =
+      OnlyCheckpoint(data_dir, BuildCheckpointedStore(options));
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_GT(bytes.size(), 64u);
+  damage(&bytes);
+  WriteFileBytes(path, bytes);
+  ExpectRecoverCorruption(options);
+}
+
+TEST_F(SnapshotTest, DetectsCorruption) {
+  ExpectDamagedCheckpointIsCorruption(
+      dir_.path(), [](std::string* b) { (*b)[b->size() / 2] ^= 0x5A; });
+}
+
+TEST_F(SnapshotTest, RejectsTruncatedFile) {
+  ExpectDamagedCheckpointIsCorruption(
+      dir_.path(), [](std::string* b) { b->resize(b->size() * 2 / 3); });
+}
+
+TEST_F(SnapshotTest, RejectsWrongMagicAndMissingFile) {
+  ExpectDamagedCheckpointIsCorruption(
+      dir_.path(), [](std::string* b) { *b = "not a checkpoint"; });
+
+  // A directory that never held a store has nothing to recover.
+  const stix::testing::TempDir empty;
+  EXPECT_FALSE(StStore::Recover(DurableOptions(empty.path(), false)).ok());
+}
+
+// Skipping a damaged image is legal while the WAL covers the gap back to
+// the older image; past the WAL's horizon it is not.
+TEST_F(RecoveryScenarioTest, DamagedCheckpointFallsBackWhenWalCoversIt) {
+  const StStoreOptions options = DurableOptions(dir_.path(), false);
+  {
+    StStore store(options);
+    ASSERT_TRUE(store.Setup().ok());
+    for (int64_t id = 0; id < 300; ++id) {
+      ASSERT_TRUE(
+          store.Insert(ScenarioDoc(id, 0.5 + (id % 95) / 10.0, 5.0)).ok());
+      if (id == 149) ASSERT_TRUE(store.Checkpoint().ok());
+    }
+  }
+  std::string shard_dir;
+  uint64_t horizon = 0;
+  for (int shard = 0; shard < 3 && shard_dir.empty(); ++shard) {
+    const std::string dir = dir_.path() + "/shard-" + std::to_string(shard);
+    const Result<storage::WalScan> scan = storage::ReadWal(dir + "/wal.log");
+    ASSERT_TRUE(scan.ok());
+    if (scan->committed.empty()) continue;
+    ASSERT_EQ(storage::ListCheckpoints(dir).size(), 1u);
+    shard_dir = dir;
+    horizon = scan->last_lsn;
+  }
+  ASSERT_FALSE(shard_dir.empty()) << "no shard logged writes after the "
+                                     "checkpoint";
+
+  WriteFileBytes(storage::CheckpointPath(shard_dir, horizon), "damaged image");
+  {
+    const Result<std::unique_ptr<StStore>> recovered =
+        StStore::Recover(options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ((*recovered)
+                  ->Query(kEverywhere, 0, 30000LL * 1000000)
+                  .cluster.docs.size(),
+              300u);
+  }
+
+  WriteFileBytes(storage::CheckpointPath(shard_dir, horizon + 1000),
+                 "damaged image");
+  ExpectRecoverCorruption(options);
+}
+
+void ExpectApproachMismatchRejected(const std::string& data_dir,
+                                    ApproachKind written,
+                                    ApproachKind opened) {
+  StStoreOptions options = DurableOptions(data_dir, false);
+  options.approach.kind = written;
+  {
+    StStore store(options);
+    ASSERT_TRUE(store.Setup().ok());
+    for (int64_t id = 0; id < 60; ++id) {
+      ASSERT_TRUE(store.Insert(ScenarioDoc(id, 1.0 + (id % 9), 5.0)).ok());
+    }
+    ASSERT_TRUE(store.Checkpoint().ok());
+  }
+  options.approach.kind = opened;
+  const Result<std::unique_ptr<StStore>> wrong = StStore::Recover(options);
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument)
+      << wrong.status().ToString();
+
+  // The refusal leaves the directory intact for the right approach.
+  options.approach.kind = written;
+  const Result<std::unique_ptr<StStore>> right = StStore::Recover(options);
+  ASSERT_TRUE(right.ok()) << right.status().ToString();
+  EXPECT_EQ(
+      (*right)->Query(kEverywhere, 0, 30000LL * 1000000).cluster.docs.size(),
+      60u);
+}
+
+TEST_F(RecoveryScenarioTest, RecoverRejectsHilDataOpenedAsBslTS) {
+  ExpectApproachMismatchRejected(dir_.path(), ApproachKind::kHil,
+                                 ApproachKind::kBslTS);
+}
+
+TEST_F(RecoveryScenarioTest, RecoverRejectsBslTSDataOpenedAsHil) {
+  ExpectApproachMismatchRejected(dir_.path(), ApproachKind::kBslTS,
+                                 ApproachKind::kHil);
 }
 
 }  // namespace

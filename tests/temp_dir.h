@@ -1,6 +1,8 @@
 #ifndef STIX_TESTS_TEMP_DIR_H_
 #define STIX_TESTS_TEMP_DIR_H_
 
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -9,8 +11,8 @@
 
 namespace stix::testing {
 
-/// RAII scratch directory for tests that touch the filesystem (snapshots,
-/// WALs, checkpoints). Each instance gets a unique directory (a random
+/// RAII scratch directory for tests that touch the filesystem (WALs,
+/// checkpoints). Each instance gets a unique directory (a random
 /// nonce under the system temp dir), so fixtures stay independent when
 /// `ctest -j` runs test cases as concurrent processes; the tree is removed
 /// on destruction.
@@ -48,6 +50,18 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// Whole-file byte helpers for tests that inspect or damage files on disk.
+inline std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+inline void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 }  // namespace stix::testing
 

@@ -4,7 +4,6 @@
 // check per simulated crash point.
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -18,16 +17,8 @@
 namespace stix::storage {
 namespace {
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
+using stix::testing::ReadFileBytes;
+using stix::testing::WriteFileBytes;
 
 // Independent re-implementation of the frame shape (little-endian
 // u32 len | u32 crc | u8 type | u64 lsn | u64 rid | payload) so the golden

@@ -1,25 +1,29 @@
-// stix_cli — operate the store from the command line: load CSV data, save /
-// restore snapshots, run spatio-temporal queries, inspect plans and sizes.
+// stix_cli — operate the store from the command line: load CSV data into a
+// durable data directory, run spatio-temporal queries against it, inspect
+// plans and sizes.
 //
 // Usage:
-//   stix_cli load   --csv=FILE [--approach=hil|hil*|bslST|bslTS]
-//                   [--shards=N] [--zones] --out=SNAPSHOT
-//   stix_cli query  --snap=SNAPSHOT --rect=lon1,lat1,lon2,lat2
-//                   --from=ISO --to=ISO [--limit=N]
-//   stix_cli explain --snap=SNAPSHOT --rect=... --from=... --to=...
-//   stix_cli stats  --snap=SNAPSHOT
+//   stix_cli load    --csv=FILE --data=DIR [--approach=hil|bslST|bslTS]
+//                    [--shards=N] [--zones]
+//   stix_cli query   --data=DIR [--approach=...] --rect=lon1,lat1,lon2,lat2
+//                    --from=ISO --to=ISO [--limit=N]
+//   stix_cli explain --data=DIR [--approach=...] --rect=... --from=... --to=...
+//   stix_cli stats   --data=DIR [--approach=...]
 //
-// The snapshot file preserves sharding/zones/indexes, so `query` and
-// `explain` see exactly the cluster `load` built.
+// `load` checkpoints the loaded store into DIR (shard key, chunks, zones,
+// indexes, documents); the other commands recover it with
+// StStore::Recover, so `query` and `explain` see exactly the cluster `load`
+// built. `--approach` must name the approach `load` used (default hil).
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "bson/json_writer.h"
-#include "cluster/snapshot.h"
+#include "common/fs.h"
 #include "common/strings.h"
 #include "st/approach.h"
 #include "st/st_store.h"
@@ -52,12 +56,13 @@ int Fail(const std::string& message) {
 int Usage() {
   fprintf(stderr,
           "usage: stix_cli <load|query|explain|stats> [--flags]\n"
-          "  load    --csv=FILE --out=SNAP [--approach=hil] [--shards=12] "
+          "  load    --csv=FILE --data=DIR [--approach=hil] [--shards=12] "
           "[--zones]\n"
-          "  query   --snap=SNAP --rect=lon1,lat1,lon2,lat2 --from=ISO "
-          "--to=ISO [--limit=N]\n"
-          "  explain --snap=SNAP --rect=... --from=... --to=...\n"
-          "  stats   --snap=SNAP\n");
+          "  query   --data=DIR [--approach=hil] --rect=lon1,lat1,lon2,lat2 "
+          "--from=ISO --to=ISO [--limit=N]\n"
+          "  explain --data=DIR [--approach=hil] --rect=... --from=... "
+          "--to=...\n"
+          "  stats   --data=DIR [--approach=hil]\n");
   return 2;
 }
 
@@ -73,87 +78,76 @@ bool ParseRect(const std::string& text, stix::geo::Rect* rect) {
   return true;
 }
 
-stix::Result<stix::st::ApproachKind> ParseApproach(const std::string& name) {
-  if (name == "hil" || name.empty()) return stix::st::ApproachKind::kHil;
+stix::Result<stix::st::ApproachKind> ParseApproach(
+    const std::map<std::string, std::string>& flags) {
+  const auto flag = flags.find("approach");
+  const std::string name = flag == flags.end() ? "hil" : flag->second;
+  if (name == "hil") return stix::st::ApproachKind::kHil;
   if (name == "hil*" || name == "hilstar") {
-    // hil*'s curve spans the data-set MBR, which snapshots do not record;
-    // a later `query` could not rebuild the same hilbertIndex mapping.
+    // hil*'s curve spans the data-set MBR, which the data directory does
+    // not record; a later `query` could not rebuild the same hilbertIndex
+    // mapping.
     return Status::NotSupported(
-        "hil* snapshots are not queryable from the CLI; use hil");
+        "hil* data is not queryable from the CLI; use hil");
   }
   if (name == "bslST") return stix::st::ApproachKind::kBslST;
   if (name == "bslTS") return stix::st::ApproachKind::kBslTS;
   return Status::InvalidArgument("unknown approach: " + name);
 }
 
-int CmdLoad(const std::map<std::string, std::string>& flags) {
-  const auto csv = flags.find("csv");
-  const auto out = flags.find("out");
-  if (csv == flags.end() || out == flags.end()) return Usage();
-
-  const auto approach_flag = flags.count("approach")
-                                 ? flags.at("approach")
-                                 : std::string("hil");
-  const stix::Result<stix::st::ApproachKind> kind =
-      ParseApproach(approach_flag);
-  if (!kind.ok()) return Fail(kind.status().ToString());
-
+/// Store options for --data/--approach; the shard count and layout of an
+/// existing directory come from its config journal.
+stix::Result<stix::st::StStoreOptions> StoreOptions(
+    const std::map<std::string, std::string>& flags) {
+  const auto data = flags.find("data");
+  if (data == flags.end()) {
+    return Status::InvalidArgument("--data is required");
+  }
+  const stix::Result<stix::st::ApproachKind> kind = ParseApproach(flags);
+  if (!kind.ok()) return kind.status();
   stix::st::StStoreOptions options;
   options.approach.kind = *kind;
-  if (flags.count("shards")) {
-    options.cluster.num_shards = atoi(flags.at("shards").c_str());
+  options.cluster.durability.data_dir = data->second;
+  return options;
+}
+
+int CmdLoad(const std::map<std::string, std::string>& flags) {
+  const auto csv = flags.find("csv");
+  if (csv == flags.end() || !flags.count("data")) return Usage();
+  stix::Result<stix::st::StStoreOptions> options = StoreOptions(flags);
+  if (!options.ok()) return Fail(options.status().ToString());
+  const std::string& dir = options->cluster.durability.data_dir;
+  if (stix::FileExists(dir + "/config.wal")) {
+    return Fail("data directory already holds a store: " + dir);
   }
-  stix::st::StStore store(options);
+  if (flags.count("shards")) {
+    options->cluster.num_shards = atoi(flags.at("shards").c_str());
+  }
+  stix::st::StStore store(*options);
   if (Status s = store.Setup(); !s.ok()) return Fail(s.ToString());
 
   const stix::Result<uint64_t> loaded = stix::workload::LoadCsvFile(
       csv->second, stix::workload::CsvSchema{}, &store);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
-  (void)store.FinishLoad();
+  if (Status s = store.FinishLoad(); !s.ok()) return Fail(s.ToString());
   if (flags.count("zones")) {
     if (Status s = store.ConfigureZones(); !s.ok()) {
       return Fail(s.ToString());
     }
   }
-  if (Status s = stix::cluster::SaveSnapshot(store.cluster(), out->second);
-      !s.ok()) {
-    return Fail(s.ToString());
-  }
+  if (Status s = store.Checkpoint(); !s.ok()) return Fail(s.ToString());
   printf("loaded %" PRIu64 " documents (%s, %d shards, %zu chunks%s) -> %s\n",
          *loaded, store.approach().name(), store.cluster().num_shards(),
          store.cluster().chunks().num_chunks(),
-         flags.count("zones") ? ", zoned" : "", out->second.c_str());
+         flags.count("zones") ? ", zoned" : "", dir.c_str());
   return 0;
 }
 
-// Restores a cluster and rebuilds the query expression the same way the
-// approach would. The snapshot stores the shard key, from which the
-// approach kind is inferred (hilbertIndex -> Hilbert).
-struct RestoredStore {
-  std::unique_ptr<stix::cluster::Cluster> cluster;
-  std::unique_ptr<stix::st::Approach> approach;
-};
-
-stix::Result<RestoredStore> Restore(
+stix::Result<std::unique_ptr<stix::st::StStore>> Open(
     const std::map<std::string, std::string>& flags) {
-  const auto snap = flags.find("snap");
-  if (snap == flags.end()) {
-    return Status::InvalidArgument("--snap is required");
-  }
-  stix::Result<std::unique_ptr<stix::cluster::Cluster>> cluster =
-      stix::cluster::LoadSnapshot(snap->second, stix::cluster::ClusterOptions{});
-  if (!cluster.ok()) return cluster.status();
-
-  stix::st::ApproachConfig config;
-  const auto& paths = (*cluster)->shard_key().paths();
-  const bool is_hilbert =
-      !paths.empty() && paths.front() == stix::st::kHilbertField;
-  config.kind = is_hilbert ? stix::st::ApproachKind::kHil
-                           : stix::st::ApproachKind::kBslST;
-  RestoredStore out;
-  out.cluster = std::move(*cluster);
-  out.approach = std::make_unique<stix::st::Approach>(config);
-  return out;
+  const stix::Result<stix::st::StStoreOptions> options = StoreOptions(flags);
+  if (!options.ok()) return options.status();
+  return stix::st::StStore::Recover(*options);
 }
 
 bool ParseWindow(const std::map<std::string, std::string>& flags,
@@ -166,17 +160,16 @@ bool ParseWindow(const std::map<std::string, std::string>& flags,
 }
 
 int CmdQuery(const std::map<std::string, std::string>& flags) {
-  stix::Result<RestoredStore> store = Restore(flags);
-  if (!store.ok()) return Fail(store.status().ToString());
   stix::geo::Rect rect;
   int64_t t0, t1;
   if (!flags.count("rect") || !ParseRect(flags.at("rect"), &rect) ||
       !ParseWindow(flags, &t0, &t1)) {
     return Usage();
   }
-  const auto translated = store->approach->TranslateQuery(rect, t0, t1);
+  stix::Result<std::unique_ptr<stix::st::StStore>> store = Open(flags);
+  if (!store.ok()) return Fail(store.status().ToString());
   const stix::cluster::ClusterQueryResult r =
-      store->cluster->Query(translated.expr);
+      (*store)->Query(rect, t0, t1).cluster;
 
   size_t limit = 10;
   if (flags.count("limit")) limit = strtoull(flags.at("limit").c_str(),
@@ -196,23 +189,22 @@ int CmdQuery(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdExplain(const std::map<std::string, std::string>& flags) {
-  stix::Result<RestoredStore> store = Restore(flags);
-  if (!store.ok()) return Fail(store.status().ToString());
   stix::geo::Rect rect;
   int64_t t0, t1;
   if (!flags.count("rect") || !ParseRect(flags.at("rect"), &rect) ||
       !ParseWindow(flags, &t0, &t1)) {
     return Usage();
   }
-  const auto translated = store->approach->TranslateQuery(rect, t0, t1);
-  printf("%s", store->cluster->Explain(translated.expr).c_str());
+  stix::Result<std::unique_ptr<stix::st::StStore>> store = Open(flags);
+  if (!store.ok()) return Fail(store.status().ToString());
+  printf("%s\n", (*store)->Explain(rect, t0, t1).ToJson().c_str());
   return 0;
 }
 
 int CmdStats(const std::map<std::string, std::string>& flags) {
-  stix::Result<RestoredStore> store = Restore(flags);
+  stix::Result<std::unique_ptr<stix::st::StStore>> store = Open(flags);
   if (!store.ok()) return Fail(store.status().ToString());
-  const stix::cluster::Cluster& cluster = *store->cluster;
+  const stix::cluster::Cluster& cluster = (*store)->cluster();
   printf("shard key: %s\n", cluster.shard_key().DebugString().c_str());
   printf("documents: %s in %zu chunks on %d shards (%zu zones)\n",
          stix::WithThousands(
