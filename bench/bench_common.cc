@@ -391,6 +391,10 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
   };
   uint64_t scanned_points = 0;
   uint64_t matches = 0;
+  // One reader, selection and build buffer for the whole scan.
+  storage::BucketReader reader;
+  storage::BucketSelection selection;
+  std::vector<bson::Document> points;
   const auto scan_image = [&] {
     scanned_points = 0;
     matches = 0;
@@ -417,21 +421,20 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
           if (expr->Matches(*doc)) ++matches;
           continue;
         }
-        Result<storage::BucketReader> reader =
-            storage::BucketReader::Open(*doc);
-        if (!reader.ok()) die("bucket meta", reader.status());
-        scanned_points += reader->meta().num_points;
-        const Result<storage::BucketSelection> selection =
-            reader->Select(spec);
-        if (!selection.ok()) die("bucket columns", selection.status());
-        if (selection->exact) {
-          matches += selection->rows.size();
+        if (Status s = reader.Reset(*doc); !s.ok()) die("bucket meta", s);
+        scanned_points += reader.meta().num_points;
+        if (Status s = reader.Select(spec, &selection); !s.ok()) {
+          die("bucket columns", s);
+        }
+        if (selection.exact) {
+          matches += selection.rows.size();
           continue;
         }
-        const Result<std::vector<bson::Document>> points =
-            reader->Build(layout, &selection->rows);
-        if (!points.ok()) die("bucket decode", points.status());
-        for (const bson::Document& point : *points) {
+        if (Status s = reader.Build(layout, &selection.rows, &points);
+            !s.ok()) {
+          die("bucket decode", s);
+        }
+        for (const bson::Document& point : points) {
           if (expr->Matches(point)) ++matches;
         }
       }

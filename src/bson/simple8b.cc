@@ -113,32 +113,57 @@ bool Simple8bEncode(const std::vector<uint64_t>& values, std::string* out) {
   return true;
 }
 
-Result<std::vector<uint64_t>> Simple8bDecode(std::string_view* in) {
-  Result<uint64_t> n = GetVarint(in);
-  if (!n.ok()) return n.status();
-  std::vector<uint64_t> values;
-  values.reserve(static_cast<size_t>(*n));
-  while (values.size() < *n) {
+namespace {
+
+/// The one Simple8b decode loop: consumes a stream of exactly `n` values
+/// (the caller has read and checked the count) from the front of *in and
+/// hands each value to emit(i, value) in order. Run and tail padding past
+/// n is skipped, so emit never sees an index >= n.
+template <typename Emit>
+Status UnpackSimple8b(std::string_view* in, size_t n, Emit&& emit) {
+  size_t i = 0;
+  while (i < n) {
     uint64_t word = 0;
     if (!GetWord(in, &word)) {
       return Status::Corruption("truncated simple8b stream");
     }
     const int sel = static_cast<int>(word >> 60);
+    const size_t take =
+        std::min(static_cast<size_t>(kCountPerSelector[sel]), n - i);
     if (sel <= 1) {
-      const size_t run = static_cast<size_t>(kCountPerSelector[sel]);
-      for (size_t j = 0; j < run && values.size() < *n; ++j) {
-        values.push_back(0);
-      }
+      for (size_t j = 0; j < take; ++j) emit(i++, uint64_t{0});
       continue;
     }
     const int bits = kBitsPerSelector[sel];
-    const uint64_t mask = bits >= 64 ? ~uint64_t{0}
-                                     : (uint64_t{1} << bits) - 1;
-    const size_t slots = static_cast<size_t>(kCountPerSelector[sel]);
-    for (size_t j = 0; j < slots && values.size() < *n; ++j) {
-      values.push_back((word >> (bits * static_cast<int>(j))) & mask);
+    const uint64_t mask = (uint64_t{1} << bits) - 1;
+    for (size_t j = 0; j < take; ++j) {
+      emit(i++, (word >> (bits * static_cast<int>(j))) & mask);
     }
   }
+  return Status::OK();
+}
+
+/// Reads a stream's count varint and checks it against what the remaining
+/// bytes can hold (at most 240 values per 8-byte word), so a corrupt count
+/// fails before anyone sizes a buffer by it.
+Result<uint64_t> GetStreamCount(std::string_view* in) {
+  Result<uint64_t> n = GetVarint(in);
+  if (!n.ok()) return n.status();
+  if (*n / 240 > in->size() / 8) {
+    return Status::Corruption("truncated simple8b stream");
+  }
+  return n;
+}
+
+}  // namespace
+
+Result<std::vector<uint64_t>> Simple8bDecode(std::string_view* in) {
+  Result<uint64_t> n = GetStreamCount(in);
+  if (!n.ok()) return n.status();
+  std::vector<uint64_t> values(static_cast<size_t>(*n));
+  Status s = UnpackSimple8b(in, values.size(),
+                            [&values](size_t i, uint64_t v) { values[i] = v; });
+  if (!s.ok()) return s;
   return values;
 }
 
@@ -149,6 +174,8 @@ constexpr uint8_t kInt64ModeRaw = 1;
 
 constexpr uint8_t kDoubleModeScaled = 0;
 constexpr uint8_t kDoubleModeBits = 1;
+/// Largest decimal power the scaled double mode uses.
+constexpr uint8_t kMaxDecimalPow = 8;
 
 // zigzag(delta-of-delta) transform. Differences are taken in unsigned
 // arithmetic (well-defined wraparound); a wrapped difference zigzags to a
@@ -188,46 +215,82 @@ void EncodeInt64Column(const std::vector<int64_t>& values, std::string* out) {
   }
 }
 
-Result<std::vector<int64_t>> DecodeInt64Column(std::string_view* in) {
+namespace {
+
+/// The fused int64 column decode: mode byte, count (which must equal n),
+/// then one pass of Simple8b unpack + zigzag + delta-of-delta (or the raw
+/// fallback's fixed-width loads), each value handed to emit(i, v).
+template <typename Emit>
+Status DecodeInt64Stream(std::string_view* in, size_t n, Emit&& emit) {
   if (in->empty()) return Status::Corruption("empty int64 column");
   const uint8_t mode = static_cast<uint8_t>(in->front());
   in->remove_prefix(1);
-  if (mode == kInt64ModeDeltaOfDelta) {
-    Result<std::vector<uint64_t>> packed = Simple8bDecode(in);
-    if (!packed.ok()) return packed.status();
-    std::vector<int64_t> values;
-    values.reserve(packed->size());
-    uint64_t prev = 0;
-    uint64_t prev_delta = 0;
-    for (const uint64_t z : *packed) {
-      const uint64_t delta =
-          prev_delta + static_cast<uint64_t>(ZigZagDecode(z));
-      prev += delta;
-      prev_delta = delta;
-      values.push_back(static_cast<int64_t>(prev));
-    }
-    return values;
+  if (mode != kInt64ModeDeltaOfDelta && mode != kInt64ModeRaw) {
+    return Status::Corruption("unknown int64 column mode " +
+                              std::to_string(mode));
+  }
+  Result<uint64_t> count = GetVarint(in);
+  if (!count.ok()) return count.status();
+  if (*count != n) {
+    return Status::Corruption("int64 column holds " + std::to_string(*count) +
+                              " values, expected " + std::to_string(n));
   }
   if (mode == kInt64ModeRaw) {
-    Result<uint64_t> n = GetVarint(in);
-    if (!n.ok()) return n.status();
-    if (in->size() < *n * 8) {
+    if (in->size() / 8 < n) {
       return Status::Corruption("truncated raw int64 column");
     }
-    std::vector<int64_t> values;
-    values.reserve(static_cast<size_t>(*n));
-    for (uint64_t i = 0; i < *n; ++i) {
+    const auto* p = reinterpret_cast<const uint8_t*>(in->data());
+    for (size_t i = 0; i < n; ++i, p += 8) {
       uint64_t u = 0;
-      for (int b = 0; b < 8; ++b) {
-        u |= static_cast<uint64_t>(static_cast<uint8_t>((*in)[b])) << (8 * b);
-      }
-      in->remove_prefix(8);
-      values.push_back(static_cast<int64_t>(u));
+      for (int b = 0; b < 8; ++b) u |= static_cast<uint64_t>(p[b]) << (8 * b);
+      emit(i, static_cast<int64_t>(u));
     }
-    return values;
+    in->remove_prefix(n * 8);
+    return Status::OK();
   }
-  return Status::Corruption("unknown int64 column mode " +
-                            std::to_string(mode));
+  uint64_t prev = 0;
+  uint64_t prev_delta = 0;
+  return UnpackSimple8b(in, n, [&](size_t i, uint64_t z) {
+    prev_delta += static_cast<uint64_t>(ZigZagDecode(z));
+    prev += prev_delta;
+    emit(i, static_cast<int64_t>(prev));
+  });
+}
+
+/// The count a column of either kind declares, read without consuming it.
+/// `skip` is the bytes in front of the int64 column's mode byte.
+Result<uint64_t> PeekCount(std::string_view in, size_t skip) {
+  if (in.size() < skip + 1) return Status::Corruption("truncated column");
+  in.remove_prefix(skip);
+  const uint8_t mode = static_cast<uint8_t>(in.front());
+  in.remove_prefix(1);
+  if (mode == kInt64ModeRaw) {
+    Result<uint64_t> n = GetVarint(&in);
+    if (n.ok() && in.size() / 8 < *n) {
+      return Status::Corruption("truncated raw int64 column");
+    }
+    return n;
+  }
+  return GetStreamCount(&in);
+}
+
+}  // namespace
+
+Result<uint64_t> Int64ColumnCount(std::string_view in) {
+  return PeekCount(in, 0);
+}
+
+Status DecodeInt64ColumnInto(std::string_view* in, size_t n, int64_t* out) {
+  return DecodeInt64Stream(in, n, [out](size_t i, int64_t v) { out[i] = v; });
+}
+
+Result<std::vector<int64_t>> DecodeInt64Column(std::string_view* in) {
+  Result<uint64_t> n = Int64ColumnCount(*in);
+  if (!n.ok()) return n.status();
+  std::vector<int64_t> values(static_cast<size_t>(*n));
+  Status s = DecodeInt64ColumnInto(in, values.size(), values.data());
+  if (!s.ok()) return s;
+  return values;
 }
 
 namespace {
@@ -238,7 +301,7 @@ namespace {
 bool TryDecimalScale(const std::vector<double>& values, uint8_t* pow_out,
                      std::vector<int64_t>* scaled_out) {
   double scale = 1.0;
-  for (uint8_t p = 0; p <= 8; ++p, scale *= 10.0) {
+  for (uint8_t p = 0; p <= kMaxDecimalPow; ++p, scale *= 10.0) {
     bool ok = true;
     scaled_out->clear();
     scaled_out->reserve(values.size());
@@ -289,7 +352,7 @@ void EncodeDoubleColumn(const std::vector<double>& values, std::string* out) {
   EncodeInt64Column(reduced, out);
 }
 
-Result<std::vector<double>> DecodeDoubleColumn(std::string_view* in) {
+Status DecodeDoubleColumnInto(std::string_view* in, size_t n, double* out) {
   if (in->empty()) return Status::Corruption("empty double column");
   const uint8_t mode = static_cast<uint8_t>(in->front());
   in->remove_prefix(1);
@@ -297,31 +360,34 @@ Result<std::vector<double>> DecodeDoubleColumn(std::string_view* in) {
     if (in->empty()) return Status::Corruption("truncated double column");
     const uint8_t pow = static_cast<uint8_t>(in->front());
     in->remove_prefix(1);
+    if (pow > kMaxDecimalPow) {
+      return Status::Corruption("double column scale out of range");
+    }
     double scale = 1.0;
     for (uint8_t p = 0; p < pow; ++p) scale *= 10.0;
-    Result<std::vector<int64_t>> ints = DecodeInt64Column(in);
-    if (!ints.ok()) return ints.status();
-    std::vector<double> values;
-    values.reserve(ints->size());
-    for (const int64_t v : *ints) {
-      values.push_back(static_cast<double>(v) / scale);
-    }
-    return values;
+    return DecodeInt64Stream(in, n, [out, scale](size_t i, int64_t v) {
+      out[i] = static_cast<double>(v) / scale;
+    });
   }
   if (mode == kDoubleModeBits) {
-    Result<std::vector<int64_t>> ints = DecodeInt64Column(in);
-    if (!ints.ok()) return ints.status();
-    std::vector<double> values;
-    values.reserve(ints->size());
-    for (const int64_t v : *ints) {
-      double d = 0.0;
-      std::memcpy(&d, &v, sizeof(double));
-      values.push_back(d);
-    }
-    return values;
+    return DecodeInt64Stream(in, n, [out](size_t i, int64_t v) {
+      std::memcpy(&out[i], &v, sizeof(double));
+    });
   }
   return Status::Corruption("unknown double column mode " +
                             std::to_string(mode));
+}
+
+Result<std::vector<double>> DecodeDoubleColumn(std::string_view* in) {
+  if (in->empty()) return Status::Corruption("empty double column");
+  // Scaled columns carry a power byte between the mode and the ints.
+  Result<uint64_t> n = PeekCount(
+      *in, static_cast<uint8_t>(in->front()) == kDoubleModeScaled ? 2 : 1);
+  if (!n.ok()) return n.status();
+  std::vector<double> values(static_cast<size_t>(*n));
+  Status s = DecodeDoubleColumnInto(in, values.size(), values.data());
+  if (!s.ok()) return s;
+  return values;
 }
 
 }  // namespace stix::bson

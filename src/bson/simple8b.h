@@ -45,6 +45,20 @@ Result<std::vector<uint64_t>> Simple8bDecode(std::string_view* in);
 /// delta-of-delta (zigzag + Simple8b) when every transformed value fits in
 /// 60 bits, raw little-endian 8-byte values otherwise.
 void EncodeInt64Column(const std::vector<int64_t>& values, std::string* out);
+
+/// The value count an int64 column declares, read in O(1) without
+/// consuming it. Corruption when the count is unreadable or more than the
+/// column's remaining bytes can hold.
+Result<uint64_t> Int64ColumnCount(std::string_view in);
+
+/// Consumes one int64 column, which must hold exactly n values, from the
+/// front of *in and writes them to out[0, n) in one fused pass (Simple8b
+/// unpack, zigzag, delta-of-delta) with no intermediate buffer. A count
+/// other than n and a truncated column are Corruption; nothing is ever
+/// written past out[n), even on failure.
+Status DecodeInt64ColumnInto(std::string_view* in, size_t n, int64_t* out);
+
+/// DecodeInt64ColumnInto into a vector sized by the column's own count.
 Result<std::vector<int64_t>> DecodeInt64Column(std::string_view* in);
 
 /// Double column: tries a decimal scaling (value * 10^p as an integer,
@@ -52,6 +66,12 @@ Result<std::vector<int64_t>> DecodeInt64Column(std::string_view* in);
 /// IEEE-754 bit pattern; either reduction is then stored as an int64
 /// column. Lossless for every input including -0.0 and NaN.
 void EncodeDoubleColumn(const std::vector<double>& values, std::string* out);
+
+/// DecodeInt64ColumnInto for a double column: the reduction is undone in
+/// the same pass.
+Status DecodeDoubleColumnInto(std::string_view* in, size_t n, double* out);
+
+/// DecodeDoubleColumnInto into a vector sized by the column's own count.
 Result<std::vector<double>> DecodeDoubleColumn(std::string_view* in);
 
 }  // namespace stix::bson

@@ -751,6 +751,8 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
       std::vector<bson::Document> survivors;
     };
     std::vector<Doomed> doomed;
+    storage::BucketReader reader;
+    storage::BucketSelection selection;
     for (size_t i = 0; i < r.docs.size(); ++i) {
       const bson::Document& doc = *r.docs[i];
       if (!storage::IsBucketDocument(doc)) {
@@ -760,24 +762,21 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
                           doc.ApproxBsonSize(), 1, 1, {}});
         continue;
       }
-      Result<storage::BucketReader> reader = storage::BucketReader::Open(doc);
-      if (!reader.ok()) return reader.status();
-      Result<storage::BucketSelection> selection = reader->Select(spec);
-      if (!selection.ok()) return selection.status();
-      if (selection->rows.empty()) continue;  // nothing to delete here
-      Result<std::vector<bson::Document>> points =
-          reader->Build(layout, nullptr);
-      if (!points.ok()) return points.status();
-      const uint64_t total = points->size();
+      if (Status s = reader.Reset(doc); !s.ok()) return s;
+      if (Status s = reader.Select(spec, &selection); !s.ok()) return s;
+      if (selection.rows.empty()) continue;  // nothing to delete here
+      std::vector<bson::Document> points;
+      if (Status s = reader.Build(layout, nullptr, &points); !s.ok()) return s;
+      const uint64_t total = points.size();
       std::vector<bson::Document> survivors;
       size_t next = 0;  // Cursor into the ascending selected rows.
       for (uint32_t row = 0; row < total; ++row) {
         const bool selected =
-            next < selection->rows.size() && selection->rows[next] == row;
+            next < selection.rows.size() && selection.rows[next] == row;
         next += selected;
-        bson::Document& p = (*points)[row];
+        bson::Document& p = points[row];
         if (selected &&
-            (selection->exact || expr == nullptr || expr->Matches(p))) {
+            (selection.exact || expr == nullptr || expr->Matches(p))) {
           continue;
         }
         survivors.push_back(std::move(p));

@@ -96,15 +96,25 @@ std::string LzCompress(std::string_view input) {
 }
 
 Result<std::string> LzDecompress(std::string_view compressed) {
+  std::string out;
+  if (Status s = LzDecompressInto(compressed, out.max_size(), &out); !s.ok()) {
+    return s;
+  }
+  return out;
+}
+
+Status LzDecompressInto(std::string_view compressed, size_t max_size,
+                        std::string* out) {
   const char* p = compressed.data();
   const char* end = p + compressed.size();
   uint64_t total;
   if (!GetVarint(&p, end, &total)) {
     return Status::Corruption("lz: bad header");
   }
+  if (total > max_size) return Status::Corruption("lz: output too large");
   // Ops write into the pre-sized output; neither may run past `total`.
-  std::string out(total, '\0');
-  char* const dst = out.data();
+  out->resize(total);
+  char* const dst = out->data();
   size_t pos = 0;
   while (p < end) {
     const uint8_t tag = static_cast<uint8_t>(*p++);
@@ -138,7 +148,7 @@ Result<std::string> LzDecompress(std::string_view compressed) {
   if (pos != total) {
     return Status::Corruption("lz: length mismatch");
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace stix

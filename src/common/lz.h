@@ -18,6 +18,11 @@ std::string LzCompress(std::string_view input);
 /// Inverse of LzCompress. Fails with Corruption on malformed input.
 Result<std::string> LzDecompress(std::string_view compressed);
 
+/// LzDecompress into *out, reusing its capacity. An input that declares
+/// more than max_size bytes fails with Corruption before *out is resized.
+Status LzDecompressInto(std::string_view compressed, size_t max_size,
+                        std::string* out);
+
 }  // namespace stix
 
 #endif  // STIX_COMMON_LZ_H_

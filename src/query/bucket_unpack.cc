@@ -273,31 +273,27 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
     return State::kAdvanced;
   }
 
-  Result<storage::BucketReader> reader = storage::BucketReader::Open(*doc);
-  Result<storage::BucketSelection> selection =
-      reader.ok() ? reader->Select(prune_)
-                  : Result<storage::BucketSelection>(reader.status());
-  if (!selection.ok()) {
+  Status s = reader_.Reset(*doc);
+  if (s.ok()) s = reader_.Select(prune_, &selection_);
+  if (!s.ok()) {
     ++decode_errors_;
     return State::kNeedTime;
   }
-  buckets_pruned_ += selection->pruned;
-  points_scanned_ += selection->scanned;
-  if (selection->rows.empty()) return State::kNeedTime;
+  buckets_pruned_ += selection_.pruned;
+  points_scanned_ += selection_.scanned;
+  if (selection_.rows.empty()) return State::kNeedTime;
 
-  Result<std::vector<bson::Document>> points =
-      reader->Build(*layout_, &selection->rows);
-  if (!points.ok()) {
+  if (!reader_.Build(*layout_, &selection_.rows, &built_).ok()) {
     ++decode_errors_;
     return State::kNeedTime;
   }
-  points_unpacked_ += points->size();
+  points_unpacked_ += built_.size();
 
   // An exact selection is the answer; otherwise it is a superset the exact
   // point expression filters.
-  const bool filter = !selection->exact && point_expr_ != nullptr;
+  const bool filter = !selection_.exact && point_expr_ != nullptr;
   const size_t before = arena_.size();
-  for (bson::Document& point : *points) {
+  for (bson::Document& point : built_) {
     if (!filter || point_expr_->Matches(point)) {
       arena_.push_back(std::move(point));
     }

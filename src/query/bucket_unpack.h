@@ -97,6 +97,12 @@ class BucketUnpackStage : public PlanStage {
   size_t next_pending_ = 0;       ///< First arena entry not yet emitted.
   storage::RecordId pending_rid_ = storage::kInvalidRecordId;
 
+  /// One reader, selection and build buffer for every bucket of the scan:
+  /// their buffers are reused, not reallocated per bucket.
+  storage::BucketReader reader_;
+  storage::BucketSelection selection_;
+  std::vector<bson::Document> built_;
+
   uint64_t buckets_pruned_ = 0;
   uint64_t points_scanned_ = 0;
   uint64_t points_unpacked_ = 0;

@@ -14,10 +14,74 @@
 namespace stix::storage {
 namespace {
 
-constexpr int32_t kBucketFormatVersion = 1;
 /// Hilbert range lists are capped: past this the closest-gap ranges merge,
 /// trading pruning precision for metadata size (like an s2 covering cap).
 constexpr size_t kMaxBucketHilRanges = 16;
+
+// Codec v2: a bucket document is `_id`, the indexed time (window base) and
+// hilbert (cell base) fields, `wlsns` on durable stores, and one binary
+// string field, the blob:
+//
+//   [0, 3)    magic "STB"          [3]       version (2)
+//   [4]       flags (kFlag*)       [5]       hil range count r (<= 16)
+//   [6, 10)   n, int32             [10, 18)  minTs, int64
+//   [18, 26)  maxTs, int64         [26, 58)  MBR lo.lon lo.lat hi.lon
+//                                            hi.lat, 4 doubles (zero
+//                                            without kFlagLoc)
+//   [58, 58 + 16r)   hil ranges, (lo, hi) int64 pairs
+//   then 7 uint32 column lengths, then the columns in BucketColumn order.
+//
+// All integers are little-endian; an absent column has length 0. One blob
+// instead of nested meta/data sub-documents keeps a bucket visit to one
+// chain of dependent loads (document -> field -> blob bytes).
+constexpr char kBlobField[] = "data";
+constexpr char kMagic[3] = {'S', 'T', 'B'};
+constexpr uint8_t kCodecVersion = 2;
+constexpr size_t kOffFlags = 4;
+constexpr size_t kOffNumHil = 5;
+constexpr size_t kOffN = 6;
+constexpr size_t kOffMinTs = 10;
+constexpr size_t kOffMaxTs = 18;
+constexpr size_t kOffMbr = 26;
+constexpr size_t kFixedHeaderSize = 58;
+
+constexpr uint8_t kFlagLoc = 1;      ///< lon/lat columns and the MBR.
+constexpr uint8_t kFlagHil = 2;      ///< hil column and ranges.
+constexpr uint8_t kFlagIds = 4;      ///< ids column.
+constexpr uint8_t kFlagUniform = 8;  ///< Residual is per-field columns.
+constexpr uint8_t kAllFlags = kFlagLoc | kFlagHil | kFlagIds | kFlagUniform;
+
+void PutU64(uint64_t v, std::string* out) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+void PutU32(uint32_t v, std::string* out) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+void PutDouble(double d, std::string* out) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  PutU64(bits, out);
+}
+uint64_t GetU64(const char* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+uint32_t GetU32(const char* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
+  }
+  return v;
+}
+double GetDouble(const char* p) {
+  const uint64_t bits = GetU64(p);
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
 
 /// Per-point extraction slots, in position-column order.
 enum ExtractSlot { kSlotTs = 0, kSlotLoc, kSlotId, kSlotHil, kNumSlots };
@@ -97,151 +161,119 @@ bool IsColumnarType(bson::Type t) {
   }
 }
 
-const bson::Value* GetSubField(const bson::Document& doc,
-                               std::string_view outer,
-                               std::string_view inner) {
-  const bson::Value* sub = doc.Get(outer);
-  if (sub == nullptr || sub->type() != bson::Type::kDocument) return nullptr;
-  return sub->AsDocument().Get(inner);
-}
-
-/// The `data` sub-document's column `name`, or nullptr.
-const std::string* Column(const bson::Document& data, std::string_view name) {
-  const bson::Value* v = data.Get(name);
-  if (v == nullptr || v->type() != bson::Type::kString) return nullptr;
-  return &v->AsString();
-}
-
-/// Consumes one packed int64 or double column, which must hold n values,
-/// from the front of *in.
-template <typename T>
-Status DecodeColumn(std::string_view* in, size_t n, std::vector<T>* out) {
-  Result<std::vector<T>> v = [in] {
-    if constexpr (std::is_same_v<T, double>) {
-      return bson::DecodeDoubleColumn(in);
-    } else {
-      return bson::DecodeInt64Column(in);
-    }
-  }();
-  if (!v.ok()) return v.status();
-  if (v->size() != n) {
-    return Status::Corruption("bucket column length disagrees with meta.n");
+/// Parses a blob's header and column-length table into *meta, *flags and
+/// the column views, checking the framing and that n agrees with the ts
+/// column's own count (an O(1) read) before anyone sizes a buffer by n.
+Status ParseHeader(std::string_view blob, BucketMeta* meta, uint8_t* flags,
+                   std::string_view* columns) {
+  const char* p = blob.data();
+  *flags = static_cast<uint8_t>(p[kOffFlags]);
+  const size_t num_hil = static_cast<uint8_t>(p[kOffNumHil]);
+  const int32_t n = static_cast<int32_t>(GetU32(p + kOffN));
+  if ((*flags & ~kAllFlags) != 0 || num_hil > kMaxBucketHilRanges ||
+      (num_hil > 0) != ((*flags & kFlagHil) != 0) || n < 1) {
+    return Status::Corruption("bucket header is malformed");
   }
-  *out = std::move(*v);
+  meta->num_points = static_cast<uint32_t>(n);
+  meta->min_ts = static_cast<int64_t>(GetU64(p + kOffMinTs));
+  meta->max_ts = static_cast<int64_t>(GetU64(p + kOffMaxTs));
+  meta->has_mbr = (*flags & kFlagLoc) != 0;
+  meta->mbr = {{GetDouble(p + kOffMbr), GetDouble(p + kOffMbr + 8)},
+               {GetDouble(p + kOffMbr + 16), GetDouble(p + kOffMbr + 24)}};
+  const size_t table = kFixedHeaderSize + 16 * num_hil;
+  const size_t data = table + 4 * kNumBucketColumns;
+  if (blob.size() < data || meta->min_ts > meta->max_ts) {
+    return Status::Corruption("bucket header is malformed");
+  }
+  meta->hil_ranges.resize(num_hil);
+  for (size_t i = 0; i < num_hil; ++i) {
+    auto& r = meta->hil_ranges[i];
+    r.first = static_cast<int64_t>(GetU64(p + kFixedHeaderSize + 16 * i));
+    r.second = static_cast<int64_t>(GetU64(p + kFixedHeaderSize + 16 * i + 8));
+    // Sorted and disjoint: MayContain/Covers sweep them in order.
+    if (r.first > r.second ||
+        (i > 0 && r.first <= meta->hil_ranges[i - 1].second)) {
+      return Status::Corruption("bucket hil ranges are malformed");
+    }
+  }
+
+  // Which columns the flags promise; ts, pos and the residual always exist.
+  const auto present = [f = *flags](size_t c) {
+    switch (static_cast<BucketColumn>(c)) {
+      case BucketColumn::kLon:
+      case BucketColumn::kLat:
+        return (f & kFlagLoc) != 0;
+      case BucketColumn::kHil:
+        return (f & kFlagHil) != 0;
+      case BucketColumn::kIds:
+        return (f & kFlagIds) != 0;
+      default:
+        return true;
+    }
+  };
+  size_t off = data;
+  for (size_t c = 0; c < kNumBucketColumns; ++c) {
+    const size_t len = GetU32(p + table + 4 * c);
+    if ((len > 0) != present(c) || len > blob.size() - off) {
+      return Status::Corruption("bucket column table is malformed");
+    }
+    columns[c] = blob.substr(off, len);
+    off += len;
+  }
+  if (off != blob.size()) {
+    return Status::Corruption("bucket column table is malformed");
+  }
+  const Result<uint64_t> ts_count = bson::Int64ColumnCount(
+      columns[static_cast<size_t>(BucketColumn::kTs)]);
+  if (!ts_count.ok()) return ts_count.status();
+  if (*ts_count != meta->num_points) {
+    return Status::Corruption("bucket point count disagrees with its ts column");
+  }
   return Status::OK();
 }
 
-/// Decoded "cols" residual: one column per schema field, materialized as a
-/// whole so point reconstruction is column reads, not per-point parsing.
-struct ResidualColumns {
-  struct Field {
-    std::string name;
-    bson::Type type = bson::Type::kNull;
-    std::vector<int64_t> ints;        ///< kBool/kInt32/kInt64/kDateTime.
-    std::vector<double> doubles;      ///< kDouble.
-    std::vector<size_t> str_offsets;  ///< n+1 prefix offsets into blob.
-    std::string blob;                 ///< kString bytes, concatenated.
+/// Consumes one packed column, which must hold n values, from the front of
+/// *in into *out (resized to n; its capacity is reused).
+template <typename T>
+Status TakeColumn(std::string_view* in, size_t n, std::vector<T>* out) {
+  out->resize(n);
+  if constexpr (std::is_same_v<T, double>) {
+    return bson::DecodeDoubleColumnInto(in, n, out->data());
+  } else {
+    return bson::DecodeInt64ColumnInto(in, n, out->data());
+  }
+}
 
-    bson::Value ValueAt(size_t i) const {
-      switch (type) {
-        case bson::Type::kBool:
-          return bson::Value::Bool(ints[i] != 0);
-        case bson::Type::kInt32:
-          return bson::Value::Int32(static_cast<int32_t>(ints[i]));
-        case bson::Type::kInt64:
-          return bson::Value::Int64(ints[i]);
-        case bson::Type::kDateTime:
-          return bson::Value::DateTime(ints[i]);
-        case bson::Type::kDouble:
-          return bson::Value::Double(doubles[i]);
-        case bson::Type::kString:
-          return bson::Value::String(
-              blob.substr(str_offsets[i], str_offsets[i + 1] - str_offsets[i]));
-        default:
-          return bson::Value::Null();
-      }
-    }
-  };
-  std::vector<Field> fields;
-};
-
-Result<ResidualColumns> DecodeResidualColumns(std::string_view in, size_t n) {
-  ResidualColumns out;
-  Result<uint64_t> nfields = bson::GetVarint(&in);
-  if (!nfields.ok()) return nfields.status();
-  if (*nfields > in.size()) {
-    return Status::Corruption("bucket residual schema is truncated");
+/// TakeColumn over a whole column: nothing may follow its n values.
+template <typename T>
+Status DecodeColumn(std::string_view col, size_t n, std::vector<T>* out) {
+  const Status s = TakeColumn(&col, n, out);
+  if (s.ok() && !col.empty()) {
+    return Status::Corruption("bucket column has trailing bytes");
   }
-  out.fields.resize(*nfields);
-  for (ResidualColumns::Field& f : out.fields) {
-    Result<uint64_t> name_len = bson::GetVarint(&in);
-    if (!name_len.ok()) return name_len.status();
-    if (*name_len >= in.size()) {
-      return Status::Corruption("bucket residual schema is truncated");
-    }
-    f.name.assign(in.data(), *name_len);
-    in.remove_prefix(*name_len);
-    f.type = static_cast<bson::Type>(static_cast<uint8_t>(in.front()));
-    in.remove_prefix(1);
-    if (!IsColumnarType(f.type)) {
-      return Status::Corruption("bucket residual schema has a bad type");
-    }
-  }
-  for (ResidualColumns::Field& f : out.fields) {
-    switch (f.type) {
-      case bson::Type::kNull:
-        break;
-      case bson::Type::kBool:
-      case bson::Type::kInt32:
-      case bson::Type::kInt64:
-      case bson::Type::kDateTime:
-        if (Status s = DecodeColumn(&in, n, &f.ints); !s.ok()) return s;
-        break;
-      case bson::Type::kDouble:
-        if (Status s = DecodeColumn(&in, n, &f.doubles); !s.ok()) return s;
-        break;
-      case bson::Type::kString: {
-        std::vector<int64_t> lens;
-        if (Status s = DecodeColumn(&in, n, &lens); !s.ok()) return s;
-        Result<uint64_t> zlen = bson::GetVarint(&in);
-        if (!zlen.ok()) return zlen.status();
-        if (*zlen > in.size()) {
-          return Status::Corruption("bucket residual blob is truncated");
-        }
-        Result<std::string> blob = LzDecompress(in.substr(0, *zlen));
-        if (!blob.ok()) return blob.status();
-        in.remove_prefix(*zlen);
-        f.blob = std::move(*blob);
-        f.str_offsets.resize(n + 1);
-        size_t off = 0;
-        for (size_t i = 0; i < n; ++i) {
-          f.str_offsets[i] = off;
-          if (lens[i] < 0 ||
-              static_cast<uint64_t>(lens[i]) > f.blob.size() - off) {
-            return Status::Corruption("bucket residual blob is truncated");
-          }
-          off += static_cast<size_t>(lens[i]);
-        }
-        f.str_offsets[n] = off;
-        if (off != f.blob.size()) {
-          return Status::Corruption("bucket residual blob length mismatch");
-        }
-        break;
-      }
-      default:
-        return Status::Corruption("bucket residual schema has a bad type");
-    }
-  }
-  return out;
+  return s;
 }
 
 }  // namespace
 
+const std::string* BucketBlob(const bson::Document& bucket) {
+  const bson::Value* v = bucket.Get(kBlobField);
+  if (v == nullptr || v->type() != bson::Type::kString) return nullptr;
+  const std::string& blob = v->AsString();
+  if (blob.size() < kFixedHeaderSize ||
+      std::memcmp(blob.data(), kMagic, sizeof kMagic) != 0 ||
+      static_cast<uint8_t>(blob[sizeof kMagic]) != kCodecVersion) {
+    return nullptr;
+  }
+  return &blob;
+}
+
 bool IsBucketDocument(const bson::Document& doc) {
-  const bson::Value* v = GetSubField(doc, kBucketDataField, "v");
-  return v != nullptr && v->type() == bson::Type::kInt32 &&
-         v->AsInt32() == kBucketFormatVersion &&
-         doc.Get(kBucketMetaField) != nullptr;
+  return BucketBlob(doc) != nullptr;
+}
+
+void ReplaceBucketBlob(bson::Document* bucket, std::string blob) {
+  bucket->Set(kBlobField, bson::Value::String(std::move(blob)));
 }
 
 Result<BucketKey> ComputeBucketKey(const bson::Document& point,
@@ -269,8 +301,10 @@ Result<BucketKey> ComputeBucketKey(const bson::Document& point,
 
 Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
                                     const BucketLayout& layout) {
-  if (points.empty()) {
-    return Status::InvalidArgument("cannot encode an empty bucket");
+  if (points.empty() ||
+      points.size() > static_cast<size_t>(
+                          std::numeric_limits<int32_t>::max() / kNumSlots)) {
+    return Status::InvalidArgument("bucket point count out of range");
   }
   const size_t n = points.size();
 
@@ -470,54 +504,54 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
     residual_col = LzCompress(residuals);
   }
 
-  std::string ts_col, lon_col, lat_col, hil_col, pos_col;
-  bson::EncodeInt64Column(ts, &ts_col);
+  std::string columns[kNumBucketColumns];
+  const auto col = [&columns](BucketColumn c) {
+    return &columns[static_cast<size_t>(c)];
+  };
+  bson::EncodeInt64Column(ts, col(BucketColumn::kTs));
   if (has_loc) {
-    bson::EncodeDoubleColumn(lon, &lon_col);
-    bson::EncodeDoubleColumn(lat, &lat_col);
+    bson::EncodeDoubleColumn(lon, col(BucketColumn::kLon));
+    bson::EncodeDoubleColumn(lat, col(BucketColumn::kLat));
   }
-  if (has_hil) bson::EncodeInt64Column(hil, &hil_col);
-  bson::EncodeInt64Column(positions, &pos_col);
-
-  bson::Document meta;
-  meta.Append("minTs", bson::Value::DateTime(min_ts));
-  meta.Append("maxTs", bson::Value::DateTime(max_ts));
-  meta.Append("n", bson::Value::Int32(static_cast<int32_t>(n)));
-  if (has_loc) {
-    const auto [lon_lo, lon_hi] = std::minmax_element(lon.begin(), lon.end());
-    const auto [lat_lo, lat_hi] = std::minmax_element(lat.begin(), lat.end());
-    bson::Array mbr;
-    mbr.push_back(bson::Value::Double(*lon_lo));
-    mbr.push_back(bson::Value::Double(*lat_lo));
-    mbr.push_back(bson::Value::Double(*lon_hi));
-    mbr.push_back(bson::Value::Double(*lat_hi));
-    meta.Append("mbr", bson::Value::MakeArray(std::move(mbr)));
-  }
-  if (has_hil) {
-    bson::Array ranges;
-    for (const auto& [r_lo, r_hi] : BuildHilRanges(hil)) {
-      ranges.push_back(bson::Value::Int64(r_lo));
-      ranges.push_back(bson::Value::Int64(r_hi));
-    }
-    meta.Append("hil", bson::Value::MakeArray(std::move(ranges)));
-  }
-
-  bson::Document data;
-  data.Append("v", bson::Value::Int32(kBucketFormatVersion));
-  data.Append("ts", bson::Value::String(std::move(ts_col)));
-  if (has_loc) {
-    data.Append("lon", bson::Value::String(std::move(lon_col)));
-    data.Append("lat", bson::Value::String(std::move(lat_col)));
-  }
-  if (has_hil) data.Append("hil", bson::Value::String(std::move(hil_col)));
+  if (has_hil) bson::EncodeInt64Column(hil, col(BucketColumn::kHil));
   if (has_id) {
     // ObjectIds inside one bucket share their timestamp/machine prefix;
     // LZ'ing the concatenation keeps roughly the per-point counter bytes.
-    data.Append("ids", bson::Value::String(LzCompress(ids)));
+    *col(BucketColumn::kIds) = LzCompress(ids);
   }
-  data.Append("pos", bson::Value::String(std::move(pos_col)));
-  data.Append(uniform ? "cols" : "res",
-              bson::Value::String(std::move(residual_col)));
+  bson::EncodeInt64Column(positions, col(BucketColumn::kPos));
+  *col(BucketColumn::kResidual) = std::move(residual_col);
+
+  std::vector<std::pair<int64_t, int64_t>> hil_ranges;
+  if (has_hil) hil_ranges = BuildHilRanges(hil);
+  geo::Rect mbr{{0, 0}, {0, 0}};
+  if (has_loc) {
+    const auto [lon_lo, lon_hi] = std::minmax_element(lon.begin(), lon.end());
+    const auto [lat_lo, lat_hi] = std::minmax_element(lat.begin(), lat.end());
+    mbr = {{*lon_lo, *lat_lo}, {*lon_hi, *lat_hi}};
+  }
+  const uint8_t flags = (has_loc ? kFlagLoc : 0) | (has_hil ? kFlagHil : 0) |
+                        (has_id ? kFlagIds : 0) |
+                        (uniform ? kFlagUniform : 0);
+  std::string blob(kMagic, sizeof kMagic);
+  blob.push_back(static_cast<char>(kCodecVersion));
+  blob.push_back(static_cast<char>(flags));
+  blob.push_back(static_cast<char>(hil_ranges.size()));
+  PutU32(static_cast<uint32_t>(n), &blob);
+  PutU64(static_cast<uint64_t>(min_ts), &blob);
+  PutU64(static_cast<uint64_t>(max_ts), &blob);
+  PutDouble(mbr.lo.lon, &blob);
+  PutDouble(mbr.lo.lat, &blob);
+  PutDouble(mbr.hi.lon, &blob);
+  PutDouble(mbr.hi.lat, &blob);
+  for (const auto& [r_lo, r_hi] : hil_ranges) {
+    PutU64(static_cast<uint64_t>(r_lo), &blob);
+    PutU64(static_cast<uint64_t>(r_hi), &blob);
+  }
+  for (const std::string& c : columns) {
+    PutU32(static_cast<uint32_t>(c.size()), &blob);
+  }
+  for (const std::string& c : columns) blob.append(c);
 
   bson::Document bucket;
   if (has_id) {
@@ -531,58 +565,20 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
                   bson::Value::Int64((hil[0] >> layout.hilbert_shift)
                                      << layout.hilbert_shift));
   }
-  bucket.Append(kBucketMetaField, bson::Value::MakeDocument(std::move(meta)));
-  bucket.Append(kBucketDataField, bson::Value::MakeDocument(std::move(data)));
+  bucket.Append(kBlobField, bson::Value::String(std::move(blob)));
   return bucket;
 }
 
 Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket) {
-  const bson::Value* meta_v = bucket.Get(kBucketMetaField);
-  if (meta_v == nullptr || meta_v->type() != bson::Type::kDocument) {
-    return Status::Corruption("bucket document lacks meta");
+  const std::string* blob = BucketBlob(bucket);
+  if (blob == nullptr) return Status::Corruption("not a bucket document");
+  BucketMeta meta;
+  uint8_t flags = 0;
+  std::string_view columns[kNumBucketColumns];
+  if (Status s = ParseHeader(*blob, &meta, &flags, columns); !s.ok()) {
+    return s;
   }
-  const bson::Document& meta = meta_v->AsDocument();
-  BucketMeta out;
-  const bson::Value* min_ts = meta.Get("minTs");
-  const bson::Value* max_ts = meta.Get("maxTs");
-  const bson::Value* n = meta.Get("n");
-  if (min_ts == nullptr || min_ts->type() != bson::Type::kDateTime ||
-      max_ts == nullptr || max_ts->type() != bson::Type::kDateTime ||
-      n == nullptr || n->type() != bson::Type::kInt32) {
-    return Status::Corruption("bucket meta is malformed");
-  }
-  out.min_ts = min_ts->AsDateTime();
-  out.max_ts = max_ts->AsDateTime();
-  out.num_points = static_cast<uint32_t>(n->AsInt32());
-  if (const bson::Value* mbr = meta.Get("mbr");
-      mbr != nullptr && mbr->type() == bson::Type::kArray) {
-    const bson::Array& a = mbr->AsArray();
-    if (a.size() != 4) return Status::Corruption("bucket mbr is malformed");
-    for (const bson::Value& v : a) {
-      if (v.type() != bson::Type::kDouble) {
-        return Status::Corruption("bucket mbr is malformed");
-      }
-    }
-    out.has_mbr = true;
-    out.mbr = {{a[0].AsDouble(), a[1].AsDouble()},
-               {a[2].AsDouble(), a[3].AsDouble()}};
-  }
-  if (const bson::Value* hil = meta.Get("hil");
-      hil != nullptr && hil->type() == bson::Type::kArray) {
-    const bson::Array& a = hil->AsArray();
-    if (a.size() % 2 != 0) {
-      return Status::Corruption("bucket hil ranges are malformed");
-    }
-    out.hil_ranges.reserve(a.size() / 2);
-    for (size_t i = 0; i < a.size(); i += 2) {
-      if (a[i].type() != bson::Type::kInt64 ||
-          a[i + 1].type() != bson::Type::kInt64) {
-        return Status::Corruption("bucket hil ranges are malformed");
-      }
-      out.hil_ranges.emplace_back(a[i].AsInt64(), a[i + 1].AsInt64());
-    }
-  }
-  return out;
+  return meta;
 }
 
 bool BucketPruneSpec::MayContain(const BucketMeta& meta) const {
@@ -637,54 +633,62 @@ bool BucketPruneSpec::Covers(const BucketMeta& meta) const {
   return true;
 }
 
-Result<BucketReader> BucketReader::Open(const bson::Document& bucket) {
-  if (!IsBucketDocument(bucket)) {
-    return Status::Corruption("not a bucket document");
+Status BucketReader::Reset(const bson::Document& bucket) {
+  ts_loaded_ = hil_loaded_ = false;
+  const std::string* blob = BucketBlob(bucket);
+  Status s = blob != nullptr
+                 ? ParseHeader(*blob, &meta_, &flags_, columns_)
+                 : Status::Corruption("not a bucket document");
+  if (!s.ok()) {
+    // Hold no bucket (n = 0): Select and Build then fail.
+    meta_.num_points = 0;
+    for (std::string_view& c : columns_) c = {};
   }
-  Result<BucketMeta> meta = ParseBucketMeta(bucket);
-  if (!meta.ok()) return meta.status();
-  BucketReader reader;
-  reader.data_ = &bucket.Get(kBucketDataField)->AsDocument();
-  reader.meta_ = std::move(*meta);
-  return reader;
+  return s;
+}
+
+bool BucketReader::uniform_residuals() const {
+  return (flags_ & kFlagUniform) != 0;
 }
 
 Status BucketReader::LoadColumns(bool hil) {
-  // Decodes the named column into *out; an absent column leaves it empty.
-  const auto load = [this](std::string_view name, auto* out) {
-    const std::string* col = Column(*data_, name);
-    if (col == nullptr) return Status::OK();
-    std::string_view view = *col;
-    return DecodeColumn(&view, meta_.num_points, out);
+  const size_t n = meta_.num_points;
+  // An absent column (the flag is clear) leaves its buffer empty.
+  const auto load = [this, n](uint8_t flag, BucketColumn c, auto* out) {
+    if ((flags_ & flag) != flag) {
+      out->clear();
+      return Status::OK();
+    }
+    return DecodeColumn(column(c), n, out);
   };
   if (!ts_loaded_) {
-    if (Column(*data_, "ts") == nullptr ||
-        (Column(*data_, "lon") == nullptr) !=
-            (Column(*data_, "lat") == nullptr)) {
-      return Status::Corruption("bucket data columns are missing");
-    }
-    Status s = load("ts", &ts_);
-    if (s.ok()) s = load("lon", &lon_);
-    if (s.ok()) s = load("lat", &lat_);
+    Status s = load(0, BucketColumn::kTs, &ts_);
+    if (s.ok()) s = load(kFlagLoc, BucketColumn::kLon, &lon_);
+    if (s.ok()) s = load(kFlagLoc, BucketColumn::kLat, &lat_);
     if (!s.ok()) return s;
     ts_loaded_ = true;
   }
   if (hil && !hil_loaded_) {
-    if (Status s = load("hil", &hil_); !s.ok()) return s;
+    if (Status s = load(kFlagHil, BucketColumn::kHil, &hil_); !s.ok()) {
+      return s;
+    }
     hil_loaded_ = true;
   }
   return Status::OK();
 }
 
-Result<BucketSelection> BucketReader::Select(const BucketPruneSpec& spec) {
-  BucketSelection sel;
+Status BucketReader::Select(const BucketPruneSpec& spec, BucketSelection* out) {
+  BucketSelection& sel = *out;
+  sel.rows.clear();
+  sel.scanned = 0;
   const uint32_t n = meta_.num_points;
+  if (n == 0) return Status::Corruption("bucket reader holds no bucket");
   sel.pruned = !spec.MayContain(meta_);
   if (sel.pruned || spec.Covers(meta_)) {
     sel.rows.resize(sel.pruned ? 0 : n);
     std::iota(sel.rows.begin(), sel.rows.end(), 0u);
     sel.exact = true;
-    return sel;
+    return Status::OK();
   }
   if (Status s = LoadColumns(false); !s.ok()) return s;
   const bool use_rect = spec.rect.has_value() && !lon_.empty();
@@ -731,89 +735,250 @@ Result<BucketSelection> BucketReader::Select(const BucketPruneSpec& spec) {
   sel.exact = sel.rows.empty() ||
               (spec.exact && use_rect == spec.rect.has_value() &&
                use_hil == !spec.hil_ranges.empty());
-  return sel;
+  return Status::OK();
 }
 
-Result<std::vector<bson::Document>> BucketReader::Build(
-    const BucketLayout& layout, const std::vector<uint32_t>* rows) {
-  const size_t n = meta_.num_points;
-  const std::string* pos_col = Column(*data_, "pos");
-  const std::string* res_col = Column(*data_, "res");
-  const std::string* cols_col = Column(*data_, "cols");
-  if (pos_col == nullptr || (res_col == nullptr) == (cols_col == nullptr)) {
-    return Status::Corruption("bucket data columns are missing");
+Status BucketReader::VerifyHeader() const {
+  if (*std::min_element(ts_.begin(), ts_.end()) != meta_.min_ts ||
+      *std::max_element(ts_.begin(), ts_.end()) != meta_.max_ts) {
+    return Status::Corruption("bucket time extent disagrees with its points");
   }
-  if (Status s = LoadColumns(true); !s.ok()) return s;
-  std::vector<int64_t> positions;
-  std::string_view pos_view = *pos_col;
-  if (Status s = DecodeColumn(&pos_view, n * kNumSlots, &positions);
+  if (!lon_.empty()) {
+    // The encoder's own reduction, compared bit for bit.
+    const auto [lon_lo, lon_hi] = std::minmax_element(lon_.begin(), lon_.end());
+    const auto [lat_lo, lat_hi] = std::minmax_element(lat_.begin(), lat_.end());
+    const double want[4] = {*lon_lo, *lat_lo, *lon_hi, *lat_hi};
+    const double got[4] = {meta_.mbr.lo.lon, meta_.mbr.lo.lat,
+                           meta_.mbr.hi.lon, meta_.mbr.hi.lat};
+    if (std::memcmp(want, got, sizeof want) != 0) {
+      return Status::Corruption("bucket MBR disagrees with its points");
+    }
+  }
+  if (!hil_.empty()) {
+    // Every value lies in a range and every range endpoint is a value: the
+    // ranges BuildHilRanges makes, with no decode-side sort.
+    const auto& ranges = meta_.hil_ranges;
+    uint64_t endpoints = 0;
+    size_t r = 0;  // Consecutive points mostly share a range: try it first.
+    for (const int64_t v : hil_) {
+      if (v < ranges[r].first || v > ranges[r].second) {
+        const auto it = std::partition_point(
+            ranges.begin(), ranges.end(),
+            [v](const auto& range) { return range.second < v; });
+        if (it == ranges.end() || it->first > v) {
+          return Status::Corruption("bucket hil ranges miss a point");
+        }
+        r = static_cast<size_t>(it - ranges.begin());
+      }
+      endpoints |= uint64_t{v == ranges[r].first} << (2 * r);
+      endpoints |= uint64_t{v == ranges[r].second} << (2 * r + 1);
+    }
+    if (endpoints != (uint64_t{1} << (2 * ranges.size())) - 1) {
+      return Status::Corruption("bucket hil ranges are not tight");
+    }
+  }
+  return Status::OK();
+}
+
+bson::Value BucketReader::ResidualField::ValueAt(size_t i) const {
+  switch (type) {
+    case bson::Type::kBool:
+      return bson::Value::Bool(ints[i] != 0);
+    case bson::Type::kInt32:
+      return bson::Value::Int32(static_cast<int32_t>(ints[i]));
+    case bson::Type::kInt64:
+      return bson::Value::Int64(ints[i]);
+    case bson::Type::kDateTime:
+      return bson::Value::DateTime(ints[i]);
+    case bson::Type::kDouble:
+      return bson::Value::Double(doubles[i]);
+    case bson::Type::kString: {
+      const size_t begin = i == 0 ? 0 : static_cast<size_t>(ints[i - 1]);
+      return bson::Value::String(
+          strings.substr(begin, static_cast<size_t>(ints[i]) - begin));
+    }
+    default:
+      return bson::Value::Null();
+  }
+}
+
+Status BucketReader::DecodeResidualColumns(std::string_view in) {
+  const size_t n = meta_.num_points;
+  Result<uint64_t> nfields = bson::GetVarint(&in);
+  if (!nfields.ok()) return nfields.status();
+  if (*nfields > in.size()) {
+    return Status::Corruption("bucket residual schema is truncated");
+  }
+  num_res_fields_ = static_cast<size_t>(*nfields);
+  if (res_fields_.size() < num_res_fields_) res_fields_.resize(num_res_fields_);
+  for (size_t fi = 0; fi < num_res_fields_; ++fi) {
+    ResidualField& f = res_fields_[fi];
+    Result<uint64_t> name_len = bson::GetVarint(&in);
+    if (!name_len.ok()) return name_len.status();
+    if (*name_len >= in.size()) {
+      return Status::Corruption("bucket residual schema is truncated");
+    }
+    f.name = in.substr(0, *name_len);
+    in.remove_prefix(*name_len);
+    f.type = static_cast<bson::Type>(static_cast<uint8_t>(in.front()));
+    in.remove_prefix(1);
+    if (!IsColumnarType(f.type)) {
+      return Status::Corruption("bucket residual schema has a bad type");
+    }
+  }
+  for (size_t fi = 0; fi < num_res_fields_; ++fi) {
+    ResidualField& f = res_fields_[fi];
+    switch (f.type) {
+      case bson::Type::kNull:
+        break;
+      case bson::Type::kBool:
+      case bson::Type::kInt32:
+      case bson::Type::kInt64:
+      case bson::Type::kDateTime:
+        if (Status s = TakeColumn(&in, n, &f.ints); !s.ok()) return s;
+        break;
+      case bson::Type::kDouble:
+        if (Status s = TakeColumn(&in, n, &f.doubles); !s.ok()) return s;
+        break;
+      case bson::Type::kString: {
+        // Row lengths become running end offsets in place.
+        if (Status s = TakeColumn(&in, n, &f.ints); !s.ok()) return s;
+        uint64_t total = 0;
+        for (int64_t& len : f.ints) {
+          if (len < 0 ||
+              static_cast<uint64_t>(len) > f.strings.max_size() - total) {
+            return Status::Corruption("bucket residual blob is truncated");
+          }
+          total += static_cast<uint64_t>(len);
+          len = static_cast<int64_t>(total);
+        }
+        Result<uint64_t> zlen = bson::GetVarint(&in);
+        if (!zlen.ok()) return zlen.status();
+        if (*zlen > in.size()) {
+          return Status::Corruption("bucket residual blob is truncated");
+        }
+        if (Status s = LzDecompressInto(in.substr(0, *zlen), total, &f.strings);
+            !s.ok()) {
+          return s;
+        }
+        in.remove_prefix(*zlen);
+        if (f.strings.size() != total) {
+          return Status::Corruption("bucket residual blob length mismatch");
+        }
+        break;
+      }
+      default:
+        return Status::Corruption("bucket residual schema has a bad type");
+    }
+  }
+  if (!in.empty()) {
+    return Status::Corruption("bucket residual column has trailing bytes");
+  }
+  return Status::OK();
+}
+
+Status BucketReader::LoadRowColumns() {
+  const size_t n = meta_.num_points;
+  if (Status s = DecodeColumn(column(BucketColumn::kPos), n * kNumSlots, &pos_);
       !s.ok()) {
     return s;
   }
-
-  std::string ids;
-  bool has_ids = false;
-  if (const std::string* ids_col = Column(*data_, "ids")) {
-    Result<std::string> raw = LzDecompress(*ids_col);
-    if (!raw.ok()) return raw.status();
-    if (raw->size() != n * bson::ObjectId::kSize) {
+  ids_.clear();
+  if ((flags_ & kFlagIds) != 0) {
+    const size_t want = n * bson::ObjectId::kSize;
+    if (Status s = LzDecompressInto(column(BucketColumn::kIds), want, &ids_);
+        !s.ok()) {
+      return s;
+    }
+    if (ids_.size() != want) {
       return Status::Corruption("bucket ids column is short");
     }
-    ids = std::move(*raw);
-    has_ids = true;
   }
 
-  std::string residuals;
-  std::string_view res_view;
-  ResidualColumns rescols;
-  if (res_col != nullptr) {
-    Result<std::string> raw = LzDecompress(*res_col);
-    if (!raw.ok()) return raw.status();
-    residuals = std::move(*raw);
-    res_view = residuals;
+  const std::string_view residual = column(BucketColumn::kResidual);
+  if (uniform_residuals()) {
+    if (Status s = DecodeResidualColumns(residual); !s.ok()) return s;
   } else {
-    Result<ResidualColumns> rc = DecodeResidualColumns(*cols_col, n);
-    if (!rc.ok()) return rc.status();
-    rescols = std::move(*rc);
+    // Per-point BSON: find every row's slice by its length prefix; only
+    // the built rows' slices are parsed.
+    num_res_fields_ = 0;
+    if (Status s = LzDecompressInto(residual, residuals_.max_size(),
+                                    &residuals_);
+        !s.ok()) {
+      return s;
+    }
+    res_rows_.resize(n);
+    std::string_view view = residuals_;
+    for (size_t i = 0; i < n; ++i) {
+      Result<uint64_t> len = bson::GetVarint(&view);
+      if (!len.ok()) return len.status();
+      if (view.size() < *len) {
+        return Status::Corruption("bucket residuals are truncated");
+      }
+      res_rows_[i] = view.substr(0, *len);
+      view.remove_prefix(*len);
+    }
+    if (!view.empty()) {
+      return Status::Corruption("bucket residuals have trailing bytes");
+    }
   }
+
+  // Every row's extracted fields must sit at distinct positions of columns
+  // the bucket has; with uniform residuals the field count is known, so the
+  // positions must also fall inside the row.
+  const bool slot_present[kNumSlots] = {true, !lon_.empty(), !ids_.empty(),
+                                        !hil_.empty()};
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t* pos = &pos_[i * kNumSlots];
+    size_t fields = num_res_fields_;
+    for (int slot = 0; slot < kNumSlots; ++slot) fields += pos[slot] >= 0;
+    for (int slot = 0; slot < kNumSlots; ++slot) {
+      if (pos[slot] < 0) continue;
+      bool ok = slot_present[slot];
+      if (uniform_residuals()) ok &= static_cast<size_t>(pos[slot]) < fields;
+      for (int other = 0; other < slot; ++other) ok &= pos[other] != pos[slot];
+      if (!ok) return Status::Corruption("bucket field positions are malformed");
+    }
+    if (pos[kSlotTs] < 0) {
+      return Status::Corruption("bucket row lacks its time field");
+    }
+  }
+  return Status::OK();
+}
+
+Status BucketReader::Build(const BucketLayout& layout,
+                           const std::vector<uint32_t>* rows,
+                           std::vector<bson::Document>* out) {
+  out->clear();
+  const size_t n = meta_.num_points;
+  if (n == 0) return Status::Corruption("bucket reader holds no bucket");
+  if (Status s = LoadColumns(true); !s.ok()) return s;
+  if (Status s = VerifyHeader(); !s.ok()) return s;
+  if (Status s = LoadRowColumns(); !s.ok()) return s;
 
   const size_t count = rows != nullptr ? rows->size() : n;
-  std::vector<bson::Document> points;
-  points.reserve(count);
-  size_t res_row = 0;  // Per-point residual blobs consumed from res_view.
+  out->reserve(count);
   for (size_t k = 0; k < count; ++k) {
     const size_t i = rows != nullptr ? (*rows)[k] : k;
     if (i >= n || (rows != nullptr && k > 0 && i <= (*rows)[k - 1])) {
+      out->clear();
       return Status::InvalidArgument("bucket rows must ascend within n");
     }
     bson::Document res;
-    size_t res_count = rescols.fields.size();
-    if (res_col != nullptr) {
-      // Skip the unselected rows' blobs by their length prefix; only row
-      // i's blob is parsed.
-      for (; res_row <= i; ++res_row) {
-        Result<uint64_t> res_len = bson::GetVarint(&res_view);
-        if (!res_len.ok()) return res_len.status();
-        if (res_view.size() < *res_len) {
-          return Status::Corruption("bucket residuals are truncated");
-        }
-        if (res_row == i) {
-          Result<bson::Document> parsed =
-              bson::DecodeBson(res_view.substr(0, *res_len));
-          if (!parsed.ok()) return parsed.status();
-          res = std::move(*parsed);
-        }
-        res_view.remove_prefix(*res_len);
+    size_t res_count = num_res_fields_;
+    if (!uniform_residuals()) {
+      Result<bson::Document> parsed = bson::DecodeBson(res_rows_[i]);
+      if (!parsed.ok()) {
+        out->clear();
+        return parsed.status();
       }
+      res = std::move(*parsed);
       res_count = res.size();
     }
 
-    const int64_t* pos = &positions[i * kNumSlots];
-    const size_t total_fields =
-        res_count + static_cast<size_t>(pos[kSlotTs] >= 0) +
-        static_cast<size_t>(pos[kSlotLoc] >= 0) +
-        static_cast<size_t>(pos[kSlotId] >= 0) +
-        static_cast<size_t>(pos[kSlotHil] >= 0);
+    const int64_t* pos = &pos_[i * kNumSlots];
+    size_t total_fields = res_count;
+    for (int slot = 0; slot < kNumSlots; ++slot) total_fields += pos[slot] >= 0;
     bson::Document point;
     point.Reserve(total_fields);
     size_t res_next = 0;
@@ -821,48 +986,42 @@ Result<std::vector<bson::Document>> BucketReader::Build(
       if (pos[kSlotTs] == static_cast<int64_t>(fi)) {
         point.Append(layout.time_field, bson::Value::DateTime(ts_[i]));
       } else if (pos[kSlotLoc] == static_cast<int64_t>(fi)) {
-        if (lon_.empty()) {
-          return Status::Corruption("bucket location columns are missing");
-        }
         point.Append(layout.location_field,
                      bson::Value::MakeDocument(
                          bson::GeoJsonPoint(lon_[i], lat_[i])));
       } else if (pos[kSlotId] == static_cast<int64_t>(fi)) {
-        if (!has_ids) {
-          return Status::Corruption("bucket ids column is missing");
-        }
         std::array<uint8_t, bson::ObjectId::kSize> bytes;
-        std::memcpy(bytes.data(), ids.data() + i * bson::ObjectId::kSize,
+        std::memcpy(bytes.data(), ids_.data() + i * bson::ObjectId::kSize,
                     bytes.size());
         point.Append("_id", bson::Value::Id(bson::ObjectId(bytes)));
       } else if (pos[kSlotHil] == static_cast<int64_t>(fi)) {
-        if (hil_.empty()) {
-          return Status::Corruption("bucket hilbert column is missing");
-        }
         point.Append(layout.hilbert_field, bson::Value::Int64(hil_[i]));
       } else {
         if (res_next >= res_count) {
+          out->clear();
           return Status::Corruption("bucket residual fields are short");
         }
-        if (res_col != nullptr) {
-          point.Append(res.field(res_next).first, res.field(res_next).second);
+        if (uniform_residuals()) {
+          const ResidualField& f = res_fields_[res_next];
+          point.Append(std::string(f.name), f.ValueAt(i));
         } else {
-          const ResidualColumns::Field& f = rescols.fields[res_next];
-          point.Append(f.name, f.ValueAt(i));
+          point.Append(res.field(res_next).first, res.field(res_next).second);
         }
         ++res_next;
       }
     }
-    points.push_back(std::move(point));
+    out->push_back(std::move(point));
   }
-  return points;
+  return Status::OK();
 }
 
 Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
                                                  const BucketLayout& layout) {
-  Result<BucketReader> reader = BucketReader::Open(bucket);
-  if (!reader.ok()) return reader.status();
-  return reader->Build(layout, nullptr);
+  BucketReader reader;
+  if (Status s = reader.Reset(bucket); !s.ok()) return s;
+  std::vector<bson::Document> points;
+  if (Status s = reader.Build(layout, nullptr, &points); !s.ok()) return s;
+  return points;
 }
 
 }  // namespace stix::storage

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -80,19 +81,24 @@ struct BucketMeta {
   std::vector<std::pair<int64_t, int64_t>> hil_ranges;
 };
 
-/// Bucket-document field names (stable across PRs: the golden test pins the
-/// full encoding).
-inline constexpr char kBucketMetaField[] = "meta";
-inline constexpr char kBucketDataField[] = "data";
 /// Durable stores only: Int64 array of the catalog-journal LSNs of the
 /// points packed into this bucket. Recovery intersects it with the catalog
 /// journal to find points that were acknowledged but never reached a
 /// flushed bucket. Absent on non-durable stores; ignored by the codec.
 inline constexpr char kBucketWalLsnsField[] = "wlsns";
 
-/// True iff this stored document is a bucket (carries the meta + data
-/// sub-documents with the codec's version stamp).
+/// True iff this stored document is a bucket: it carries the codec's blob
+/// field with the codec's magic and version.
 bool IsBucketDocument(const bson::Document& doc);
+
+/// The codec's one binary field of a bucket document (header, column-length
+/// table and columns; DESIGN.md §5g has the layout), or nullptr when
+/// `bucket` is not a bucket document.
+const std::string* BucketBlob(const bson::Document& bucket);
+
+/// Replaces the blob of `bucket` (which must be a bucket document) with
+/// `blob`, unchecked: the way format tests build damaged buckets.
+void ReplaceBucketBlob(bson::Document* bucket, std::string blob);
 
 /// Computes the catalog key of one point. Fails when the time field is
 /// missing or not a DateTime (bucketed stores require it). A missing
@@ -111,7 +117,8 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
 Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
                                                  const BucketLayout& layout);
 
-/// Decodes only the pruning metadata (no column access).
+/// Decodes only the pruning metadata from the blob's header (no column
+/// access).
 Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket);
 
 /// The per-point bounds a point query implies, in the terms a bucket can
@@ -158,18 +165,43 @@ struct BucketSelection {
   bool exact = false;
 };
 
+/// The columns of a bucket blob, in their stored (predicate-first) order.
+enum class BucketColumn : uint8_t {
+  kTs = 0,
+  kLon,
+  kLat,
+  kHil,
+  kIds,
+  kPos,
+  kResidual,
+};
+inline constexpr size_t kNumBucketColumns = 7;
+
 /// Column reader over one bucket document: the one decoder behind
-/// DecodeBucket, the predicate kernel and every bucket scan. Opening parses
-/// only the metadata; each column decodes on first use, so a caller that
-/// selects on ts/lon/lat/hil never touches the `_id`, position or residual
-/// columns of a bucket with no selected row. The bucket document must
-/// outlive the reader.
+/// DecodeBucket, the predicate kernel and every bucket scan. Reset parses
+/// only the blob's fixed header; each column decodes on first use, in place
+/// into buffers the reader keeps across Resets, so a scan holds one reader
+/// and allocates only while those buffers grow. A caller that selects on
+/// ts/lon/lat/hil never touches the `_id`, position or residual columns of
+/// a bucket with no selected row. The bucket document must outlive its use.
 class BucketReader {
  public:
-  /// Checks the bucket shape and parses its metadata; decodes no column.
-  static Result<BucketReader> Open(const bson::Document& bucket);
+  /// Points the reader at `bucket`: checks the blob's framing (header,
+  /// column-length table, which columns the flags say are present) and the
+  /// point count against the ts column's own count; decodes no column.
+  /// Corruption for anything else, after which the reader holds no bucket
+  /// and Select and Build fail until the next successful Reset.
+  Status Reset(const bson::Document& bucket);
 
   const BucketMeta& meta() const { return meta_; }
+
+  /// The stored bytes of one column; empty when the bucket lacks it.
+  std::string_view column(BucketColumn c) const {
+    return columns_[static_cast<size_t>(c)];
+  }
+  /// True iff the residual column is the uniform-schema encoding (one
+  /// column per field) rather than per-point BSON.
+  bool uniform_residuals() const;
 
   /// The predicate kernel. Prunes on the metadata, selects every row of a
   /// bucket the spec covers, and otherwise decodes ts and lon/lat and
@@ -179,13 +211,18 @@ class BucketReader {
   /// bound whose column the bucket lacks (non-canonical locations, no hil
   /// column) is skipped and the selection marked inexact. The columns are
   /// bit-exact with the built points, so an exact selection equals
-  /// evaluating the spec's expression on every decoded point.
-  Result<BucketSelection> Select(const BucketPruneSpec& spec);
+  /// evaluating the spec's expression on every decoded point. `out`'s
+  /// buffers are reused.
+  Status Select(const BucketPruneSpec& spec, BucketSelection* out);
 
-  /// Builds point documents, byte-identical to the encoded originals, for
-  /// the given ascending rows (nullptr: every row), in row order.
-  Result<std::vector<bson::Document>> Build(
-      const BucketLayout& layout, const std::vector<uint32_t>* rows);
+  /// Replaces *out with point documents, byte-identical to the encoded
+  /// originals, for the given ascending rows (nullptr: every row), in row
+  /// order. Every column is decoded and checked in full, and the header's
+  /// time extent, MBR and hil ranges are checked against the columns, so a
+  /// damaged bucket fails with Corruption whichever rows are asked for;
+  /// only the asked-for rows become documents.
+  Status Build(const BucketLayout& layout, const std::vector<uint32_t>* rows,
+               std::vector<bson::Document>* out);
 
   /// The ts/lon/lat columns, valid after Select or Build decoded them; lon
   /// and lat stay empty when the bucket has no location column.
@@ -194,17 +231,45 @@ class BucketReader {
   const std::vector<double>& lat() const { return lat_; }
 
  private:
-  BucketReader() = default;
+  /// One field of a uniform-schema residual column, decoded whole.
+  struct ResidualField {
+    std::string_view name;  ///< Into the blob.
+    bson::Type type = bson::Type::kNull;
+    /// kBool/kInt32/kInt64/kDateTime values; for kString, the end offset of
+    /// each row's bytes in `strings`.
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;  ///< kDouble.
+    std::string strings;          ///< kString bytes, concatenated.
+
+    bson::Value ValueAt(size_t i) const;
+  };
+
   /// Decodes ts and lon/lat, and hil when asked for (each at most once;
   /// an absent column stays empty).
   Status LoadColumns(bool hil);
+  /// Checks the header's time extent, MBR and hil ranges against the
+  /// decoded columns (LoadColumns(true) must have run).
+  Status VerifyHeader() const;
+  /// Decodes the pos, ids and residual columns and checks every row's
+  /// field positions.
+  Status LoadRowColumns();
+  Status DecodeResidualColumns(std::string_view in);
 
-  const bson::Document* data_ = nullptr;
   BucketMeta meta_;
+  uint8_t flags_ = 0;
+  std::string_view columns_[kNumBucketColumns];
   std::vector<int64_t> ts_;
   std::vector<double> lon_, lat_;
   std::vector<int64_t> hil_;
   bool ts_loaded_ = false, hil_loaded_ = false;
+
+  /// Build's working buffers.
+  std::vector<int64_t> pos_;
+  std::string ids_;
+  std::string residuals_;  ///< Per-point BSON, decompressed.
+  std::vector<std::string_view> res_rows_;  ///< Each row's BSON.
+  std::vector<ResidualField> res_fields_;  ///< Never shrinks (keeps buffers).
+  size_t num_res_fields_ = 0;
 };
 
 }  // namespace stix::storage

@@ -362,11 +362,11 @@ TEST(BucketKernelTest, SelectionAndBuiltRowsEqualDecodePlusMatches) {
     const Result<bson::Document> bucket =
         storage::EncodeBucket(points, layout);
     ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
-    const bson::Document& data =
-        bucket->Get(storage::kBucketDataField)->AsDocument();
-    no_loc += data.Get("lon") == nullptr;
-    no_hil += data.Get("hil") == nullptr;
-    res += data.Get("res") != nullptr;
+    storage::BucketReader reader;
+    ASSERT_TRUE(reader.Reset(*bucket).ok());
+    no_loc += reader.column(storage::BucketColumn::kLon).empty();
+    no_hil += reader.column(storage::BucketColumn::kHil).empty();
+    res += !reader.uniform_residuals();
     const Result<std::vector<bson::Document>> all =
         storage::DecodeBucket(*bucket, layout);
     ASSERT_TRUE(all.ok()) << all.status().ToString();
@@ -377,34 +377,35 @@ TEST(BucketKernelTest, SelectionAndBuiltRowsEqualDecodePlusMatches) {
         if (expr->Matches(p)) want.push_back(bson::EncodeBson(p));
       }
 
-      Result<storage::BucketReader> reader =
-          storage::BucketReader::Open(*bucket);
-      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-      const Result<storage::BucketSelection> selection =
-          reader->Select(query::ExtractBucketPredicates(expr, layout));
-      ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+      // One reader across the expressions, as a scan holds one: Reset
+      // must leave no state of the previous selection behind.
+      ASSERT_TRUE(reader.Reset(*bucket).ok());
+      storage::BucketSelection selection;
+      const Status s = reader.Select(
+          query::ExtractBucketPredicates(expr, layout), &selection);
+      ASSERT_TRUE(s.ok()) << s.ToString();
       std::vector<std::string> got;
-      if (!selection->rows.empty()) {
-        const Result<std::vector<bson::Document>> built =
-            reader->Build(layout, &selection->rows);
-        ASSERT_TRUE(built.ok()) << built.status().ToString();
-        ASSERT_EQ(built->size(), selection->rows.size());
-        for (size_t k = 0; k < built->size(); ++k) {
+      if (!selection.rows.empty()) {
+        std::vector<bson::Document> built;
+        const Status b = reader.Build(layout, &selection.rows, &built);
+        ASSERT_TRUE(b.ok()) << b.ToString();
+        ASSERT_EQ(built.size(), selection.rows.size());
+        for (size_t k = 0; k < built.size(); ++k) {
           // Each built row is byte-identical to DecodeBucket's.
-          ASSERT_EQ(bson::EncodeBson((*built)[k]),
-                    bson::EncodeBson((*all)[selection->rows[k]]));
-          if (selection->exact || expr->Matches((*built)[k])) {
-            got.push_back(bson::EncodeBson((*built)[k]));
+          ASSERT_EQ(bson::EncodeBson(built[k]),
+                    bson::EncodeBson((*all)[selection.rows[k]]));
+          if (selection.exact || expr->Matches(built[k])) {
+            got.push_back(bson::EncodeBson(built[k]));
           }
         }
       }
       ASSERT_EQ(got, want) << "trial " << trial << " expr "
                            << expr->DebugString();
 
-      exact += selection->exact;
-      inexact += !selection->exact;
-      pruned += selection->pruned;
-      covered += !selection->pruned && selection->scanned == 0;
+      exact += selection.exact;
+      inexact += !selection.exact;
+      pruned += selection.pruned;
+      covered += !selection.pruned && selection.scanned == 0;
       nonempty += !want.empty();
     }
   }

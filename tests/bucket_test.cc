@@ -67,17 +67,17 @@ TEST(BucketCodecTest, RoundTripIsBitExact) {
 }
 
 TEST(BucketCodecTest, UniformSchemaUsesColumnarResiduals) {
-  // All points share a residual schema -> the "cols" encoding; mixed
-  // schemas (every other point lacks a field) must fall back to "res".
-  // Both decode bit-exactly.
+  // All points share a residual schema -> the per-field ("cols") encoding;
+  // mixed schemas (every other point lacks a field) must fall back to
+  // per-point BSON ("res"). Both decode bit-exactly.
   const BucketLayout layout;
   const std::vector<bson::Document> uniform = MakeWindowPoints(layout, 32);
   const Result<bson::Document> cols_bucket = EncodeBucket(uniform, layout);
   ASSERT_TRUE(cols_bucket.ok());
-  const bson::Value* data = cols_bucket->Get(kBucketDataField);
-  ASSERT_NE(data, nullptr);
-  EXPECT_NE(data->AsDocument().Get("cols"), nullptr);
-  EXPECT_EQ(data->AsDocument().Get("res"), nullptr);
+  BucketReader reader;
+  ASSERT_TRUE(reader.Reset(*cols_bucket).ok());
+  EXPECT_TRUE(reader.uniform_residuals());
+  EXPECT_FALSE(reader.column(BucketColumn::kResidual).empty());
 
   std::vector<bson::Document> mixed = MakeWindowPoints(layout, 32);
   for (size_t i = 0; i < mixed.size(); i += 2) {
@@ -85,10 +85,9 @@ TEST(BucketCodecTest, UniformSchemaUsesColumnarResiduals) {
   }
   const Result<bson::Document> res_bucket = EncodeBucket(mixed, layout);
   ASSERT_TRUE(res_bucket.ok());
-  const bson::Value* mixed_data = res_bucket->Get(kBucketDataField);
-  ASSERT_NE(mixed_data, nullptr);
-  EXPECT_EQ(mixed_data->AsDocument().Get("cols"), nullptr);
-  EXPECT_NE(mixed_data->AsDocument().Get("res"), nullptr);
+  ASSERT_TRUE(reader.Reset(*res_bucket).ok());
+  EXPECT_FALSE(reader.uniform_residuals());
+  EXPECT_FALSE(reader.column(BucketColumn::kResidual).empty());
 
   const Result<std::vector<bson::Document>> back_cols =
       DecodeBucket(*cols_bucket, layout);
@@ -124,14 +123,16 @@ TEST(BucketCodecTest, TimeLocColumnsAreBitExactWithDecodedPoints) {
   const std::vector<bson::Document> points = MakeWindowPoints(layout, 48);
   const Result<bson::Document> bucket = EncodeBucket(points, layout);
   ASSERT_TRUE(bucket.ok());
-  Result<BucketReader> cols = BucketReader::Open(*bucket);
-  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+  BucketReader reader;
+  ASSERT_TRUE(reader.Reset(*bucket).ok());
+  const BucketReader* cols = &reader;
   // A whole-world rect selects every row and decodes ts/lon/lat.
   BucketPruneSpec spec;
   spec.rect = geo::Rect{{-180.0, -90.0}, {180.0, 90.0}};
-  const Result<BucketSelection> selection = cols->Select(spec);
-  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
-  EXPECT_EQ(selection->rows.size(), points.size());
+  BucketSelection selection;
+  const Status s = reader.Select(spec, &selection);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(selection.rows.size(), points.size());
   ASSERT_EQ(cols->ts().size(), points.size());
   ASSERT_EQ(cols->lon().size(), points.size());
   ASSERT_EQ(cols->lat().size(), points.size());
@@ -158,27 +159,153 @@ TEST(BucketCodecTest, RejectsPointsAcrossWindows) {
   EXPECT_FALSE(EncodeBucket(points, layout).ok());
 }
 
+// ---------- codec v2 blob layout ----------
+
+// Byte offsets of the blob's fixed header; GoldenBucketShape pins them.
+constexpr size_t kFixedHeaderSize = 58;
+constexpr size_t kNumHilOffset = 5;
+
+uint64_t LoadLe(const std::string& blob, size_t off, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(blob[off + i])) << (8 * i);
+  }
+  return v;
+}
+
+double LoadDouble(const std::string& blob, size_t off) {
+  const uint64_t bits = LoadLe(blob, off, 8);
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+// Offset of the column-length table: after the fixed header and the hil
+// ranges.
+size_t ColumnTableOffset(const std::string& blob) {
+  return kFixedHeaderSize +
+         16 * static_cast<uint8_t>(blob[kNumHilOffset]);
+}
+
+// Byte offset of each column inside the blob, from the length table.
+std::vector<std::pair<size_t, size_t>> ColumnSpans(const std::string& blob) {
+  const size_t table = ColumnTableOffset(blob);
+  size_t off = table + 4 * kNumBucketColumns;
+  std::vector<std::pair<size_t, size_t>> spans;
+  for (size_t c = 0; c < kNumBucketColumns; ++c) {
+    const size_t len = LoadLe(blob, table + 4 * c, 4);
+    spans.emplace_back(off, len);
+    off += len;
+  }
+  return spans;
+}
+
+bson::Document WithBlob(const bson::Document& bucket, std::string blob) {
+  bson::Document out = bucket;
+  ReplaceBucketBlob(&out, std::move(blob));
+  return out;
+}
+
+void ExpectCorruption(const bson::Document& bucket, const BucketLayout& layout,
+                      const std::string& what) {
+  const Result<std::vector<bson::Document>> result =
+      DecodeBucket(bucket, layout);
+  ASSERT_FALSE(result.ok()) << what;
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+      << what << ": " << result.status().ToString();
+}
+
+std::vector<bson::Document> MakeHilbertPoints(const BucketLayout& layout,
+                                              int n) {
+  std::vector<bson::Document> points = MakeWindowPoints(layout, n);
+  for (int i = 0; i < n; ++i) {
+    // Two runs of consecutive values: two hil ranges in the header.
+    points[static_cast<size_t>(i)].Append(
+        layout.hilbert_field, bson::Value::Int64(4096 + i + (i >= n / 2) * 9));
+  }
+  return points;
+}
+
 TEST(BucketCodecTest, CorruptedColumnsFailCleanly) {
-  // Truncate / flip bytes inside the data payloads: decode must return
+  // Truncate the blob, cut single columns short and flip bytes at every
+  // header field and every column boundary: decode must return
   // Corruption, never crash or fabricate points.
-  const BucketLayout layout;
-  const std::vector<bson::Document> points = MakeWindowPoints(layout, 16);
+  BucketLayout layout;
+  layout.use_hilbert = true;
+  const std::vector<bson::Document> points = MakeHilbertPoints(layout, 16);
   const Result<bson::Document> bucket = EncodeBucket(points, layout);
   ASSERT_TRUE(bucket.ok());
-  const bson::Document& data = bucket->Get(kBucketDataField)->AsDocument();
-  for (const auto& [name, value] : data) {
-    if (value.type() != bson::Type::kString) continue;
-    const std::string& column = value.AsString();
-    for (const size_t cut : {size_t{0}, column.size() / 2}) {
-      if (cut > column.size()) continue;
-      bson::Document mutated = *bucket;
-      bson::Document mutated_data = data;
-      mutated_data.Set(name, bson::Value::String(column.substr(0, cut)));
-      mutated.Set(kBucketDataField,
-                  bson::Value::MakeDocument(std::move(mutated_data)));
-      const auto result = DecodeBucket(mutated, layout);
-      EXPECT_FALSE(result.ok()) << "column " << name << " cut " << cut;
+  const std::string blob = *BucketBlob(*bucket);
+  ASSERT_TRUE(DecodeBucket(*bucket, layout).ok());
+  ASSERT_EQ(static_cast<uint8_t>(blob[kNumHilOffset]), 2);
+
+  for (size_t cut = 0; cut < blob.size(); ++cut) {
+    ExpectCorruption(WithBlob(*bucket, blob.substr(0, cut)), layout,
+                     "blob cut at " + std::to_string(cut));
+  }
+
+  // Every present column cut to nothing and to half, the length table
+  // patched to match, so the damage is inside the column.
+  const size_t table = ColumnTableOffset(blob);
+  const auto spans = ColumnSpans(blob);
+  for (size_t c = 0; c < kNumBucketColumns; ++c) {
+    const auto [off, len] = spans[c];
+    if (len == 0) continue;
+    for (const size_t keep : {size_t{0}, len / 2}) {
+      std::string mutated = blob.substr(0, off + keep) + blob.substr(off + len);
+      for (size_t b = 0; b < 4; ++b) {
+        mutated[table + 4 * c + b] = static_cast<char>(keep >> (8 * b));
+      }
+      ExpectCorruption(WithBlob(*bucket, std::move(mutated)), layout,
+                       "column " + std::to_string(c) + " cut to " +
+                           std::to_string(keep));
     }
+  }
+
+  // Every byte of the header (fixed fields, hil ranges, length table) and
+  // the first byte of every column.
+  std::vector<size_t> flips;
+  for (size_t i = 0; i < table + 4 * kNumBucketColumns; ++i) {
+    flips.push_back(i);
+  }
+  for (const auto& [off, len] : spans) {
+    if (len > 0) flips.push_back(off);
+  }
+  for (const size_t at : flips) {
+    std::string mutated = blob;
+    mutated[at] = static_cast<char>(~static_cast<uint8_t>(mutated[at]));
+    ExpectCorruption(WithBlob(*bucket, std::move(mutated)), layout,
+                     "byte " + std::to_string(at) + " flipped");
+  }
+}
+
+TEST(BucketCodecTest, PointCountIsCheckedBeforeAnyColumn) {
+  // A damaged n must never be trusted: 0 used to select no rows as an
+  // exact answer (points vanished), -1 escaped as bad_alloc and 2^30 sized
+  // a 4 GB row vector before the columns disagreed.
+  const BucketLayout layout;
+  const Result<bson::Document> bucket =
+      EncodeBucket(MakeWindowPoints(layout, 8), layout);
+  ASSERT_TRUE(bucket.ok());
+  BucketPruneSpec covering;  // exact with no bounds: covers every bucket
+  covering.exact = true;
+  for (const int64_t n : {int64_t{0}, int64_t{-1}, int64_t{1} << 30}) {
+    std::string blob = *BucketBlob(*bucket);
+    for (size_t b = 0; b < 4; ++b) {
+      blob[6 + b] = static_cast<char>(static_cast<uint64_t>(n) >> (8 * b));
+    }
+    const bson::Document mutated = WithBlob(*bucket, std::move(blob));
+    BucketReader reader;
+    const Status reset = reader.Reset(mutated);
+    EXPECT_EQ(reset.code(), StatusCode::kCorruption) << "n = " << n;
+    BucketSelection selection;
+    EXPECT_EQ(reader.Select(covering, &selection).code(),
+              StatusCode::kCorruption)
+        << "n = " << n;
+    EXPECT_EQ(ParseBucketMeta(mutated).status().code(),
+              StatusCode::kCorruption)
+        << "n = " << n;
+    ExpectCorruption(mutated, layout, "n = " + std::to_string(n));
   }
 }
 
@@ -222,28 +349,74 @@ TEST(BucketCodecTest, RandomizedRoundTrip) {
 }
 
 TEST(BucketCodecTest, GoldenBucketShape) {
-  // Pins the bucket document's structure (not full bytes — ObjectIds are
-  // per-run): top-level fields, meta layout and the version stamp. A
-  // change here is a storage format break.
-  const BucketLayout layout;
-  const std::vector<bson::Document> points = MakeWindowPoints(layout, 8);
+  // Pins the bucket document's structure and the blob's header layout (not
+  // full bytes — ObjectIds are per-run): top-level fields, the version
+  // stamp, flags, n, time extent, MBR, hil ranges and the column-length
+  // table. A change here is a storage format break.
+  BucketLayout layout;
+  layout.use_hilbert = true;
+  const std::vector<bson::Document> points = MakeHilbertPoints(layout, 8);
   const Result<bson::Document> bucket = EncodeBucket(points, layout);
   ASSERT_TRUE(bucket.ok());
-  EXPECT_NE(bucket->Get("_id"), nullptr);
+  EXPECT_TRUE(IsBucketDocument(*bucket));
+  ASSERT_EQ(bucket->size(), 4u);  // _id, date, hilbertIndex, blob
+  EXPECT_EQ(bucket->field(0).first, "_id");
   const bson::Value* time = bucket->Get(layout.time_field);
   ASSERT_NE(time, nullptr);
   EXPECT_EQ(time->AsDateTime(), layout.WindowBase(1530403200000));
-  const bson::Value* meta = bucket->Get(kBucketMetaField);
-  ASSERT_NE(meta, nullptr);
-  for (const char* field : {"minTs", "maxTs", "n", "mbr"}) {
-    EXPECT_NE(meta->AsDocument().Get(field), nullptr) << field;
+  const bson::Value* cell = bucket->Get(layout.hilbert_field);
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->AsInt64(), 4096);  // the cell base, 4096 >> 12 << 12
+
+  const std::string* blob_ptr = BucketBlob(*bucket);
+  ASSERT_NE(blob_ptr, nullptr);
+  const std::string& blob = *blob_ptr;
+  EXPECT_EQ(blob.substr(0, 3), "STB");                    // magic
+  EXPECT_EQ(static_cast<uint8_t>(blob[3]), 2);            // version
+  EXPECT_EQ(static_cast<uint8_t>(blob[4]), 1 | 2 | 4 | 8);  // loc hil ids cols
+  EXPECT_EQ(static_cast<uint8_t>(blob[5]), 2);            // hil ranges
+  EXPECT_EQ(LoadLe(blob, 6, 4), 8u);                      // n
+  const int64_t base = layout.WindowBase(1530403200000);
+  EXPECT_EQ(static_cast<int64_t>(LoadLe(blob, 10, 8)), base);
+  EXPECT_EQ(static_cast<int64_t>(LoadLe(blob, 18, 8)), base + 7 * 1000);
+  EXPECT_EQ(LoadDouble(blob, 26), 23.7);
+  EXPECT_EQ(LoadDouble(blob, 34), 37.9);
+  EXPECT_EQ(LoadDouble(blob, 42), 23.7 + 7 * 1e-4);
+  EXPECT_EQ(LoadDouble(blob, 50), 37.9 + 7 * 1e-4);
+  // Values 4096..4099 and 4109..4112: two exact runs.
+  EXPECT_EQ(LoadLe(blob, 58, 8), 4096u);
+  EXPECT_EQ(LoadLe(blob, 66, 8), 4099u);
+  EXPECT_EQ(LoadLe(blob, 74, 8), 4109u);
+  EXPECT_EQ(LoadLe(blob, 82, 8), 4112u);
+  ASSERT_EQ(ColumnTableOffset(blob), 90u);
+
+  // Every column present, back to back, ending the blob.
+  const auto spans = ColumnSpans(blob);
+  EXPECT_EQ(spans[0].first, 90u + 4 * kNumBucketColumns);
+  for (const auto& [off, len] : spans) EXPECT_GT(len, 0u) << off;
+  EXPECT_EQ(spans.back().first + spans.back().second, blob.size());
+
+  // The reader sees the same header and columns.
+  BucketReader reader;
+  ASSERT_TRUE(reader.Reset(*bucket).ok());
+  EXPECT_EQ(reader.meta().num_points, 8u);
+  EXPECT_EQ(reader.meta().hil_ranges.size(), 2u);
+  EXPECT_TRUE(reader.uniform_residuals());
+  for (size_t c = 0; c < kNumBucketColumns; ++c) {
+    EXPECT_EQ(reader.column(static_cast<BucketColumn>(c)).data(),
+              blob.data() + spans[c].first);
   }
-  const bson::Value* data = bucket->Get(kBucketDataField);
-  ASSERT_NE(data, nullptr);
-  EXPECT_EQ(data->AsDocument().Get("v")->AsInt32(), 1);
-  for (const char* field : {"ts", "lon", "lat", "ids", "cols"}) {
-    EXPECT_NE(data->AsDocument().Get(field), nullptr) << field;
-  }
+  ExpectBitExact(points, *DecodeBucket(*bucket, layout));
+
+  // Without hilbert values: no hil flag, ranges or column.
+  const Result<bson::Document> plain =
+      EncodeBucket(MakeWindowPoints(layout, 8), layout);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(plain->size(), 3u);  // _id, date, blob
+  const std::string& plain_blob = *BucketBlob(*plain);
+  EXPECT_EQ(static_cast<uint8_t>(plain_blob[4]), 1 | 4 | 8);
+  EXPECT_EQ(static_cast<uint8_t>(plain_blob[5]), 0);
+  EXPECT_EQ(ColumnSpans(plain_blob)[3].second, 0u);
 }
 
 // ---------- BucketCatalog ----------

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -295,6 +296,153 @@ TEST(DoubleColumnTest, RandomizedRoundTrip) {
   }
 }
 
+// ---------- in-place column decoders ----------
+
+constexpr int64_t kGuard = 0x5a5a5a5a5a5a5a5a;
+
+// Decodes `buf` as an int64 column of n values into a buffer with guard
+// slots past out[n), checks the guards survived and returns the values.
+Result<std::vector<int64_t>> DecodeIntoGuarded(const std::string& buf,
+                                               size_t n) {
+  std::vector<int64_t> out(n + 4, kGuard);
+  std::string_view in = buf;
+  const Status s = DecodeInt64ColumnInto(&in, n, out.data());
+  for (size_t i = n; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], kGuard) << "wrote past out[" << n << ")";
+  }
+  if (!s.ok()) return s;
+  EXPECT_TRUE(in.empty());
+  out.resize(n);
+  return out;
+}
+
+// Values whose delta-of-delta stream ends in a zero run of `tail` values
+// (constant cadence), after a noisy head: the run selectors land at the
+// stream's tail.
+std::vector<int64_t> CadenceWithTail(Rng& rng, size_t n, size_t tail) {
+  std::vector<int64_t> v;
+  int64_t t = 1530403200000;
+  for (size_t i = 0; i < n; ++i) {
+    v.push_back(t);
+    t += i + tail < n ? 1000 + static_cast<int64_t>(rng.NextBounded(50)) : 0;
+  }
+  return v;
+}
+
+TEST(Int64ColumnTest, DecodeIntoRoundTripsEveryLength) {
+  Rng rng(0x1a7e);
+  for (size_t n = 1; n <= 300; ++n) {
+    // Three shapes per length: noisy (short tails inside bit-packed
+    // words), a cadence whose zero run reaches the tail (run selectors),
+    // and full-range values (raw mode).
+    std::vector<std::vector<int64_t>> shapes;
+    shapes.push_back(CadenceWithTail(rng, n, 0));
+    shapes.push_back(CadenceWithTail(rng, n, rng.NextBounded(n + 1)));
+    std::vector<int64_t> wild;
+    for (size_t i = 0; i < n; ++i) {
+      wild.push_back(static_cast<int64_t>(rng.Next()));
+    }
+    shapes.push_back(std::move(wild));
+    for (const std::vector<int64_t>& values : shapes) {
+      std::string buf;
+      EncodeInt64Column(values, &buf);
+      const Result<std::vector<int64_t>> back = DecodeIntoGuarded(buf, n);
+      ASSERT_TRUE(back.ok()) << "n " << n << ": " << back.status().ToString();
+      ASSERT_EQ(*back, values) << "n " << n;
+    }
+  }
+}
+
+TEST(Int64ColumnTest, DecodeIntoRawMode) {
+  std::vector<int64_t> extreme;
+  for (int i = 0; i < 37; ++i) {
+    extreme.push_back(i % 2 == 0 ? std::numeric_limits<int64_t>::min()
+                                 : std::numeric_limits<int64_t>::max());
+  }
+  std::string buf;
+  EncodeInt64Column(extreme, &buf);
+  ASSERT_EQ(buf[0], 1);  // the raw mode byte
+  const Result<std::vector<int64_t>> back = DecodeIntoGuarded(buf, 37);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, extreme);
+}
+
+TEST(Int64ColumnTest, DecodeIntoRejectsCountMismatchAndTruncation) {
+  Rng rng(0xc0de);
+  std::string packed, raw;
+  EncodeInt64Column(CadenceWithTail(rng, 200, 150), &packed);
+  std::vector<int64_t> wild;
+  for (int i = 0; i < 20; ++i) wild.push_back(static_cast<int64_t>(rng.Next()));
+  EncodeInt64Column(wild, &raw);
+  for (const auto& [buf, n] : {std::pair{packed, size_t{200}},
+                               std::pair{raw, size_t{20}}}) {
+    for (const size_t wrong : {size_t{0}, n - 1, n + 1}) {
+      const Result<std::vector<int64_t>> r = DecodeIntoGuarded(buf, wrong);
+      ASSERT_FALSE(r.ok()) << "n " << n << " asked " << wrong;
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    }
+    for (size_t cut = 0; cut < buf.size(); ++cut) {
+      const Result<std::vector<int64_t>> r =
+          DecodeIntoGuarded(buf.substr(0, cut), n);
+      ASSERT_FALSE(r.ok()) << "n " << n << " cut " << cut;
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+    }
+    // The count peek agrees with the column and consumes nothing.
+    const Result<uint64_t> count = Int64ColumnCount(buf);
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(*count, n);
+  }
+  // A count the bytes cannot hold fails the peek before any sizing.
+  std::string huge;
+  huge.push_back(0);  // delta-of-delta mode
+  PutVarint(uint64_t{1} << 40, &huge);
+  huge.append(8, '\0');
+  EXPECT_FALSE(Int64ColumnCount(huge).ok());
+  std::string_view huge_in = huge;
+  EXPECT_FALSE(DecodeInt64Column(&huge_in).ok());
+}
+
+TEST(DoubleColumnTest, DecodeIntoRoundTripsAndGuards) {
+  Rng rng(0xf10a7);
+  for (size_t n = 1; n <= 300; ++n) {
+    std::vector<double> values;
+    const bool scaled = n % 2 == 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (scaled) {
+        values.push_back(
+            static_cast<double>(237000 + rng.NextBounded(100)) / 1e4);
+      } else {
+        const uint64_t bits = rng.Next();
+        double d;
+        std::memcpy(&d, &bits, 8);
+        values.push_back(d);
+      }
+    }
+    std::string buf;
+    EncodeDoubleColumn(values, &buf);
+    EXPECT_EQ(buf[0], scaled ? 0 : 1) << "n " << n;
+    std::vector<double> out(n + 4, 0.5);
+    std::string_view in = buf;
+    ASSERT_TRUE(DecodeDoubleColumnInto(&in, n, out.data()).ok()) << "n " << n;
+    EXPECT_TRUE(in.empty());
+    EXPECT_EQ(std::memcmp(out.data(), values.data(), n * sizeof(double)), 0)
+        << "n " << n;
+    for (size_t i = n; i < out.size(); ++i) EXPECT_EQ(out[i], 0.5);
+    // A wrong count and every truncation fail without writing past n.
+    in = buf;
+    EXPECT_EQ(DecodeDoubleColumnInto(&in, n + 1, out.data()).code(),
+              StatusCode::kCorruption);
+    for (const size_t cut : {size_t{0}, size_t{1}, buf.size() / 2,
+                             buf.size() - 1}) {
+      in = std::string_view(buf).substr(0, cut);
+      EXPECT_EQ(DecodeDoubleColumnInto(&in, n, out.data()).code(),
+                StatusCode::kCorruption)
+          << "n " << n << " cut " << cut;
+      for (size_t i = n; i < out.size(); ++i) EXPECT_EQ(out[i], 0.5);
+    }
+  }
+}
+
 // ---------- golden vectors ----------
 //
 // These pin the wire format itself: a byte change here is a storage format
@@ -323,12 +471,24 @@ TEST(GoldenTest, Int64ColumnFixedVector) {
   std::string buf;
   EncodeInt64Column({1000, 1100, 1200, 1301, 1400}, &buf);
   EXPECT_EQ(Hex(buf), "0005d0777000200003b0");
+  const Result<std::vector<int64_t>> back = DecodeIntoGuarded(buf, 5);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, (std::vector<int64_t>{1000, 1100, 1200, 1301, 1400}));
 }
 
 TEST(GoldenTest, DoubleColumnFixedVector) {
   std::string buf;
   EncodeDoubleColumn({37.98, 37.99, 38.0, 38.01}, &buf);
   EXPECT_EQ(Hex(buf), "00020004ac9dd40e000000c0");
+  double out[5] = {0, 0, 0, 0, -1};
+  std::string_view in = buf;
+  ASSERT_TRUE(DecodeDoubleColumnInto(&in, 4, out).ok());
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(out[0], 37.98);
+  EXPECT_EQ(out[1], 37.99);
+  EXPECT_EQ(out[2], 38.0);
+  EXPECT_EQ(out[3], 38.01);
+  EXPECT_EQ(out[4], -1);  // untouched past out[n)
 }
 
 }  // namespace
