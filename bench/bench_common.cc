@@ -48,8 +48,6 @@ BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
         fprintf(stderr, "--planner must be race or cost, got %s\n", v);
         exit(2);
       }
-    } else if (arg == "--serial") {
-      config.parallel_fanout = false;
     } else if (arg == "--bucket") {
       config.bucket = true;
     } else if (arg == "--verbose") {
@@ -60,7 +58,7 @@ BenchConfig BenchConfig::FromArgs(int argc, char** argv) {
       fprintf(stderr,
               "unknown flag %s\nusage: %s [--r_docs=N] [--s_docs=N] "
               "[--shards=N] [--warm=N] [--timed=N] [--seed=N] "
-              "[--batch=N] [--json=PATH] [--planner=race|cost] [--serial] "
+              "[--batch=N] [--json=PATH] [--planner=race|cost] "
               "[--bucket] [--verbose] [--server-status]\n",
               arg.c_str(), argv[0]);
       exit(2);
@@ -92,7 +90,6 @@ std::unique_ptr<st::StStore> BuildLoadedStore(st::ApproachKind kind,
   options.cluster.num_shards = config.num_shards;
   options.cluster.chunk_max_bytes = config.chunk_max_bytes;
   options.cluster.seed = config.seed;
-  options.cluster.parallel_fanout = config.parallel_fanout;
   options.cluster.exec.plan_selection = config.planner == "race"
                                             ? query::PlanSelectionMode::kRace
                                             : query::PlanSelectionMode::kCost;
@@ -283,11 +280,9 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
   fprintf(f,
           "  \"config\": {\"r_docs\": %" PRIu64 ", \"s_docs\": %" PRIu64
           ", \"shards\": %d, \"warm_runs\": %d, \"timed_runs\": %d, "
-          "\"seed\": %" PRIu64 ", \"parallel_fanout\": %s, "
-          "\"batch_size\": %zu},\n",
+          "\"seed\": %" PRIu64 ", \"batch_size\": %zu},\n",
           config.r_docs, config.s_docs, config.num_shards, config.warm_runs,
-          config.timed_runs, config.seed,
-          config.parallel_fanout ? "true" : "false", config.batch_size);
+          config.timed_runs, config.seed, config.batch_size);
   fprintf(f, "  \"queries\": [\n");
   for (size_t i = 0; i < entries.size(); ++i) {
     const BenchJsonEntry& e = entries[i];

@@ -31,11 +31,6 @@ struct BenchConfig {
   int timed_runs = 3;  ///< Timed executions averaged per query.
   uint64_t seed = 42;
   bool verbose = false;
-  /// Fan queries out on the cluster's shared executor pool (real mongos
-  /// behaviour). Default on; --serial falls back to one-shard-at-a-time.
-  /// Feeds ClusterOptions::parallel_fanout — the one knob the library
-  /// consumes.
-  bool parallel_fanout = true;
   /// Per-shard getMore batch size for measured queries; 0 (default) drains
   /// each shard in one round, the classic gather the paper measures.
   /// Non-zero exercises the streaming cursor path (EXPERIMENTS.md).
@@ -58,7 +53,7 @@ struct BenchConfig {
   std::string planner = "cost";
 
   /// Parses --r_docs=, --s_docs=, --shards=, --warm=, --timed=, --seed=,
-  /// --batch=, --json=, --planner=, --serial, --bucket, --verbose,
+  /// --batch=, --json=, --planner=, --bucket, --verbose,
   /// --server-status from argv; unknown flags abort with a usage message.
   static BenchConfig FromArgs(int argc, char** argv);
 };

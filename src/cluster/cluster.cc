@@ -24,9 +24,6 @@ STIX_FAIL_POINT_DEFINE(balancerMoveChunk);
 
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options),
-      exec_pool_(std::make_unique<ThreadPool>(
-          options.fanout_threads > 0 ? options.fanout_threads
-                                     : ThreadPool::DefaultThreads())),
       profiler_(options.profiler),
       rng_(options.seed),
       reads_per_shard_(static_cast<size_t>(options.num_shards)) {
@@ -512,7 +509,7 @@ void Cluster::RunBalancerRound() {
 }
 
 void Cluster::BalancerMain(int interval_ms) {
-  std::unique_lock<std::mutex> lock(balancer_thread_mu_);
+  std::unique_lock<std::mutex> lock(balancer_mu_);
   while (!balancer_stop_) {
     lock.unlock();
     RunBalancerRound();
@@ -520,33 +517,31 @@ void Cluster::BalancerMain(int interval_ms) {
     balancer_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
                           [this] { return balancer_stop_; });
   }
-  balancer_running_ = false;
-  balancer_cv_.notify_all();
 }
 
 void Cluster::StartBalancer() {
-  const std::lock_guard<std::mutex> lock(balancer_thread_mu_);
-  if (balancer_running_) return;
-  balancer_running_ = true;
-  balancer_stop_ = false;
+  const std::lock_guard<std::mutex> lifecycle(balancer_lifecycle_mu_);
+  if (balancer_thread_.joinable()) return;
   const int interval_ms = std::max(1, options_.balancer.background_interval_ms);
-  // The balancer occupies one worker of the cluster's long-lived pool for
-  // its whole run; query fan-outs share the remaining workers.
-  exec_pool_->Submit([this, interval_ms] { BalancerMain(interval_ms); });
+  balancer_thread_ =
+      std::thread([this, interval_ms] { BalancerMain(interval_ms); });
 }
 
 void Cluster::StopBalancer() {
-  std::unique_lock<std::mutex> lock(balancer_thread_mu_);
-  if (!balancer_running_ && !balancer_stop_) return;
-  balancer_stop_ = true;
+  const std::lock_guard<std::mutex> lifecycle(balancer_lifecycle_mu_);
+  if (!balancer_thread_.joinable()) return;
+  {
+    const std::lock_guard<std::mutex> lock(balancer_mu_);
+    balancer_stop_ = true;
+  }
   balancer_cv_.notify_all();
-  balancer_cv_.wait(lock, [this] { return !balancer_running_; });
-  balancer_stop_ = false;
+  balancer_thread_.join();
+  balancer_stop_ = false;  // the thread is gone: a restart begins unstopped
 }
 
 bool Cluster::balancer_running() const {
-  const std::lock_guard<std::mutex> lock(balancer_thread_mu_);
-  return balancer_running_;
+  const std::lock_guard<std::mutex> lifecycle(balancer_lifecycle_mu_);
+  return balancer_thread_.joinable();
 }
 
 Status Cluster::Checkpoint() {
@@ -628,8 +623,7 @@ std::unique_ptr<ClusterCursor> Cluster::OpenCursor(
   std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
   const std::shared_lock<std::shared_mutex> topo(topology_mu_);
   const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router, exec_pool_.get(),
-                      options_.parallel_fanout, &profiler_);
+                      options_.router, &profiler_);
   std::unique_ptr<ClusterCursor> cursor = router.OpenCursor(
       expr, options_.exec, cursor_options, std::move(latch));
   for (const int shard_id : cursor->targets()) {
@@ -858,8 +852,7 @@ ClusterExplain Cluster::Explain(const query::ExprPtr& expr,
     std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
     const std::shared_lock<std::shared_mutex> topo(topology_mu_);
     const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                        options_.router, exec_pool_.get(),
-                        options_.parallel_fanout, &profiler_);
+                        options_.router, &profiler_);
     cursor = router.OpenCursor(expr, exec, full_drain, std::move(latch));
   }
   while (!cursor->exhausted()) (void)cursor->NextBatch();

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/balancer.h"
@@ -65,21 +66,6 @@ struct ClusterOptions {
   int balance_every_inserts = 4096;
 
   uint64_t seed = 42;  ///< Drives balancer randomness; fully reproducible.
-
-  /// Size of the cluster's long-lived executor pool (shared by every query
-  /// fan-out; see Router). 0 = hardware_concurrency.
-  int fanout_threads = 0;
-
-  /// Execute shard fan-outs concurrently on the cluster's pool (real mongos
-  /// behaviour) — the single knob consumed by both the library and the
-  /// benches. Off by default: the single-machine reproduction measures
-  /// per-shard latency serially and models the fan-out as
-  /// max(shard latencies), which is deterministic and unaffected by host
-  /// core count. Either way the reported metrics are identical except for
-  /// wall-clock measurement noise. The benches turn this on (`--serial`
-  /// turns it back off); when the router is handed no pool the fan-out
-  /// degrades to serial regardless of this flag.
-  bool parallel_fanout = false;
 
   RouterOptions router;
   query::ExecutorOptions exec;
@@ -150,15 +136,16 @@ class Cluster {
   /// Runs balancer rounds until no migration is pending.
   void Balance();
 
-  /// Starts the online balancer: a background task on the cluster's
-  /// executor pool that runs one balancer round (pick + two-phase move)
-  /// every BalancerOptions::background_interval_ms, concurrently with
-  /// queries and inserts. Idempotent. Call after setup (ShardCollection /
-  /// Restore*) — the thread no-ops until the collection is sharded.
+  /// Starts the online balancer: one background thread that runs one
+  /// balancer round (pick + two-phase move) every
+  /// BalancerOptions::background_interval_ms, concurrently with queries and
+  /// inserts. Idempotent. Call after setup (ShardCollection / Restore*) —
+  /// the thread no-ops until the collection is sharded. This is the only
+  /// thread a Cluster ever starts.
   void StartBalancer();
 
-  /// Stops the online balancer and joins its task (any in-flight migration
-  /// finishes first). Idempotent; also called by the destructor.
+  /// Stops the online balancer and joins its thread (any in-flight
+  /// migration finishes first). Idempotent; also called by the destructor.
   void StopBalancer();
 
   /// True between StartBalancer() and StopBalancer().
@@ -189,7 +176,7 @@ class Cluster {
 
   /// Opens a streaming cursor through the router: batched getMore rounds,
   /// optional limit pushdown (see CursorOptions). The cursor borrows the
-  /// cluster's shards and pool. It may be consumed while inserts and
+  /// cluster's shards. It may be consumed while inserts and
   /// balancer rounds run concurrently (it holds the migration-commit latch
   /// shared until closed).
   std::unique_ptr<ClusterCursor> OpenCursor(
@@ -290,10 +277,6 @@ class Cluster {
     return shard_key_index_name_;
   }
 
-  /// The long-lived executor pool every query fan-out runs on (one per
-  /// cluster, created at construction — never per query).
-  ThreadPool& exec_pool() const { return *exec_pool_; }
-
   /// Estimated fraction of the cluster's stored documents whose `path`
   /// value lies in the closed range [lo, hi], aggregated over every shard's
   /// histograms. Negative when no shard can estimate the path (never built,
@@ -356,7 +339,6 @@ class Cluster {
   std::unique_lock<std::shared_mutex> ReshardLatchExclusive();
 
   ClusterOptions options_;
-  std::unique_ptr<ThreadPool> exec_pool_;
   // Execution-state, not collection-state (like the shard plan caches):
   // const queries record into it.
   mutable OpProfiler profiler_;
@@ -382,11 +364,6 @@ class Cluster {
   // Guards rng_ and inserts_since_balance_ (balancer cadence state shared
   // by the insert path and the background balancer).
   mutable std::mutex balance_mu_;
-  // Background balancer lifecycle.
-  mutable std::mutex balancer_thread_mu_;
-  mutable std::condition_variable balancer_cv_;
-  bool balancer_running_ = false;
-  bool balancer_stop_ = false;
 
   // --- resharding state ---
   // Serializes whole Reshard() calls (never nested in another lock).
@@ -422,6 +399,18 @@ class Cluster {
   // Read-distribution tracking: cursor targetings per shard (atomics — the
   // open path holds only shared locks).
   mutable std::vector<std::atomic<uint64_t>> reads_per_shard_;
+
+  // Background balancer, declared last so the thread is declared after
+  // every member its rounds touch. balancer_lifecycle_mu_ serializes
+  // Start/Stop and guards balancer_thread_ (running == joinable);
+  // balancer_mu_ guards balancer_stop_, the flag BalancerMain waits on
+  // between rounds. Stop joins under the lifecycle mutex, which the
+  // balancer thread never takes.
+  mutable std::mutex balancer_lifecycle_mu_;
+  std::mutex balancer_mu_;
+  std::condition_variable balancer_cv_;
+  bool balancer_stop_ = false;
+  std::thread balancer_thread_;
 };
 
 /// A cluster's sharding metadata, decoded from its BSON form: everything

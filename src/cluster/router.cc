@@ -9,7 +9,6 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "keystring/keystring.h"
 #include "query/bucket_unpack.h"
 #include "query/query_analysis.h"
@@ -119,8 +118,8 @@ std::unique_ptr<ClusterCursor> Router::OpenCursor(
   std::vector<int> targets = TargetShards(RoutingExpr(expr, exec), &broadcast);
   return std::unique_ptr<ClusterCursor>(
       new ClusterCursor(shards_, std::move(targets), broadcast, expr, exec,
-                        options_, parallel_fanout_, pool_, cursor_options,
-                        profiler_, std::move(migration_latch)));
+                        options_, cursor_options, profiler_,
+                        std::move(migration_latch)));
 }
 
 ClusterQueryResult Router::Execute(
@@ -139,14 +138,11 @@ ClusterCursor::ClusterCursor(
     const std::vector<std::unique_ptr<Shard>>* shards,
     std::vector<int> targets, bool broadcast, const query::ExprPtr& expr,
     const query::ExecutorOptions& exec_options,
-    const RouterOptions& router_options, bool parallel_fanout,
-    ThreadPool* pool, const CursorOptions& cursor_options,
+    const RouterOptions& router_options, const CursorOptions& cursor_options,
     OpProfiler* profiler, std::shared_lock<std::shared_mutex> migration_latch)
     : targets_(std::move(targets)),
       broadcast_(broadcast),
       router_options_(router_options),
-      parallel_fanout_(parallel_fanout),
-      pool_(pool),
       cursor_options_(cursor_options),
       expr_(expr),
       profiler_(profiler),
@@ -188,20 +184,11 @@ std::vector<bson::Document> ClusterCursor::NextBatch() {
     MaybeProfile();
     return out;
   }
-  if (parallel_fanout_ && pool_ != nullptr && active.size() > 1) {
-    // Warm threads from the cluster's long-lived pool; the TaskGroup scopes
-    // completion to this round so concurrent queries can share the pool.
-    ThreadPool::TaskGroup group(pool_);
-    for (size_t i : active) {
-      group.Submit([&, i] {
-        batches[i] = cursors_[i]->GetMore(cursor_options_.batch_size);
-      });
-    }
-    group.Wait();
-  } else {
-    for (size_t i : active) {
-      batches[i] = cursors_[i]->GetMore(cursor_options_.batch_size);
-    }
+  // One getMore per shard, on the calling thread. Each shard cursor times
+  // its own work, so the modeled fan-out (max shard + per-node overhead +
+  // merge, see Summary) needs no physical concurrency.
+  for (size_t i : active) {
+    batches[i] = cursors_[i]->GetMore(cursor_options_.batch_size);
   }
   // A shard dying mid-stream kills the whole cursor, as a failed getMore
   // does on mongos: surface the first error, drop this round's documents
@@ -233,11 +220,11 @@ std::vector<bson::Document> ClusterCursor::NextBatch() {
   uint64_t round_bytes = 0;
   for (size_t i : active) {
     ShardCursor::Batch& batch = batches[i];
-    for (size_t j = 0; j < batch.owned.size(); ++j) {
+    for (bson::Document& doc : batch.docs) {
       if (cursor_options_.limit != 0 && returned_ >= cursor_options_.limit) {
         break;
       }
-      out.push_back(std::move(batch.owned[j]));
+      out.push_back(std::move(doc));
       // One size walk per document, shared by both accountings: ApproxBson-
       // Size recurses through sub-documents and is measurable at scan scale.
       const uint64_t doc_bytes = out.back().ApproxBsonSize();

@@ -9,7 +9,6 @@
 #include "cluster/chunk.h"
 #include "cluster/shard.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 
 namespace stix::cluster {
 
@@ -68,7 +67,7 @@ struct ClusterQueryResult {
   uint64_t total_docs_examined = 0;
 
   /// Slowest shard (per-shard work is measured one shard at a time, so this
-  /// is the latency a parallel fan-out would see).
+  /// is the latency a deployment with one node per shard would see).
   double max_shard_millis = 0.0;
   double sum_shard_millis = 0.0;
   double merge_millis = 0.0;
@@ -114,8 +113,8 @@ struct ClusterExplain {
 };
 
 /// A streaming scatter/gather cursor (the mongos getMore loop): each
-/// NextBatch() asks every still-open shard cursor for one batch — in
-/// parallel on the cluster pool when enabled — and merges the results in
+/// NextBatch() asks every still-open shard cursor for one batch, one shard
+/// after another on the calling thread, and merges the results in
 /// shard-target order. Memory held at any moment is one batch per shard
 /// instead of the full result set, and a pushed-down limit stops all
 /// shard-side work as soon as it is satisfied.
@@ -174,8 +173,8 @@ class ClusterCursor {
                 std::vector<int> targets, bool broadcast,
                 const query::ExprPtr& expr,
                 const query::ExecutorOptions& exec_options,
-                const RouterOptions& router_options, bool parallel_fanout,
-                ThreadPool* pool, const CursorOptions& cursor_options,
+                const RouterOptions& router_options,
+                const CursorOptions& cursor_options,
                 OpProfiler* profiler,
                 std::shared_lock<std::shared_mutex> migration_latch);
 
@@ -192,8 +191,6 @@ class ClusterCursor {
   std::vector<int> targets_;
   bool broadcast_ = false;
   RouterOptions router_options_;
-  bool parallel_fanout_ = false;
-  ThreadPool* pool_ = nullptr;
   CursorOptions cursor_options_;
   query::ExprPtr expr_;  ///< For explain/profiler rendering.
   OpProfiler* profiler_ = nullptr;
@@ -221,22 +218,15 @@ class ClusterCursor {
 /// unconstrained — the mechanism the paper leans on throughout Section 4.
 class Router {
  public:
-  /// `pool` is the cluster's long-lived executor pool; the router never
-  /// creates threads of its own. `parallel_fanout` (the ClusterOptions
-  /// knob) only takes effect when a pool is supplied — with a null pool the
-  /// fan-out always degrades to a serial walk on the calling thread.
   /// `profiler` (optional) receives every finished cursor that crosses the
   /// slow-op threshold.
   Router(const ShardKeyPattern* pattern, const ChunkManager* chunks,
          const std::vector<std::unique_ptr<Shard>>* shards,
-         RouterOptions options, ThreadPool* pool = nullptr,
-         bool parallel_fanout = false, OpProfiler* profiler = nullptr)
+         RouterOptions options, OpProfiler* profiler = nullptr)
       : pattern_(pattern),
         chunks_(chunks),
         shards_(shards),
         options_(options),
-        pool_(pool),
-        parallel_fanout_(parallel_fanout),
         profiler_(profiler) {}
 
   /// Shard ids this query must contact (sorted, unique).
@@ -278,8 +268,6 @@ class Router {
   const ChunkManager* chunks_;
   const std::vector<std::unique_ptr<Shard>>* shards_;
   RouterOptions options_;
-  ThreadPool* pool_;
-  bool parallel_fanout_;
   OpProfiler* profiler_;
 };
 

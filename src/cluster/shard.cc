@@ -448,9 +448,10 @@ ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
   Stopwatch timer;
   storage::RecordId rid;
   const bson::Document* doc;
-  while (!done_ && (batch_size == 0 || batch.docs.size() < batch_size)) {
+  std::vector<const bson::Document*> borrowed;
+  while (!done_ && (batch_size == 0 || borrowed.size() < batch_size)) {
     if (exec_.Next(&rid, &doc)) {
-      batch.docs.push_back(doc);
+      borrowed.push_back(doc);
       batch.rids.push_back(rid);
     } else {
       done_ = true;
@@ -463,19 +464,16 @@ ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
   // and migrations may run freely until the next GetMore.
   exec_.SaveState();
   const bool transient = exec_.winner_transient();
-  batch.owned.reserve(batch.docs.size());
-  for (const bson::Document* d : batch.docs) {
+  batch.docs.reserve(borrowed.size());
+  for (const bson::Document* d : borrowed) {
     if (transient) {
       // Unpacked points are arena-owned and emitted exactly once; moving
       // them out skips a deep copy per point (record-store borrows below
       // must still be copied — their memory is not ours to gut).
-      batch.owned.push_back(std::move(*const_cast<bson::Document*>(d)));
+      batch.docs.push_back(std::move(*const_cast<bson::Document*>(d)));
     } else {
-      batch.owned.push_back(*d);
+      batch.docs.push_back(*d);
     }
-  }
-  for (size_t i = 0; i < batch.docs.size(); ++i) {
-    batch.docs[i] = &batch.owned[i];
   }
   return batch;
 }

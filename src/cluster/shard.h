@@ -66,11 +66,10 @@ class ShardCursor {
  public:
   /// One getMore's worth of results.
   struct Batch {
-    /// Result documents, pointing into `owned` (stable across Batch moves).
-    std::vector<const bson::Document*> docs;
+    /// Result documents, owned by the batch (copied or moved out of the
+    /// shard before its lock drops), with their record ids in step.
+    std::vector<bson::Document> docs;
     std::vector<storage::RecordId> rids;
-    /// Backing storage for `docs`.
-    std::vector<bson::Document> owned;
     /// True when the stream ended at or before the end of this batch.
     bool exhausted = false;
     /// Non-OK when the shard died mid-stream (e.g. an injected fault): the

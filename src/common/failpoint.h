@@ -20,7 +20,7 @@ namespace stix {
 ///
 /// Evaluation is one relaxed atomic load while disabled, so instrumented hot
 /// paths cost nothing in normal operation. Mode/counter updates are mutex-
-/// guarded, making concurrent evaluation from the fan-out pool safe.
+/// guarded, making concurrent evaluation from client threads safe.
 class FailPoint {
  public:
   /// Activation modes (MongoDB's failpoint grammar).

@@ -9,8 +9,8 @@
 namespace stix {
 
 size_t Counter::StripeIndex() {
-  // Thread-id hash folded to a stripe; stable per thread, spreads the pool
-  // workers across cache lines without any registration protocol.
+  // Thread-id hash folded to a stripe; stable per thread, spreads client
+  // threads across cache lines without any registration protocol.
   static thread_local const size_t stripe =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) % kStripes;
   return stripe;

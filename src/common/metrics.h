@@ -12,7 +12,7 @@
 namespace stix {
 
 /// A monotonically increasing counter striped across cache lines so that
-/// concurrent increments from the fan-out pool do not contend on one word.
+/// concurrent increments from client threads do not contend on one word.
 /// Increment is a relaxed fetch_add on the stripe owned by the calling
 /// thread; value() sums the stripes (snapshot-on-read — the sum is not a
 /// linearizable point, which is fine for monitoring).

@@ -122,10 +122,6 @@ class StStore {
   cluster::Cluster& cluster() { return *cluster_; }
   const cluster::Cluster& cluster() const { return *cluster_; }
 
-  /// The cluster's long-lived executor pool; every query fan-out reuses its
-  /// warm threads (no per-query thread creation anywhere in the store).
-  ThreadPool& exec_pool() const { return cluster_->exec_pool(); }
-
   /// Shards the collection and creates the approach's indexes. On a durable
   /// store (cluster.durability.data_dir set) this also attaches the
   /// per-shard WALs, the config journal and — for bucketed layouts — the

@@ -521,6 +521,19 @@ TrafficReport RunTraffic(st::StStore* store, const TrafficPlan& plan,
   return report;
 }
 
+std::optional<double> SaturationOpsPerSec(
+    const std::vector<TrafficSweepPoint>& sweep) {
+  std::optional<double> saturation;
+  for (const TrafficSweepPoint& p : sweep) {
+    if (p.achieved_ops_per_sec >=
+        kSaturatedAchievedShare * p.offered_ops_per_sec) {
+      continue;
+    }
+    saturation = std::max(saturation.value_or(0.0), p.achieved_ops_per_sec);
+  }
+  return saturation;
+}
+
 uint64_t VerifyTrafficParity(const st::StStore& store,
                              const TrafficPlan& plan) {
   uint64_t divergences = 0;

@@ -2,6 +2,7 @@
 #define STIX_WORKLOAD_TRAFFIC_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -158,10 +159,28 @@ struct TrafficReport {
   std::string ToJson() const;
 };
 
+/// One point of an offered-rate sweep: a fresh store driven at one
+/// time_scale multiplier.
+struct TrafficSweepPoint {
+  double offered_ops_per_sec = 0.0;
+  double achieved_ops_per_sec = 0.0;
+  double rect_p99_ms = 0.0;
+};
+
+/// A sweep point is saturated when the store achieved less than this share
+/// of the rate it was offered.
+inline constexpr double kSaturatedAchievedShare = 0.9;
+
+/// The sweep's saturation throughput: the highest achieved rate among the
+/// saturated points, or nullopt when every point kept up (the sweep never
+/// reached the store's limit, so it has no saturation figure).
+std::optional<double> SaturationOpsPerSec(
+    const std::vector<TrafficSweepPoint>& sweep);
+
 /// Runtime knobs (everything workload-shaped lives in TrafficConfig).
 struct TrafficRunOptions {
-  /// Dispatcher threads executing sessions. Queries still fan out on the
-  /// store's executor pool; these threads only drive the op streams.
+  /// Dispatcher threads executing sessions. Each op, query fan-out
+  /// included, runs on the dispatcher thread that issued it.
   int threads = 8;
   /// Multiplies the offered arrival rate (sweep axis): scheduled arrival
   /// times shrink by this factor.

@@ -8,7 +8,6 @@
 #include "cluster/balancer.h"
 #include "cluster/cluster.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "keystring/keystring.h"
 
 namespace stix::cluster {
@@ -490,65 +489,8 @@ TEST_F(ClusterTest, DataStatsAggregate) {
   EXPECT_LT(stats.compressed_bytes, stats.logical_bytes);
 }
 
-TEST_F(ClusterTest, ParallelFanoutMatchesSerial) {
-  ClusterOptions opts = SmallOptions();
-  Cluster serial(opts);
-  opts.parallel_fanout = true;
-  Cluster parallel(opts);
-  for (Cluster* c : {&serial, &parallel}) {
-    ASSERT_TRUE(c->ShardCollection(ShardKeyPattern(
-                                       {"date"}, ShardingStrategy::kRange))
-                    .ok());
-    Load(c, 1500);
-    c->Balance();
-  }
-  const query::ExprPtr q = query::MakeRange(
-      "date", Value::DateTime(60000LL * 200), Value::DateTime(60000LL * 900));
-  const ClusterQueryResult rs = serial.Query(q);
-  const ClusterQueryResult rp = parallel.Query(q);
-  EXPECT_EQ(rs.docs.size(), rp.docs.size());
-  EXPECT_EQ(rs.nodes_contacted, rp.nodes_contacted);
-  EXPECT_EQ(rs.total_keys_examined, rp.total_keys_examined);
-  // Result multisets agree.
-  auto ids = [](const ClusterQueryResult& r) {
-    std::multiset<int64_t> out;
-    for (const bson::Document& d : r.docs) out.insert(d.Get("_id")->AsInt64());
-    return out;
-  };
-  EXPECT_EQ(ids(rs), ids(rp));
-}
-
-TEST_F(ClusterTest, ParallelFanoutReusesSharedPoolWithoutThreadCreation) {
-  ClusterOptions opts = SmallOptions();
-  opts.parallel_fanout = true;
-  Cluster cluster(opts);
-  ASSERT_TRUE(cluster
-                  .ShardCollection(ShardKeyPattern(
-                      {"date"}, ShardingStrategy::kRange))
-                  .ok());
-  Load(&cluster, 2000);
-  cluster.Balance();
-
-  const query::ExprPtr q = query::MakeRange(
-      "date", Value::DateTime(60000LL * 300), Value::DateTime(60000LL * 600));
-  // Ensure the query fans out (>1 shard) so the parallel path runs.
-  ASSERT_GT(cluster.TargetShards(q).size(), 1u);
-
-  const uint64_t threads_before = ThreadPool::threads_started();
-  const uint64_t tasks_before = cluster.exec_pool().tasks_completed();
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(cluster.Query(q).docs.size(), 301u);
-  }
-  EXPECT_EQ(ThreadPool::threads_started(), threads_before)
-      << "a query execution created OS threads";
-  EXPECT_GT(cluster.exec_pool().tasks_completed(), tasks_before)
-      << "the fan-out bypassed the cluster's shared pool";
-}
-
-TEST_F(ClusterTest, ConcurrentQueriesShareThePoolSafely) {
-  ClusterOptions opts = SmallOptions();
-  opts.parallel_fanout = true;
-  Cluster cluster(opts);
+TEST_F(ClusterTest, ConcurrentQueriesAreExact) {
+  Cluster cluster(SmallOptions());
   ASSERT_TRUE(cluster
                   .ShardCollection(ShardKeyPattern(
                       {"date"}, ShardingStrategy::kRange))

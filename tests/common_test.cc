@@ -1,7 +1,5 @@
-#include <atomic>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,7 +10,6 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace stix {
 namespace {
@@ -263,97 +260,6 @@ TEST(LzTest, RejectsOpsPastHeaderLength) {
     c[0] = total;
     EXPECT_FALSE(LzDecompress(c).ok()) << int{total};
   }
-}
-
-// ---------- ThreadPool ----------
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, ReusableAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, TaskGroupWaitsForItsOwnTasksOnly) {
-  ThreadPool pool(4);
-  // A slow task outside the group must not block the group's Wait.
-  std::atomic<bool> slow_done{false};
-  std::atomic<bool> release_slow{false};
-  pool.Submit([&] {
-    while (!release_slow.load()) std::this_thread::yield();
-    slow_done.store(true);
-  });
-
-  std::atomic<int> group_counter{0};
-  {
-    ThreadPool::TaskGroup group(&pool);
-    for (int i = 0; i < 50; ++i) {
-      group.Submit([&group_counter] { group_counter.fetch_add(1); });
-    }
-    group.Wait();
-  }
-  EXPECT_EQ(group_counter.load(), 50);
-  EXPECT_FALSE(slow_done.load()) << "TaskGroup waited on a foreign task";
-  release_slow.store(true);
-  pool.Wait();
-  EXPECT_TRUE(slow_done.load());
-}
-
-TEST(ThreadPoolTest, ConcurrentTaskGroupsShareOnePool) {
-  ThreadPool pool(4);
-  constexpr int kClients = 6;
-  constexpr int kTasksPerClient = 40;
-  std::atomic<int> total{0};
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&pool, &total, kTasksPerClient] {
-      ThreadPool::TaskGroup group(&pool);
-      std::atomic<int> mine{0};
-      for (int i = 0; i < kTasksPerClient; ++i) {
-        group.Submit([&mine, &total] {
-          mine.fetch_add(1);
-          total.fetch_add(1);
-        });
-      }
-      group.Wait();
-      EXPECT_EQ(mine.load(), kTasksPerClient);
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  EXPECT_EQ(total.load(), kClients * kTasksPerClient);
-}
-
-TEST(ThreadPoolTest, CountsThreadsAndTasks) {
-  const uint64_t started_before = ThreadPool::threads_started();
-  ThreadPool pool(3);
-  EXPECT_EQ(ThreadPool::threads_started(), started_before + 3);
-  EXPECT_EQ(pool.tasks_completed(), 0u);
-  ThreadPool::TaskGroup group(&pool);
-  for (int i = 0; i < 10; ++i) group.Submit([] {});
-  group.Wait();
-  EXPECT_EQ(pool.tasks_completed(), 10u);
-  // Running tasks never creates threads.
-  EXPECT_EQ(ThreadPool::threads_started(), started_before + 3);
 }
 
 // ---------- Stopwatch ----------

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -175,8 +176,8 @@ TEST_F(ConcurrencyTest, ShardGetMoreAndInsertInterleaveSafely) {
   while (!cursor->exhausted()) {
     const ShardCursor::Batch batch = cursor->GetMore(/*batch_size=*/9);
     ASSERT_TRUE(batch.error.ok());
-    for (const bson::Document* d : batch.docs) {
-      streamed.insert(d->Get("_id")->AsInt64());
+    for (const bson::Document& d : batch.docs) {
+      streamed.insert(d.Get("_id")->AsInt64());
       ++total;
     }
   }
@@ -210,6 +211,31 @@ TEST_F(ConcurrencyTest, BalancerLifecycleIsIdempotentAndRestartable) {
   // Left running: the destructor must stop and join it.
   cluster.StartBalancer();
   EXPECT_TRUE(cluster.balancer_running());
+}
+
+// OS threads in this process, from /proc (Linux); -1 where unavailable.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST_F(ConcurrencyTest, BalancerIsTheOnlyThreadAClusterStarts) {
+  const int before = ProcessThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status thread count";
+  Cluster cluster(Options());
+  ShardOnDate(&cluster);
+  Load(&cluster, 300);
+  ASSERT_GT(cluster.TargetShards(query::MakeAnd({})).size(), 1u);
+  (void)cluster.Query(query::MakeAnd({}));  // a multi-shard fan-out
+  EXPECT_EQ(ProcessThreads(), before);
+  cluster.StartBalancer();
+  EXPECT_EQ(ProcessThreads(), before + 1);
+  cluster.StopBalancer();
+  EXPECT_EQ(ProcessThreads(), before);
 }
 
 TEST_F(ConcurrencyTest, BackgroundBalancerCommitsMigrations) {

@@ -315,8 +315,8 @@ TEST_F(ShardCursorTest, GetMoreBatchesReassembleTheFullResult) {
     const ShardCursor::Batch batch = cursor->GetMore(/*batch_size=*/7);
     EXPECT_LE(batch.docs.size(), 7u);
     ASSERT_EQ(batch.docs.size(), batch.rids.size());
-    for (const bson::Document* d : batch.docs) {
-      streamed.insert(d->Get("id")->AsInt32());
+    for (const bson::Document& d : batch.docs) {
+      streamed.insert(d.Get("id")->AsInt32());
     }
     ++batches;
     if (batch.exhausted) {
@@ -352,8 +352,8 @@ TEST_F(ShardCursorTest, ReplansMidStreamWhenCachedPlanBlowsBudget) {
   auto cursor = shard_.OpenCursor(big_q, options);
   std::set<int> streamed;
   while (!cursor->exhausted()) {
-    for (const bson::Document* d : cursor->GetMore(/*batch_size=*/3).docs) {
-      streamed.insert(d->Get("id")->AsInt32());
+    for (const bson::Document& d : cursor->GetMore(/*batch_size=*/3).docs) {
+      streamed.insert(d.Get("id")->AsInt32());
     }
   }
   EXPECT_TRUE(cursor->replanned());
@@ -367,13 +367,12 @@ class ClusterCursorTest : public ::testing::Test {
  protected:
   static constexpr int kDocs = 1200;
 
-  ClusterOptions Options(bool parallel_fanout) {
+  ClusterOptions Options() {
     ClusterOptions opts;
     opts.num_shards = 4;
     opts.chunk_max_bytes = 8 * 1024;
     opts.balance_every_inserts = 500;
     opts.seed = 5;
-    opts.parallel_fanout = parallel_fanout;
     return opts;
   }
 
@@ -414,7 +413,7 @@ class ClusterCursorTest : public ::testing::Test {
 };
 
 TEST_F(ClusterCursorTest, DrainMatchesExecuteAtEveryBatchSize) {
-  Cluster cluster(Options(/*parallel_fanout=*/false));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   const ExprPtr q = WideQuery();
   const ClusterQueryResult reference = cluster.Query(q);
@@ -452,26 +451,8 @@ TEST_F(ClusterCursorTest, DrainMatchesExecuteAtEveryBatchSize) {
   }
 }
 
-TEST_F(ClusterCursorTest, ParallelAndSerialCursorsAgree) {
-  Cluster serial(Options(/*parallel_fanout=*/false));
-  Cluster parallel(Options(/*parallel_fanout=*/true));
-  BuildAndLoad(&serial);
-  BuildAndLoad(&parallel);
-  const ExprPtr q = WideQuery();
-
-  CursorOptions copts;
-  copts.batch_size = 5;
-  const ClusterQueryResult rs = serial.OpenCursor(q, copts)->Drain();
-  const ClusterQueryResult rp = parallel.OpenCursor(q, copts)->Drain();
-  EXPECT_EQ(Ids(rs.docs), Ids(rp.docs));
-  EXPECT_EQ(rs.total_keys_examined, rp.total_keys_examined);
-  EXPECT_EQ(rs.total_docs_examined, rp.total_docs_examined);
-  EXPECT_EQ(rs.nodes_contacted, rp.nodes_contacted);
-  EXPECT_EQ(rs.num_batches, rp.num_batches);
-}
-
 TEST_F(ClusterCursorTest, LimitPushdownExaminesStrictlyFewerDocs) {
-  Cluster cluster(Options(/*parallel_fanout=*/false));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   const ExprPtr q = WideQuery();
   const ClusterQueryResult full = cluster.Query(q);
@@ -488,7 +469,7 @@ TEST_F(ClusterCursorTest, LimitPushdownExaminesStrictlyFewerDocs) {
 }
 
 TEST_F(ClusterCursorTest, SummaryWhileStreamingThenFinal) {
-  Cluster cluster(Options(/*parallel_fanout=*/false));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   auto cursor = cluster.OpenCursor(WideQuery(), CursorOptions{/*batch_size=*/50,
                                                               /*limit=*/0});
@@ -510,7 +491,7 @@ TEST_F(ClusterCursorTest, SummaryWhileStreamingThenFinal) {
 // ---------- batch accounting: zero-result shards and mid-stream death ----
 
 TEST_F(ClusterCursorTest, ZeroResultShardsKeepAccountingConsistent) {
-  Cluster cluster(Options(/*parallel_fanout=*/false));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
 
   // _id is not the shard key, so this broadcasts to all four shards — but
@@ -547,7 +528,7 @@ TEST_F(ClusterCursorTest, ZeroResultShardsKeepAccountingConsistent) {
 }
 
 TEST_F(ClusterCursorTest, QueryMatchingNothingCountsOneRound) {
-  Cluster cluster(Options(/*parallel_fanout=*/false));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   // Far beyond every stored date: the router still targets the last chunk's
   // shard, which answers one empty, exhausted round.
@@ -564,7 +545,7 @@ TEST_F(ClusterCursorTest, QueryMatchingNothingCountsOneRound) {
 }
 
 TEST_F(ClusterCursorTest, NextBatchAfterExhaustionAddsNoPhantomRound) {
-  Cluster cluster(Options(/*parallel_fanout=*/false));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   auto cursor = cluster.OpenCursor(WideQuery(), CursorOptions{/*batch_size=*/50,
                                                               /*limit=*/0});
@@ -580,7 +561,7 @@ TEST_F(ClusterCursorTest, NextBatchAfterExhaustionAddsNoPhantomRound) {
 }
 
 TEST_F(ClusterCursorTest, ShardDyingMidStreamSurfacesErrorAndStopsStream) {
-  Cluster cluster(Options(/*parallel_fanout=*/false));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   const ExprPtr q = WideQuery();
   const std::vector<int> targets = cluster.TargetShards(q);
@@ -629,7 +610,7 @@ TEST_F(ClusterCursorTest, ShardDyingMidStreamSurfacesErrorAndStopsStream) {
 }
 
 TEST_F(ClusterCursorTest, KillAndAbandonmentCloseEveryShardCursor) {
-  Cluster cluster(Options(/*parallel_fanout=*/false));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   Gauge& open = MetricsRegistry::Instance().GetGauge("cluster.open_cursors");
   const int64_t baseline = open.value();
@@ -663,7 +644,7 @@ TEST_F(ClusterCursorTest, KillAndAbandonmentCloseEveryShardCursor) {
 }
 
 TEST_F(ClusterCursorTest, ConcurrentSessionsKeepPerCursorAccountingExact) {
-  Cluster cluster(Options(/*parallel_fanout=*/true));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   Gauge& open = MetricsRegistry::Instance().GetGauge("cluster.open_cursors");
   const int64_t baseline = open.value();
@@ -716,7 +697,7 @@ TEST_F(ClusterCursorTest, ConcurrentSessionsKeepPerCursorAccountingExact) {
 }
 
 TEST_F(ClusterCursorTest, ConcurrentSessionsUnderGetMoreFaultsReturnGaugeToBaseline) {
-  Cluster cluster(Options(/*parallel_fanout=*/true));
+  Cluster cluster(Options());
   BuildAndLoad(&cluster);
   Gauge& open = MetricsRegistry::Instance().GetGauge("cluster.open_cursors");
   const int64_t baseline = open.value();

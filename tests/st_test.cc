@@ -362,54 +362,6 @@ TEST_P(StStoreParamTest, QueriesMatchNaiveWithDefaultSharding) {
   }
 }
 
-TEST_P(StStoreParamTest, ParallelAndSerialFanoutAgree) {
-  // Determinism of the scatter/gather: the parallel fan-out on the shared
-  // pool must return exactly what the serial reference returns — documents,
-  // per-shard metrics, and plan choices — for every approach.
-  StStoreOptions serial_opts = Options();
-  serial_opts.cluster.parallel_fanout = false;
-  StStoreOptions parallel_opts = Options();
-  parallel_opts.cluster.parallel_fanout = true;
-  StStore serial(serial_opts);
-  StStore parallel(parallel_opts);
-  for (StStore* s : {&serial, &parallel}) {
-    ASSERT_TRUE(s->Setup().ok());
-    Load(s);
-  }
-
-  struct Case {
-    geo::Rect rect;
-    int64_t t0, t1;
-  };
-  const Case cases[] = {
-      {{{23.5, 37.5}, {23.8, 37.9}}, kSpanBegin, kSpanBegin + 400 * kStepMs},
-      {{{23.2, 37.2}, {24.8, 38.8}}, kSpanBegin + 100 * kStepMs,
-       kSpanBegin + 200 * kStepMs},
-      {{{23.2, 37.2}, {24.8, 38.8}}, kSpanBegin, kSpanBegin + kDocs * kStepMs},
-  };
-  for (const Case& c : cases) {
-    const StQueryResult rs = serial.Query(c.rect, c.t0, c.t1);
-    const StQueryResult rp = parallel.Query(c.rect, c.t0, c.t1);
-    EXPECT_EQ(ResultIds(rs), ResultIds(rp));
-    EXPECT_EQ(rs.cluster.broadcast, rp.cluster.broadcast);
-    EXPECT_EQ(rs.cluster.nodes_contacted, rp.cluster.nodes_contacted);
-    EXPECT_EQ(rs.cluster.max_keys_examined, rp.cluster.max_keys_examined);
-    EXPECT_EQ(rs.cluster.max_docs_examined, rp.cluster.max_docs_examined);
-    EXPECT_EQ(rs.cluster.total_keys_examined, rp.cluster.total_keys_examined);
-    EXPECT_EQ(rs.cluster.total_docs_examined, rp.cluster.total_docs_examined);
-    // Same plan decisions on every contacted shard.
-    auto winners = [](const StQueryResult& r) {
-      std::set<std::pair<int, std::string>> out;
-      for (const cluster::ShardQueryReport& rep : r.cluster.shard_reports) {
-        out.insert({rep.shard_id, rep.winning_index});
-      }
-      return out;
-    };
-    EXPECT_EQ(winners(rs), winners(rp)) << "approach="
-                                        << serial.approach().name();
-  }
-}
-
 TEST_P(StStoreParamTest, CoveringCacheServesRepeatedTranslations) {
   StStoreOptions options = Options();
   // Pin the covering budget: with adaptive budgets on, the cold query's

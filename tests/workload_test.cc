@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -309,6 +310,31 @@ TEST(TrafficTest, ZipfSamplerConcentratesOnLowRanks) {
   int tail = 0;
   for (size_t i = 32; i < 64; ++i) tail += counts[size_t(i)];
   EXPECT_GT(head, tail);
+}
+
+TEST(TrafficTest, SaturationIsThePeakAmongPointsThatFellShort) {
+  // Every point keeps up (>= 90% of offered): the sweep never saturated.
+  EXPECT_FALSE(
+      SaturationOpsPerSec({{750, 749, 0}, {1500, 1400, 0}, {3000, 2700, 0}})
+          .has_value());
+  EXPECT_FALSE(SaturationOpsPerSec({}).has_value());
+
+  // One point falls short: it alone sets the figure, even though a point
+  // that kept up achieved more.
+  const std::optional<double> one =
+      SaturationOpsPerSec({{1000, 990, 0}, {3000, 2000, 0}, {2500, 2400, 0}});
+  ASSERT_TRUE(one.has_value());
+  EXPECT_DOUBLE_EQ(*one, 2000.0);
+
+  // The sweep committed in BENCH_traffic.json: x1 keeps up (743.303 of
+  // 750), the other three saturate and x4 peaks.
+  const std::optional<double> committed = SaturationOpsPerSec(
+      {{750, 743.303, 2492.91},
+       {1500, 792.792, 27037.4},
+       {3000, 854.134, 34859.4},
+       {6000, 791.085, 43188.3}});
+  ASSERT_TRUE(committed.has_value());
+  EXPECT_DOUBLE_EQ(*committed, 854.134);
 }
 
 TEST(TrafficTest, ReshardMidwayRunKeepsExactParity) {

@@ -7,8 +7,9 @@
 // scheduled arrival time and its latency is measured from that schedule, so
 // queueing delay behind a saturated store is charged to the op (the
 // coordinated-omission-free convention). Per-op-class p50/p95/p99 come out
-// nearest-rank, plus an offered-rate sweep whose peak achieved throughput
-// is the saturation figure.
+// nearest-rank, plus an offered-rate sweep whose saturation figure is the
+// peak achieved throughput among the points that fell short of their
+// offered rate (null when every point kept up).
 //
 // Each session owns a private micro-cell of the region that all its inserts
 // land in; after the run quiesces, querying every cell and comparing
@@ -30,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,6 +49,7 @@ using workload::TrafficConfig;
 using workload::TrafficPlan;
 using workload::TrafficReport;
 using workload::TrafficRunOptions;
+using workload::TrafficSweepPoint;
 
 struct ToolConfig {
   TrafficConfig traffic;
@@ -158,10 +161,7 @@ int TrafficMain(int argc, char** argv) {
 
   // Saturation sweep: a fresh store per offered-rate multiplier (so one
   // point's backlog never warms the next), no reshard, no parity walk.
-  struct SweepPoint {
-    double offered, achieved, p99_rect_ms;
-  };
-  std::vector<SweepPoint> sweep_points;
+  std::vector<TrafficSweepPoint> sweep_points;
   for (const double multiplier : config.sweep) {
     std::unique_ptr<StStore> store = BuildStore(config);
     if (store == nullptr || !workload::PreloadTraffic(store.get(), plan).ok()) {
@@ -172,20 +172,18 @@ int TrafficMain(int argc, char** argv) {
     run.threads = config.threads;
     run.time_scale = multiplier;
     const TrafficReport r = RunTraffic(store.get(), plan, run);
-    sweep_points.push_back(SweepPoint{
+    sweep_points.push_back(TrafficSweepPoint{
         r.offered_ops_per_sec, r.achieved_ops_per_sec,
         r.per_class.empty() ? 0.0 : r.per_class[0].p99_ms});
     if (config.verbose) {
       std::printf("sweep x%.2f: offered %.0f/s achieved %.0f/s "
                   "rect p99 %.2f ms\n",
                   multiplier, r.offered_ops_per_sec, r.achieved_ops_per_sec,
-                  sweep_points.back().p99_rect_ms);
+                  sweep_points.back().rect_p99_ms);
     }
   }
-  double saturation = 0.0;
-  for (const SweepPoint& p : sweep_points) {
-    saturation = std::max(saturation, p.achieved);
-  }
+  const std::optional<double> saturation =
+      workload::SaturationOpsPerSec(sweep_points);
 
   // Main run: the gated measurement, optionally with the mid-run reshard.
   std::unique_ptr<StStore> store = BuildStore(config);
@@ -227,12 +225,19 @@ int TrafficMain(int argc, char** argv) {
   json << "\n  ],\n  \"saturation\": [";
   for (size_t i = 0; i < sweep_points.size(); ++i) {
     if (i != 0) json << ", ";
-    json << "\n    {\"offered_ops_per_sec\": " << sweep_points[i].offered
-         << ", \"achieved_ops_per_sec\": " << sweep_points[i].achieved
-         << ", \"rect_p99_ms\": " << sweep_points[i].p99_rect_ms << "}";
+    json << "\n    {\"offered_ops_per_sec\": "
+         << sweep_points[i].offered_ops_per_sec
+         << ", \"achieved_ops_per_sec\": "
+         << sweep_points[i].achieved_ops_per_sec
+         << ", \"rect_p99_ms\": " << sweep_points[i].rect_p99_ms << "}";
   }
-  json << "\n  ],\n  \"saturation_ops_per_sec\": " << saturation
-       << ",\n  \"achieved_ops_per_sec\": " << report.achieved_ops_per_sec
+  json << "\n  ],\n  \"saturation_ops_per_sec\": ";
+  if (saturation.has_value()) {
+    json << *saturation;
+  } else {
+    json << "null";
+  }
+  json << ",\n  \"achieved_ops_per_sec\": " << report.achieved_ops_per_sec
        << ",\n  \"duration_sec\": " << report.duration_sec
        << ",\n  \"total_errors\": " << report.total_errors
        << ",\n  \"parity_divergences\": " << divergences;
