@@ -156,19 +156,6 @@ Status ChunkManager::MultiSplit(size_t i,
   return Status::OK();
 }
 
-std::vector<size_t> ChunkManager::ChunksIntersecting(
-    const std::string& start, const std::string& end) const {
-  std::vector<size_t> out;
-  // First chunk whose max > start.
-  size_t i = FindChunkIndex(start);
-  // FindChunkIndex returns the chunk with min <= start; it intersects iff
-  // max > start, which holds by construction (max > min, start >= min).
-  for (; i < chunks_.size() && chunks_[i].min <= end; ++i) {
-    out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<int> ChunkManager::CountsPerShard(int num_shards) const {
   std::vector<int> counts(num_shards, 0);
   for (const Chunk& c : chunks_) {

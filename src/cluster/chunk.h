@@ -105,10 +105,6 @@ class ChunkManager {
   /// unsorted or out-of-range boundaries.
   Status MultiSplit(size_t i, const std::vector<std::string>& bounds);
 
-  /// Chunk indexes whose range intersects [start, end] (end inclusive).
-  std::vector<size_t> ChunksIntersecting(const std::string& start,
-                                         const std::string& end) const;
-
   /// Per-shard chunk counts (index = shard id), sized to `num_shards`.
   std::vector<int> CountsPerShard(int num_shards) const;
 

@@ -31,6 +31,7 @@ Cluster::Cluster(const ClusterOptions& options)
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(i));
   }
+  PublishRouting();  // unsharded: every query broadcasts
 }
 
 Cluster::~Cluster() { StopBalancer(); }
@@ -81,6 +82,15 @@ Status Cluster::LogTopology() {
   return lsn.ok() ? Status::OK() : lsn.status();
 }
 
+void Cluster::PublishRouting() {
+  std::shared_ptr<const RoutingTable> table = std::make_shared<RoutingTable>(
+      RoutingTable::Of(pattern_, chunks_.get(), resharding_in_progress_));
+  const std::lock_guard<std::mutex> lock(routing_mu_);
+  routing_.swap(table);
+  // `table` now holds the old snapshot. It is released after the lock
+  // drops, and lives on while a reader still holds it.
+}
+
 Status Cluster::ShardCollection(ShardKeyPattern pattern) {
   if (sharded_) {
     return Status::AlreadyExists("collection is already sharded");
@@ -108,6 +118,7 @@ Status Cluster::ShardCollection(ShardKeyPattern pattern) {
     if (!s.ok()) return s;
   }
   sharded_ = true;
+  PublishRouting();
   return LogTopology();
 }
 
@@ -128,6 +139,11 @@ Status Cluster::Insert(bson::Document doc) {
   if (!sharded_) {
     return Status::Internal("shard the collection before inserting");
   }
+  // Size and point count read only the document, so they are measured
+  // before the exclusive topology hold. A bucket document carries many
+  // logical points; the balancer's point-weighted pick reads them.
+  uint64_t doc_bytes = doc.ApproxBsonSize();
+  uint64_t doc_points = storage::StoredPointCount(doc);
   {
     // Routing, the shard write, chunk accounting and a possible split are
     // one atomic topology step; the shard's own exclusive lock nests inside
@@ -139,6 +155,10 @@ Status Cluster::Insert(bson::Document doc) {
     if (reshard_enrich_ != nullptr) {
       Result<bool> enriched = reshard_enrich_(&doc);
       if (!enriched.ok()) return enriched.status();
+      if (*enriched) {  // the document changed shape: measure it again
+        doc_bytes = doc.ApproxBsonSize();
+        doc_points = storage::StoredPointCount(doc);
+      }
     }
     // While a reshard is in flight, writes route by the *target* table —
     // the document lands directly on its final owner (so the chunk copier
@@ -149,17 +169,6 @@ Status Cluster::Insert(bson::Document doc) {
     const std::string key = pattern.KeyOf(doc);
     const size_t chunk_index = table.FindChunkIndex(key);
     Chunk& chunk = table.chunk(chunk_index);
-    const uint64_t doc_bytes = doc.ApproxBsonSize();
-    // A bucket document carries many logical points; everything else is
-    // one. The balancer's point-weighted pick reads this.
-    uint64_t doc_points = 1;
-    if (storage::IsBucketDocument(doc)) {
-      if (const Result<storage::BucketMeta> meta =
-              storage::ParseBucketMeta(doc);
-          meta.ok()) {
-        doc_points = meta->num_points;
-      }
-    }
 
     Result<storage::RecordId> rid =
         shards_[static_cast<size_t>(chunk.shard_id)]->Insert(std::move(doc));
@@ -241,6 +250,7 @@ void Cluster::MaybeSplitChunk(size_t chunk_index) {
     return;
   }
   (void)chunks_->MultiSplit(chunk_index, bounds);
+  PublishRouting();
   // A split moves no data: if journaling it fails, recovery simply sees the
   // pre-split chunk over the same documents. The triggering insert is
   // already durable and must not fail retroactively.
@@ -325,60 +335,48 @@ Status Cluster::MoveChunk(size_t chunk_index, int to_shard) {
   if (skidx == nullptr) {
     return Status::Internal("shard-key index missing on shard");
   }
-  std::vector<storage::RecordId> rids;
+  std::vector<storage::RecordId> moved;
+  std::vector<bson::Document> copies;
   for (storage::BTree::Cursor c = skidx->btree().SeekGE(min);
        c.Valid() && c.key() < max; c.Next()) {
-    rids.push_back(c.rid());
-  }
-  // Apply order is chosen for crash atomicity (a no-op reordering for the
-  // in-memory store): the copies become durable on the recipient first,
-  // then the ownership flip is journaled, and only then do the donor's
-  // copies die. A crash anywhere leaves either the old or the new owner
-  // journaled, and recovery's orphan sweep removes whichever side the
-  // journaled owner does not claim — an acknowledged migration survives
-  // whole, an unacknowledged one vanishes whole.
-  std::vector<storage::RecordId> dest_rids;
-  dest_rids.reserve(rids.size());
-  std::vector<storage::RecordId> moved;
-  moved.reserve(rids.size());
-  for (const storage::RecordId rid : rids) {
-    bson::Document copy;
-    if (const auto it = clones.find(rid); it != clones.end()) {
-      copy = std::move(it->second);
+    if (const auto it = clones.find(c.rid()); it != clones.end()) {
+      copies.push_back(std::move(it->second));
     } else {
       // Inserted after the copy snapshot: clone it now, inside the
       // critical section.
-      const bson::Document* doc = source.collection().records().Get(rid);
+      const bson::Document* doc = source.collection().records().Get(c.rid());
       if (doc == nullptr) continue;
-      copy = *doc;
+      copies.push_back(*doc);
     }
-    Result<storage::RecordId> inserted = dest.InsertLocked(std::move(copy));
-    if (!inserted.ok()) {
-      // Roll the partial copy back out (best effort — after a simulated
-      // crash the recipient's WAL is dead and recovery's orphan sweep
-      // finishes the job).
-      for (const storage::RecordId r : dest_rids) {
-        (void)dest.RemoveLocked(r);
-      }
-      aborted.Increment();
-      return inserted.status();
-    }
-    dest_rids.push_back(*inserted);
-    moved.push_back(rid);
+    moved.push_back(c.rid());
+  }
+  // Apply order is chosen for crash atomicity (a no-op reordering for the
+  // in-memory store): the copies become durable on the recipient first
+  // (one WAL batch, one commit), then the ownership flip is journaled, and
+  // only then do the donor's copies die (one more batch). A crash anywhere
+  // leaves either the old or the new owner journaled, and recovery's
+  // orphan sweep removes whichever side the journaled owner does not claim
+  // — an acknowledged migration survives whole, an unacknowledged one
+  // vanishes whole. A failed recipient batch has already taken itself back
+  // out of memory.
+  Result<std::vector<storage::RecordId>> dest_rids =
+      dest.InsertBatchLocked(std::move(copies));
+  if (!dest_rids.ok()) {
+    aborted.Increment();
+    return dest_rids.status();
   }
   chunk.shard_id = to_shard;
+  PublishRouting();
   if (Status s = LogTopology(); !s.ok()) {
     chunk.shard_id = from_shard;
-    for (const storage::RecordId r : dest_rids) {
-      (void)dest.RemoveLocked(r);
-    }
+    PublishRouting();
+    // Best effort: after a simulated crash the recipient's WAL may be dead
+    // too, and recovery's orphan sweep finishes the job.
+    (void)dest.RemoveBatchLocked(*dest_rids);
     aborted.Increment();
     return s;
   }
-  for (const storage::RecordId rid : moved) {
-    Status s = source.RemoveLocked(rid);
-    if (!s.ok()) return s;
-  }
+  if (Status s = source.RemoveBatchLocked(moved); !s.ok()) return s;
   // Both shards' data distributions just changed: stale-mark their
   // statistics (next query rebuilds) and drop their cached plan choices.
   source.OnDataDistributionChanged();
@@ -411,10 +409,14 @@ Status Cluster::SetZones(std::vector<ZoneRange> zones) {
         const size_t ci = chunks_->FindChunkIndex(*boundary);
         if (chunks_->chunk(ci).min != *boundary) {
           const Status s = chunks_->Split(ci, *boundary);
-          if (!s.ok()) return s;
+          if (!s.ok()) {
+            PublishRouting();  // the splits made so far stand
+            return s;
+          }
         }
       }
     }
+    PublishRouting();
     zones_ = std::move(zones);
     if (Status s = LogTopology(); !s.ok()) return s;
   }
@@ -460,6 +462,7 @@ Status Cluster::RestoreShardingState(
   if (!s.ok()) return s;
   chunks_ = std::move(*chunks);
   zones_ = std::move(zones);
+  PublishRouting();
   for (const index::IndexDescriptor& desc : secondary_indexes) {
     const Status cs = CreateIndex(desc);
     if (!cs.ok()) return cs;
@@ -618,12 +621,13 @@ std::unique_ptr<ClusterCursor> Cluster::OpenCursor(
       return !reshard_commit_pending_.load(std::memory_order_acquire);
     });
   }
-  // Lock order: migration latch (kept by the cursor until it closes),
-  // then topology (released once targeting is done).
+  // The migration latch (kept by the cursor until it closes) first, then
+  // the routing snapshot: an ownership flip publishes before its commit
+  // releases the latch, so the snapshot matches where documents live for
+  // the cursor's whole life. No topology lock — inserts never stall this.
   std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
-  const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router, &profiler_);
+  const std::shared_ptr<const RoutingTable> snapshot = routing();
+  const Router router(*snapshot, &shards_, options_.router, &profiler_);
   std::unique_ptr<ClusterCursor> cursor = router.OpenCursor(
       expr, options_.exec, cursor_options, std::move(latch));
   for (const int shard_id : cursor->targets()) {
@@ -671,8 +675,8 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
   // commits, so per-shard query-then-remove stays internally consistent
   // and chunk accounting cannot race.
   const std::unique_lock<std::shared_mutex> topo(topology_mu_);
-  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router);
+  const std::shared_ptr<const RoutingTable> snapshot = routing();
+  const Router router(*snapshot, &shards_, options_.router);
   if (options_.exec.bucket_layout != nullptr && !options_.exec.raw_buckets) {
     return DeleteBucketsLocked(router, expr);
   }
@@ -811,9 +815,8 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
 }
 
 std::string Cluster::Explain(const query::ExprPtr& expr) const {
-  const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router);
+  const std::shared_ptr<const RoutingTable> snapshot = routing();
+  const Router router(*snapshot, &shards_, options_.router);
   bool broadcast = false;
   const std::vector<int> targets = router.TargetShards(
       Router::RoutingExpr(expr, options_.exec), &broadcast);
@@ -823,12 +826,15 @@ std::string Cluster::Explain(const query::ExprPtr& expr) const {
   }
 
   std::string out = "query: " + expr->DebugString() + "\n";
-  out += "shard key: " + pattern_.DebugString() + "\n";
+  out += "shard key: " + snapshot->pattern.DebugString() + "\n";
   out += "targeting: " + std::to_string(targets.size()) + "/" +
          std::to_string(shards_.size()) + " shards" +
          (broadcast ? " (broadcast)" : "") + "\n";
   for (const int shard_id : targets) {
     const Shard& shard = *shards_[static_cast<size_t>(shard_id)];
+    // Planning reads the shard's collection and indexes: hold its data
+    // lock shared against that shard's writers.
+    const std::shared_lock<std::shared_mutex> data(shard.data_mutex());
     out += "  shard " + std::to_string(shard_id) + " (" +
            std::to_string(shard.num_documents()) + " docs):\n";
     const std::vector<query::CandidatePlan> candidates =
@@ -847,28 +853,22 @@ ClusterExplain Cluster::Explain(const query::ExprPtr& expr,
   exec.stage_timing = true;
   CursorOptions full_drain;
   full_drain.batch_size = 0;
-  std::unique_ptr<ClusterCursor> cursor;
-  {
-    std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
-    const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-    const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                        options_.router, &profiler_);
-    cursor = router.OpenCursor(expr, exec, full_drain, std::move(latch));
-  }
+  // Targets like OpenCursor: the latch, then the routing snapshot.
+  std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
+  const std::shared_ptr<const RoutingTable> snapshot = routing();
+  const Router router(*snapshot, &shards_, options_.router, &profiler_);
+  std::unique_ptr<ClusterCursor> cursor =
+      router.OpenCursor(expr, exec, full_drain, std::move(latch));
   while (!cursor->exhausted()) (void)cursor->NextBatch();
   ClusterExplain explain = cursor->Explain(verbosity);
-  explain.shard_key = pattern_.DebugString();
+  explain.shard_key = snapshot->pattern.DebugString();
   explain.total_shards = static_cast<int>(shards_.size());
   return explain;
 }
 
 std::string Cluster::ServerStatus() const {
   const uint64_t documents = total_documents();
-  size_t num_chunks = 0;
-  {
-    const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-    num_chunks = chunks_ == nullptr ? 0 : chunks_->num_chunks();
-  }
+  const size_t num_chunks = routing()->bounds.size();
   std::ostringstream out;
   out << "{\"shards\": " << shards_.size() << ", \"documents\": " << documents
       << ", \"chunks\": " << num_chunks
@@ -909,23 +909,9 @@ std::string PlannerStatusJson() {
 }
 
 std::vector<int> Cluster::TargetShards(const query::ExprPtr& expr) const {
-  const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-  const Router router(RoutingPatternLocked(), chunks_.get(), &shards_,
-                      options_.router);
+  const std::shared_ptr<const RoutingTable> snapshot = routing();
+  const Router router(*snapshot, &shards_, options_.router);
   return router.TargetShards(Router::RoutingExpr(expr, options_.exec));
-}
-
-const ShardKeyPattern* Cluster::RoutingPatternLocked() const {
-  // An empty pattern makes Router::TargetShards broadcast every query —
-  // exactly right mid-reshard, when a document may legitimately sit on
-  // either its old or its new owner.
-  static const ShardKeyPattern kBroadcastAll;
-  return resharding_in_progress_ ? &kBroadcastAll : &pattern_;
-}
-
-bool Cluster::resharding() const {
-  const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-  return resharding_in_progress_;
 }
 
 std::string Cluster::DistributionJson() const {

@@ -95,13 +95,19 @@ struct ClusterOptions {
 ///       chunk ownership never flips under a live stream (chunk *copies*
 ///       proceed concurrently — MongoDB's critical section, stretched to
 ///       cursor granularity);
-///   topology_mu_             — chunks_ + zones_ + chunk accounting;
-///       writers (Insert routing/split, migration commit, Delete) take it
-///       exclusive, targeting and introspection take it shared. Because
-///       every shard-data writer holds it exclusive, it also establishes
-///       the happens-before for lock-free reads like total_documents();
+///   topology_mu_             — chunks_ + zones_ + chunk accounting, for
+///       writers: Insert routing/split, migration commit, Delete take it
+///       exclusive; the balancer's pick and introspection take it shared.
+///       Because every shard-data writer holds it exclusive, it also
+///       establishes the happens-before for reads like total_documents();
 ///   shard data_mu_ (per shard) — see Shard; always acquired last, both
 ///       shards in shard-id order inside a migration commit.
+///
+/// Targeting takes no topology lock. Every writer that changes routing
+/// (pattern, chunk bounds, owners, the reshard flag) publishes a fresh
+/// immutable RoutingTable before it releases topology_mu_ — a migration
+/// commit therefore also before it releases the latch — and OpenCursor,
+/// Explain, TargetShards and resharding() read the published snapshot.
 class Cluster {
  public:
   explicit Cluster(const ClusterOptions& options = {});
@@ -222,7 +228,7 @@ class Cluster {
 
   /// True while a Reshard() is between its routing flip and its final
   /// metadata swap (reads broadcast, writes route by the target table).
-  bool resharding() const;
+  bool resharding() const { return routing()->resharding; }
 
   /// Read/write distribution snapshot as one JSON object: per-shard cursor
   /// targeting counts (reads), per-shard write counts summed from the
@@ -264,6 +270,12 @@ class Cluster {
   const ChunkManager& chunks() const { return *chunks_; }
   const std::vector<ZoneRange>& zones() const { return zones_; }
   const ShardKeyPattern& shard_key() const { return pattern_; }
+  /// The published routing snapshot (never null; broadcast-only before
+  /// sharding). Safe to call concurrently with any writer.
+  std::shared_ptr<const RoutingTable> routing() const {
+    const std::lock_guard<std::mutex> lock(routing_mu_);
+    return routing_;
+  }
   uint64_t total_documents() const;
 
   /// Aggregate data size (Table 6): logical and block-compressed bytes.
@@ -292,6 +304,10 @@ class Cluster {
 
   Status MoveChunk(size_t chunk_index, int to_shard);
   void MaybeSplitChunk(size_t chunk_index);
+  /// Publishes a RoutingTable of the current pattern_, chunks_ and reshard
+  /// flag. Every routing change calls it before it releases topology_mu_
+  /// (or, in single-threaded setup, before it returns).
+  void PublishRouting();
   /// First-time durable setup: creates the data directory, attaches a fresh
   /// WAL to every shard and opens the config journal. No-op when
   /// durability is off or already attached (the recovery path attaches its
@@ -315,10 +331,6 @@ class Cluster {
   static std::string IndexNameForPattern(const ShardKeyPattern& pattern);
 
   // --- resharding internals (reshard.cc) ---
-  /// Routing state under topology_mu_: the live pattern, or an empty
-  /// pattern (forcing broadcast) while a reshard is in flight and documents
-  /// may sit on either side of the move.
-  const ShardKeyPattern* RoutingPatternLocked() const;
   /// Phase 1: enrich every stored document for the new layout and build the
   /// new shard-key + secondary indexes (with backfill) on every shard.
   Status ReshardPrepareShards(
@@ -361,6 +373,11 @@ class Cluster {
   mutable std::shared_mutex migration_commit_latch_;
   // Guards chunks_, zones_ and chunk accounting (see class comment).
   mutable std::shared_mutex topology_mu_;
+  // The published routing snapshot. routing_mu_ guards only the pointer
+  // (a copy or a swap, never held across other work), so a reader waits at
+  // most for another pointer copy, never for a topology writer.
+  mutable std::mutex routing_mu_;
+  std::shared_ptr<const RoutingTable> routing_;
   // Guards rng_ and inserts_since_balance_ (balancer cadence state shared
   // by the insert path and the background balancer).
   mutable std::mutex balance_mu_;
@@ -368,9 +385,9 @@ class Cluster {
   // --- resharding state ---
   // Serializes whole Reshard() calls (never nested in another lock).
   std::mutex reshard_mu_;
-  // The rest is guarded by topology_mu_: flag flipped exclusive, read
-  // shared by routing; the target table/pattern live here between the
-  // routing flip and the final swap.
+  // The rest is guarded by topology_mu_: the flag flips exclusive (and is
+  // published in the RoutingTable for readers); the target table/pattern
+  // live here between the routing flip and the final swap.
   bool resharding_in_progress_ = false;
   // Set for the whole Reshard() call, before the routing flip: suspends
   // chunk movement (splits keep running — they don't relocate documents)
@@ -397,7 +414,7 @@ class Cluster {
   mutable std::condition_variable reshard_gate_cv_;
 
   // Read-distribution tracking: cursor targetings per shard (atomics — the
-  // open path holds only shared locks).
+  // open path holds only the shared latch).
   mutable std::vector<std::atomic<uint64_t>> reads_per_shard_;
 
   // Background balancer, declared last so the thread is declared after

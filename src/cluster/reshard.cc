@@ -123,6 +123,7 @@ Status Cluster::Reshard(ShardKeyPattern new_pattern,
     reshard_index_name_ = new_index_name;
     resharding_in_progress_ = true;
     reshard_preparing_ = false;
+    PublishRouting();  // reads broadcast from here on
   }
 
   // Phase 4: chunk-by-chunk copy. The transitional table never splits, so
@@ -144,6 +145,7 @@ Status Cluster::Reshard(ShardKeyPattern new_pattern,
     shard_key_index_name_ = std::move(reshard_index_name_);
     zones_.clear();
     resharding_in_progress_ = false;
+    PublishRouting();
     if (Status s = LogTopology(); !s.ok()) return s;
   }
   completed.Increment();
@@ -246,16 +248,9 @@ Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
     const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
     shard->collection().records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
-          uint64_t points = 1;
-          if (storage::IsBucketDocument(doc)) {
-            if (const Result<storage::BucketMeta> meta =
-                    storage::ParseBucketMeta(doc);
-                meta.ok()) {
-              points = meta->num_points;
-            }
-          }
           const uint64_t bytes = doc.ApproxBsonSize();
-          all.push_back({new_pattern.KeyOf(doc), bytes, points});
+          all.push_back({new_pattern.KeyOf(doc), bytes,
+                         storage::StoredPointCount(doc)});
           total_bytes += bytes;
         });
   }
@@ -392,27 +387,32 @@ Status Cluster::ReshardMoveChunk(size_t chunk_index) {
     }
     // Re-scan inside the critical section: a clone whose document was
     // deleted mid-copy silently drops out here.
+    auto& mine = clones[static_cast<size_t>(shard->id())];
     std::vector<storage::RecordId> rids;
+    std::vector<bson::Document> copies;
     for (storage::BTree::Cursor c = idx->btree().SeekGE(min);
          c.Valid() && c.key() < max; c.Next()) {
+      if (const auto it = mine.find(c.rid()); it != mine.end()) {
+        copies.push_back(std::move(it->second));
+      } else {
+        const bson::Document* doc =
+            shard->collection().records().Get(c.rid());
+        if (doc == nullptr) continue;
+        copies.push_back(*doc);
+      }
       rids.push_back(c.rid());
     }
-    auto& mine = clones[static_cast<size_t>(shard->id())];
-    for (const storage::RecordId rid : rids) {
-      bson::Document copy;
-      if (const auto it = mine.find(rid); it != mine.end()) {
-        copy = std::move(it->second);
-      } else {
-        const bson::Document* doc = shard->collection().records().Get(rid);
-        if (doc == nullptr) continue;
-        copy = *doc;
-      }
-      Result<storage::RecordId> inserted = dest.InsertLocked(std::move(copy));
-      if (!inserted.ok()) return inserted.status();
-      if (Status s = shard->RemoveLocked(rid); !s.ok()) return s;
-      ++moved;
+    if (rids.empty()) continue;
+    // One batch onto the owner, then one batch off this shard — the same
+    // apply as a balancer migration.
+    if (Result<std::vector<storage::RecordId>> inserted =
+            dest.InsertBatchLocked(std::move(copies));
+        !inserted.ok()) {
+      return inserted.status();
     }
-    if (!rids.empty()) shard->OnDataDistributionChanged();
+    if (Status s = shard->RemoveBatchLocked(rids); !s.ok()) return s;
+    moved += rids.size();
+    shard->OnDataDistributionChanged();
   }
   if (moved > 0) {
     // Planner stats and the plan cache invalidate per migrated chunk — the

@@ -30,6 +30,42 @@ std::vector<int> AllShardIds(size_t n) {
 
 }  // namespace
 
+RoutingTable RoutingTable::Of(const ShardKeyPattern& pattern,
+                              const ChunkManager* chunks, bool resharding) {
+  RoutingTable table;
+  table.pattern = pattern;
+  table.resharding = resharding;
+  if (chunks != nullptr) {
+    table.bounds.reserve(chunks->num_chunks());
+    table.owners.reserve(chunks->num_chunks());
+    for (const Chunk& c : chunks->chunks()) {
+      table.bounds.push_back(c.min);
+      table.owners.push_back(c.shard_id);
+    }
+  }
+  return table;
+}
+
+size_t RoutingTable::FindChunkIndex(const std::string& key) const {
+  // Last chunk whose lower bound is <= key (bounds[0] is MinKey).
+  return static_cast<size_t>(
+             std::upper_bound(bounds.begin(), bounds.end(), key) -
+             bounds.begin()) -
+         1;
+}
+
+std::vector<size_t> RoutingTable::ChunksIntersecting(
+    const std::string& start, const std::string& end) const {
+  std::vector<size_t> out;
+  // The chunk holding `start` intersects (its max lies past start); so
+  // does every later chunk that begins at or before `end`.
+  for (size_t i = FindChunkIndex(start); i < bounds.size() && bounds[i] <= end;
+       ++i) {
+    out.push_back(i);
+  }
+  return out;
+}
+
 std::vector<int> Router::TargetShards(const query::ExprPtr& expr,
                                       bool* broadcast_out) const {
   if (broadcast_out != nullptr) *broadcast_out = false;
@@ -38,17 +74,18 @@ std::vector<int> Router::TargetShards(const query::ExprPtr& expr,
     return AllShardIds(shards_->size());
   };
 
-  if (pattern_->empty()) return broadcast();
+  if (routing_.broadcast()) return broadcast();
+  const ShardKeyPattern& pattern = routing_.pattern;
 
   const std::map<std::string, query::PathInfo> paths =
       query::AnalyzeQuery(expr);
-  const auto it0 = paths.find(pattern_->paths().front());
+  const auto it0 = paths.find(pattern.paths().front());
   const query::PathInfo* info0 = it0 == paths.end() ? nullptr : &it0->second;
   const index::FieldBounds bounds0 = query::AscendingBounds(info0);
 
   if (bounds0.full_range || bounds0.intervals.empty()) return broadcast();
 
-  if (pattern_->strategy() == ShardingStrategy::kHashed) {
+  if (pattern.strategy() == ShardingStrategy::kHashed) {
     // Hashed sharding can only target equality points; anything else is a
     // broadcast (exactly MongoDB's rule).
     std::set<int> ids;
@@ -57,9 +94,8 @@ std::vector<int> Router::TargetShards(const query::ExprPtr& expr,
     }
     for (const index::ValueInterval& iv : bounds0.intervals) {
       bson::Document probe;
-      probe.Append(pattern_->paths().front(), iv.lo);
-      const std::string key = pattern_->KeyOf(probe);
-      ids.insert(chunks_->chunk(chunks_->FindChunkIndex(key)).shard_id);
+      probe.Append(pattern.paths().front(), iv.lo);
+      ids.insert(routing_.owners[routing_.FindChunkIndex(pattern.KeyOf(probe))]);
     }
     return std::vector<int>(ids.begin(), ids.end());
   }
@@ -69,9 +105,9 @@ std::vector<int> Router::TargetShards(const query::ExprPtr& expr,
   // let the second field's bounds narrow the range further (the hil case:
   // one Hilbert cell, a time slice of it).
   const index::FieldBounds bounds1 =
-      pattern_->paths().size() > 1
+      pattern.paths().size() > 1
           ? [&] {
-              const auto it1 = paths.find(pattern_->paths()[1]);
+              const auto it1 = paths.find(pattern.paths()[1]);
               return query::AscendingBounds(
                   it1 == paths.end() ? nullptr : &it1->second);
             }()
@@ -91,8 +127,8 @@ std::vector<int> Router::TargetShards(const query::ExprPtr& expr,
       start = keystring::Encode(iv.lo);
       end = keystring::Encode(iv.hi) + keystring::MaxKey();
     }
-    for (size_t ci : chunks_->ChunksIntersecting(start, end)) {
-      ids.insert(chunks_->chunk(ci).shard_id);
+    for (size_t ci : routing_.ChunksIntersecting(start, end)) {
+      ids.insert(routing_.owners[ci]);
     }
   }
   return std::vector<int>(ids.begin(), ids.end());

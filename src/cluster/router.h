@@ -212,19 +212,53 @@ class ClusterCursor {
   std::shared_lock<std::shared_mutex> migration_latch_;
 };
 
+/// An immutable snapshot of everything targeting reads: the shard key, the
+/// chunk lower bounds in key order and each chunk's owning shard (the
+/// mongos' cached, versioned chunk table). The Cluster builds a fresh one
+/// after every routing change and publishes it; a query targets from the
+/// snapshot it loaded and never waits for a topology writer. Byte/doc
+/// accounting stays in the writer-side ChunkManager.
+struct RoutingTable {
+  /// The live shard key (empty until the collection is sharded).
+  ShardKeyPattern pattern;
+  /// bounds[i] is chunk i's inclusive lower bound; chunk i ends where
+  /// chunk i+1 begins, and the last chunk runs to MaxKey.
+  std::vector<std::string> bounds;
+  /// owners[i] is the shard holding chunk i.
+  std::vector<int> owners;
+  /// True while a reshard is between its routing flip and its final swap.
+  bool resharding = false;
+
+  /// Snapshot of `chunks` (null before sharding) under `pattern`.
+  static RoutingTable Of(const ShardKeyPattern& pattern,
+                         const ChunkManager* chunks, bool resharding);
+
+  /// Every query contacts every shard: the collection is not sharded yet,
+  /// or a reshard is in flight and a document may sit on either its old or
+  /// its new owner.
+  bool broadcast() const { return resharding || pattern.empty(); }
+
+  /// Index of the chunk owning `key` (requires a sharded table).
+  size_t FindChunkIndex(const std::string& key) const;
+
+  /// Chunk indexes whose range intersects [start, end] (end inclusive).
+  std::vector<size_t> ChunksIntersecting(const std::string& start,
+                                         const std::string& end) const;
+};
+
 /// The mongos: targets the minimal set of shards whose chunks can hold
 /// matching documents (by intersecting the query's shard-key bounds with
 /// chunk ranges) and falls back to broadcast when the shard key is
 /// unconstrained — the mechanism the paper leans on throughout Section 4.
 class Router {
  public:
-  /// `profiler` (optional) receives every finished cursor that crosses the
-  /// slow-op threshold.
-  Router(const ShardKeyPattern* pattern, const ChunkManager* chunks,
+  /// Targets from `routing`, which must outlive the Router. `profiler`
+  /// (optional) receives every finished cursor that crosses the slow-op
+  /// threshold.
+  Router(const RoutingTable& routing,
          const std::vector<std::unique_ptr<Shard>>* shards,
          RouterOptions options, OpProfiler* profiler = nullptr)
-      : pattern_(pattern),
-        chunks_(chunks),
+      : routing_(routing),
         shards_(shards),
         options_(options),
         profiler_(profiler) {}
@@ -249,8 +283,8 @@ class Router {
   ///
   /// `migration_latch` (optional, and supplied by the owning Cluster) is a
   /// shared hold on the cluster's migration-commit latch, acquired by the
-  /// caller *before* the topology lock so the cluster-wide lock order
-  /// (commit latch < topology < shard data) is never inverted. The cursor
+  /// caller *before* it loads the routing table, so the table it targets
+  /// from already reflects every committed ownership flip. The cursor
   /// keeps it until it closes, fencing chunk-ownership flips out of live
   /// streams. Direct Router users (shard-local tests) pass nothing.
   std::unique_ptr<ClusterCursor> OpenCursor(
@@ -264,8 +298,7 @@ class Router {
                              const query::ExecutorOptions& exec_options) const;
 
  private:
-  const ShardKeyPattern* pattern_;
-  const ChunkManager* chunks_;
+  const RoutingTable& routing_;
   const std::vector<std::unique_ptr<Shard>>* shards_;
   RouterOptions options_;
   OpProfiler* profiler_;

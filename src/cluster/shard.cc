@@ -89,73 +89,116 @@ STIX_FAIL_POINT_DEFINE(shardGetMore);
 
 Result<storage::RecordId> Shard::Insert(bson::Document doc) {
   const std::unique_lock<std::shared_mutex> lock = LockExclusive(data_mu_);
-  return InsertLocked(std::move(doc));
+  std::vector<bson::Document> one;
+  one.push_back(std::move(doc));
+  Result<std::vector<storage::RecordId>> rids =
+      InsertBatchLocked(std::move(one));
+  if (!rids.ok()) return rids.status();
+  return rids->front();
 }
 
-Status Shard::LogLocked(storage::WalRecordType type, storage::RecordId rid,
-                        std::string_view payload) {
-  if (Result<uint64_t> a = wal_->Append(type, rid, payload); !a.ok()) {
-    return a.status();
-  }
+Status Shard::CommitWalLocked() {
   const Result<uint64_t> lsn = wal_->Commit();
   return lsn.ok() ? Status::OK() : lsn.status();
 }
 
-Result<storage::RecordId> Shard::InsertLocked(bson::Document doc) {
-  const storage::RecordId rid = collection_.records().Insert(std::move(doc));
-  const bson::Document* stored = collection_.records().Get(rid);
-  const Status s = catalog_.OnInsert(*stored, rid);
-  if (!s.ok()) {
-    collection_.records().Remove(rid);
-    return s;
-  }
-  if (wal_ != nullptr) {
-    const Status ws = LogLocked(storage::WalRecordType::kInsert, rid,
-                                bson::EncodeBson(*stored));
-    if (!ws.ok()) {
-      // Never durable: undo the in-memory apply so the caller's error means
-      // "nothing happened" — the unacked-atomic half of the crash oracle.
-      (void)catalog_.OnRemove(*stored, rid);
+Result<std::vector<storage::RecordId>> Shard::InsertBatchLocked(
+    std::vector<bson::Document> docs) {
+  std::vector<storage::RecordId> rids;
+  rids.reserve(docs.size());
+  // Take every apply back out, so the caller's error means "nothing
+  // happened" — the unacked-atomic half of the crash oracle.
+  const auto undo = [&](Status s) {
+    for (const storage::RecordId rid : rids) {
+      (void)catalog_.OnRemove(*collection_.records().Get(rid), rid);
       collection_.records().Remove(rid);
-      return ws;
     }
+    return s;
+  };
+  for (bson::Document& doc : docs) {
+    const storage::RecordId rid = collection_.records().Insert(std::move(doc));
+    if (Status s = catalog_.OnInsert(*collection_.records().Get(rid), rid);
+        !s.ok()) {
+      collection_.records().Remove(rid);
+      return undo(s);
+    }
+    rids.push_back(rid);
   }
-  stats_.Observe(query::stats::ExtractStatsValues(*stored, StatsGeoHash()),
-                 +1);
+  // Stage only after every apply succeeded: a staged record cannot be
+  // withdrawn, and would ride along with the log's next commit.
+  if (wal_ != nullptr) {
+    for (const storage::RecordId rid : rids) {
+      if (Result<uint64_t> a =
+              wal_->Append(storage::WalRecordType::kInsert, rid,
+                           bson::EncodeBson(*collection_.records().Get(rid)));
+          !a.ok()) {
+        return undo(a.status());
+      }
+    }
+    if (Status s = CommitWalLocked(); !s.ok()) return undo(s);
+  }
+  for (const storage::RecordId rid : rids) {
+    stats_.Observe(query::stats::ExtractStatsValues(
+                       *collection_.records().Get(rid), StatsGeoHash()),
+                   +1);
+  }
   if (wal_ != nullptr) MaybeCheckpointLocked();
-  return rid;
+  return rids;
 }
 
 Status Shard::Remove(storage::RecordId rid) {
   const std::unique_lock<std::shared_mutex> lock = LockExclusive(data_mu_);
-  return RemoveLocked(rid);
+  return RemoveBatchLocked({rid});
 }
 
-Status Shard::RemoveLocked(storage::RecordId rid) {
-  const bson::Document* doc = collection_.records().Get(rid);
-  if (doc == nullptr) {
-    return Status::NotFound("record " + std::to_string(rid));
-  }
-  bson::Document undo_copy;
-  if (wal_ != nullptr) undo_copy = *doc;
-  const Status s = catalog_.OnRemove(*doc, rid);
-  if (!s.ok()) return s;
-  stats_.Observe(query::stats::ExtractStatsValues(*doc, StatsGeoHash()), -1);
-  collection_.records().Remove(rid);
-  if (wal_ != nullptr) {
-    const Status ws = LogLocked(storage::WalRecordType::kRemove, rid, {});
-    if (!ws.ok()) {
-      // Undo so an error means "the record is still there".
-      (void)collection_.records().RestoreAt(rid, std::move(undo_copy));
-      const bson::Document* restored = collection_.records().Get(rid);
-      (void)catalog_.OnInsert(*restored, rid);
-      stats_.Observe(
-          query::stats::ExtractStatsValues(*restored, StatsGeoHash()), +1);
-      return ws;
+Status Shard::RemoveBatchLocked(const std::vector<storage::RecordId>& rids) {
+  for (const storage::RecordId rid : rids) {
+    if (collection_.records().Get(rid) == nullptr) {
+      return Status::NotFound("record " + std::to_string(rid));
     }
-    MaybeCheckpointLocked();
   }
+  // A durable shard keeps undo copies: any later failure restores every
+  // record, so an error means "the records are still there".
+  std::vector<bson::Document> undo_copies;
+  if (wal_ != nullptr) undo_copies.reserve(rids.size());
+  for (const storage::RecordId rid : rids) {
+    const bson::Document* doc = collection_.records().Get(rid);
+    if (wal_ != nullptr) undo_copies.push_back(*doc);
+    if (Status s = catalog_.OnRemove(*doc, rid); !s.ok()) {
+      if (wal_ != nullptr) undo_copies.pop_back();  // still stored
+      return RestoreRemovedLocked(rids, std::move(undo_copies), std::move(s));
+    }
+    stats_.Observe(query::stats::ExtractStatsValues(*doc, StatsGeoHash()), -1);
+    collection_.records().Remove(rid);
+  }
+  if (wal_ == nullptr) return Status::OK();
+  // Staged after every removal succeeded, as in InsertBatchLocked.
+  for (const storage::RecordId rid : rids) {
+    if (Result<uint64_t> a =
+            wal_->Append(storage::WalRecordType::kRemove, rid, {});
+        !a.ok()) {
+      return RestoreRemovedLocked(rids, std::move(undo_copies), a.status());
+    }
+  }
+  if (Status s = CommitWalLocked(); !s.ok()) {
+    return RestoreRemovedLocked(rids, std::move(undo_copies), std::move(s));
+  }
+  MaybeCheckpointLocked();
   return Status::OK();
+}
+
+Status Shard::RestoreRemovedLocked(
+    const std::vector<storage::RecordId>& rids,
+    std::vector<bson::Document> copies, Status status) {
+  // copies[i] is the removed document of rids[i].
+  for (size_t i = 0; i < copies.size(); ++i) {
+    (void)collection_.records().RestoreAt(rids[i], std::move(copies[i]));
+    const bson::Document* restored = collection_.records().Get(rids[i]);
+    (void)catalog_.OnInsert(*restored, rids[i]);
+    stats_.Observe(query::stats::ExtractStatsValues(*restored, StatsGeoHash()),
+                   +1);
+  }
+  return status;
 }
 
 Status Shard::AttachWal(const std::string& dir, storage::WalOptions options,

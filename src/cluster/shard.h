@@ -211,10 +211,20 @@ class Shard {
   /// entry points below).
   std::shared_mutex& data_mutex() const { return data_mu_; }
 
-  /// Insert/Remove bodies without the lock acquisition, for callers that
-  /// already hold data_mutex() exclusively.
-  Result<storage::RecordId> InsertLocked(bson::Document doc);
-  Status RemoveLocked(storage::RecordId rid);
+  /// Batched Insert for callers that already hold data_mutex() exclusively
+  /// (a migration's recipient side): stores and indexes every document and
+  /// logs them as one WAL batch with a single commit. All or nothing: on
+  /// any failure every document applied so far is taken back out. Returns
+  /// the new record ids in input order. Insert() is the one-document case.
+  Result<std::vector<storage::RecordId>> InsertBatchLocked(
+      std::vector<bson::Document> docs);
+  /// Batched Remove under an exclusive data_mutex() hold (a migration's
+  /// donor side): one WAL batch, one commit. A missing record fails the
+  /// call before anything is removed. On a durable shard any later failure
+  /// restores every record; an in-memory shard keeps no undo copies, so an
+  /// index fault stops at the failing record, as a single Remove() always
+  /// has. Remove() is the one-record case.
+  Status RemoveBatchLocked(const std::vector<storage::RecordId>& rids);
 
   // ---- Durability ----
   //
@@ -261,10 +271,13 @@ class Shard {
   /// location histogram observes (it must match what the index keys store).
   const geo::GeoHash* StatsGeoHash() const;
 
-  /// Stages + commits one record; the insert/remove undo paths hang off the
-  /// returned status.
-  Status LogLocked(storage::WalRecordType type, storage::RecordId rid,
-                   std::string_view payload);
+  /// Commits the records staged in the WAL as one batch.
+  Status CommitWalLocked();
+  /// RemoveBatchLocked's undo: puts copies[i] back at rids[i] (re-indexed,
+  /// re-observed) and returns `status`.
+  Status RestoreRemovedLocked(const std::vector<storage::RecordId>& rids,
+                              std::vector<bson::Document> copies,
+                              Status status);
   /// Auto-checkpoint trigger; failures don't fail the triggering write (it
   /// is already durable) — a failed checkpoint kills the WAL instead.
   void MaybeCheckpointLocked();

@@ -581,6 +581,12 @@ Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket) {
   return meta;
 }
 
+uint64_t StoredPointCount(const bson::Document& doc) {
+  if (!IsBucketDocument(doc)) return 1;
+  const Result<BucketMeta> meta = ParseBucketMeta(doc);
+  return meta.ok() ? meta->num_points : 1;
+}
+
 bool BucketPruneSpec::MayContain(const BucketMeta& meta) const {
   if (min_ts.has_value() && meta.max_ts < *min_ts) return false;
   if (max_ts.has_value() && meta.min_ts > *max_ts) return false;

@@ -121,6 +121,10 @@ Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
 /// access).
 Result<BucketMeta> ParseBucketMeta(const bson::Document& bucket);
 
+/// Logical data points a stored document carries: a bucket's point count,
+/// 1 for a row document (and for a bucket whose header does not parse).
+uint64_t StoredPointCount(const bson::Document& doc);
+
 /// The per-point bounds a point query implies, in the terms a bucket can
 /// check: on its metadata (whole-bucket pruning) and on its predicate
 /// columns (per-row selection). Built by query::ExtractBucketPredicates.

@@ -7,8 +7,11 @@
 
 #include "cluster/balancer.h"
 #include "cluster/cluster.h"
+#include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "keystring/keystring.h"
+#include "temp_dir.h"
 
 namespace stix::cluster {
 namespace {
@@ -98,8 +101,11 @@ TEST(ChunkManagerTest, IntersectingChunks) {
     cm.Split(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
              keystring::Encode(Value::Int64(v)));
   }
-  // Range [15, 25] touches chunks [10,20) and [20,30).
-  const auto hits = cm.ChunksIntersecting(
+  // Range [15, 25] touches chunks [10,20) and [20,30); targeting asks the
+  // routing snapshot of the table.
+  const RoutingTable routing =
+      RoutingTable::Of(ShardKeyPattern(), &cm, /*resharding=*/false);
+  const auto hits = routing.ChunksIntersecting(
       keystring::Encode(Value::Int64(15)), keystring::Encode(Value::Int64(25)));
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0], 1u);
@@ -550,6 +556,120 @@ TEST_F(ClusterTest, CompoundKeySplitsOnTemporalDimensionForHotCell) {
   for (const Chunk& chunk : cluster.chunks().chunks()) {
     EXPECT_FALSE(chunk.jumbo);
   }
+}
+
+// The published routing snapshot equals the writer-side chunk table and
+// shard key; it broadcasts exactly while a reshard is in flight.
+void ExpectRoutingMatches(const Cluster& cluster, bool resharding) {
+  const std::shared_ptr<const RoutingTable> routing = cluster.routing();
+  ASSERT_NE(routing, nullptr);
+  EXPECT_EQ(routing->pattern.paths(), cluster.shard_key().paths());
+  EXPECT_EQ(routing->pattern.strategy(), cluster.shard_key().strategy());
+  EXPECT_EQ(routing->broadcast(), resharding);
+  EXPECT_EQ(cluster.resharding(), resharding);
+  const std::vector<Chunk>& chunks = cluster.chunks().chunks();
+  ASSERT_EQ(routing->bounds.size(), chunks.size());
+  ASSERT_EQ(routing->owners.size(), chunks.size());
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_EQ(routing->bounds[i], chunks[i].min) << "chunk " << i;
+    EXPECT_EQ(routing->owners[i], chunks[i].shard_id) << "chunk " << i;
+  }
+}
+
+TEST_F(ClusterTest, PublishedRoutingMatchesChunkTable) {
+  MetricsRegistry& metrics = MetricsRegistry::Instance();
+  Counter& committed = metrics.GetCounter("balancer.migrations_committed");
+  Counter& aborted = metrics.GetCounter("balancer.migrations_aborted");
+  ClusterOptions opts = SmallOptions();
+  opts.balance_every_inserts = 0;  // migrations only where the test asks
+  Cluster cluster(opts);
+  // Before sharding every query broadcasts.
+  EXPECT_TRUE(cluster.routing()->broadcast());
+  EXPECT_TRUE(cluster.routing()->bounds.empty());
+
+  ASSERT_TRUE(cluster
+                  .ShardCollection(ShardKeyPattern(
+                      {"date"}, ShardingStrategy::kRange))
+                  .ok());
+  ExpectRoutingMatches(cluster, false);
+
+  Load(&cluster, 1500);  // splits
+  ASSERT_GT(cluster.chunks().num_chunks(), 1u);
+  ExpectRoutingMatches(cluster, false);
+
+  const uint64_t committed_before = committed.value();
+  cluster.Balance();  // committed migrations
+  ASSERT_GT(committed.value(), committed_before);
+  ExpectRoutingMatches(cluster, false);
+
+  // New dates pile onto the last chunk's shard; an open cursor holds the
+  // migration latch shared, so every commit attempt aborts.
+  for (int i = 1500; i < 2000; ++i) {
+    ASSERT_TRUE(cluster.Insert(Doc(i, 1, 1, 60000LL * i, 1)).ok());
+  }
+  {
+    const std::unique_ptr<ClusterCursor> open =
+        cluster.OpenCursor(query::MakeAnd({}));
+    const uint64_t committed_mid = committed.value();
+    const uint64_t aborted_before = aborted.value();
+    cluster.Balance();
+    EXPECT_GT(aborted.value(), aborted_before);
+    EXPECT_EQ(committed.value(), committed_mid);
+  }
+  ExpectRoutingMatches(cluster, false);
+
+  bson::Document probe;
+  probe.Append("date", Value::DateTime(60000LL * 700));
+  const std::string mid = cluster.shard_key().KeyOf(probe);
+  ASSERT_TRUE(cluster
+                  .SetZones({ZoneRange{keystring::MinKey(), mid, 0},
+                             ZoneRange{mid, keystring::MaxKey(), 1}})
+                  .ok());
+  ExpectRoutingMatches(cluster, false);
+
+  // Reshard install: a fault in the first chunk move leaves the cluster
+  // in its flipped, broadcast-routing state for good.
+  FailPoint* move = FailPointRegistry::Instance().Find("reshardMoveChunk");
+  ASSERT_NE(move, nullptr);
+  FailPoint::Config once;
+  once.mode = FailPoint::Mode::kTimes;
+  once.count = 1;
+  once.error_code = StatusCode::kInternal;
+  move->Enable(once);
+  const ShardKeyPattern target({"hilbertIndex", "date"},
+                               ShardingStrategy::kRange);
+  EXPECT_FALSE(cluster.Reshard(target, {}).ok());
+  move->Disable();
+  ExpectRoutingMatches(cluster, true);
+
+  // Reshard swap, on a fresh cluster.
+  Cluster other(opts);
+  ASSERT_TRUE(other
+                  .ShardCollection(ShardKeyPattern(
+                      {"date"}, ShardingStrategy::kRange))
+                  .ok());
+  Load(&other, 1000);
+  ASSERT_TRUE(other.Reshard(target, {}).ok());
+  EXPECT_EQ(other.shard_key().paths(), target.paths());
+  ExpectRoutingMatches(other, false);
+
+  // Recovery installs the journaled table.
+  const stix::testing::TempDir dir;
+  ClusterOptions durable = opts;
+  durable.durability.data_dir = dir.path();
+  {
+    Cluster source(durable);
+    ASSERT_TRUE(source
+                    .ShardCollection(ShardKeyPattern(
+                        {"date"}, ShardingStrategy::kRange))
+                    .ok());
+    Load(&source, 1500);
+    source.Balance();
+  }
+  const Result<std::unique_ptr<Cluster>> recovered = RecoverCluster(durable);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_GT((*recovered)->chunks().num_chunks(), 1u);
+  ExpectRoutingMatches(**recovered, false);
 }
 
 }  // namespace

@@ -15,9 +15,13 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
+#include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
+#include "keystring/keystring.h"
 #include "query/expression.h"
+#include "temp_dir.h"
 
 namespace stix::cluster {
 namespace {
@@ -266,6 +270,76 @@ TEST_F(ConcurrencyTest, BackgroundBalancerCommitsMigrations) {
       "date", Value::DateTime(0), Value::DateTime(60000LL * 1500)));
   EXPECT_TRUE(all.status.ok());
   EXPECT_EQ(all.docs.size(), 1500u);
+}
+
+// Targeting reads the published routing snapshot, not topology_mu_: a
+// cursor on one shard completes while an insert into another shard sits
+// inside its exclusive topology hold (stalled in its WAL commit).
+TEST_F(ConcurrencyTest, ReaderDoesNotWaitForTopologyWriter) {
+  const stix::testing::TempDir dir;
+  ClusterOptions opts;
+  opts.num_shards = 2;
+  opts.balance_every_inserts = 0;  // the writer below only writes
+  opts.durability.data_dir = dir.path();
+  Cluster cluster(opts);
+  ShardOnDate(&cluster);
+  // Dates before minute 100 live on shard 0, the rest on shard 1.
+  constexpr int64_t kMinute = 60000;
+  bson::Document probe;
+  probe.Append("date", Value::DateTime(100 * kMinute));
+  const std::string split = cluster.shard_key().KeyOf(probe);
+  ASSERT_TRUE(cluster
+                  .SetZones({ZoneRange{keystring::MinKey(), split, 0},
+                             ZoneRange{split, keystring::MaxKey(), 1}})
+                  .ok());
+  Load(&cluster, 200);
+  const query::ExprPtr upper = query::MakeRange(
+      "date", Value::DateTime(100 * kMinute), Value::DateTime(200 * kMinute));
+  ASSERT_EQ(cluster.TargetShards(upper), std::vector<int>{1});
+
+  constexpr double kStallMs = 400.0;
+  FailPoint* stall = FailPointRegistry::Instance().Find("walBeforeCommit");
+  ASSERT_NE(stall, nullptr);
+  FailPoint::Config delay_only;
+  delay_only.mode = FailPoint::Mode::kTimes;
+  delay_only.count = 1;
+  delay_only.delay_ms = kStallMs;
+  stall->Enable(delay_only);
+
+  std::atomic<bool> writer_done{false};
+  Status write_status;
+  std::thread writer([&] {
+    // Minute 10 routes to shard 0; the commit stalls under the exclusive
+    // topology hold and shard 0's data lock.
+    write_status = cluster.Insert(Doc(10000, 1.0, 1.0, 10 * kMinute));
+    writer_done.store(true);
+  });
+  while (stall->times_entered() == 0) std::this_thread::yield();
+
+  Stopwatch timer;
+  std::unique_ptr<ClusterCursor> cursor = cluster.OpenCursor(upper);
+  size_t returned = 0;
+  for (std::vector<bson::Document> batch = cursor->NextBatch(); !batch.empty();
+       batch = cursor->NextBatch()) {
+    for (const bson::Document& doc : batch) {
+      const int64_t date = doc.Get("date")->AsDateTime();
+      EXPECT_GE(date, 100 * kMinute);
+      EXPECT_LE(date, 200 * kMinute);
+    }
+    returned += batch.size();
+  }
+  const double reader_ms = timer.ElapsedMillis();
+  const bool writer_finished_first = writer_done.load();
+  writer.join();
+  stall->Disable();
+
+  EXPECT_TRUE(cursor->status().ok());
+  EXPECT_EQ(returned, 100u);  // minutes 100..199, exactly
+  EXPECT_FALSE(writer_finished_first)
+      << "the reader waited for the stalled insert";
+  EXPECT_LT(reader_ms, kStallMs / 2);
+  EXPECT_TRUE(write_status.ok()) << write_status.ToString();
+  EXPECT_EQ(cluster.total_documents(), 201u);
 }
 
 }  // namespace

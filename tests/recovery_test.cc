@@ -770,5 +770,150 @@ TEST_F(RecoveryScenarioTest, RecoverRejectsBslTSDataOpenedAsHil) {
                                  ApproachKind::kHil);
 }
 
+// ---- migration commits: one WAL batch per side ----
+
+cluster::ClusterOptions MigrationOptions(const std::string& data_dir) {
+  cluster::ClusterOptions options;
+  options.num_shards = 2;
+  options.chunk_max_bytes = 4 * 1024;
+  options.balance_every_inserts = 0;  // migrations only on Balance()
+  options.durability.data_dir = data_dir;
+  return options;
+}
+
+/// Shards on date and loads `n` documents; with no balancing every chunk
+/// stays on shard 0.
+void LoadUnbalanced(cluster::Cluster* cluster, int n) {
+  ASSERT_TRUE(cluster
+                  ->ShardCollection(cluster::ShardKeyPattern(
+                      {kDateField}, cluster::ShardingStrategy::kRange))
+                  .ok());
+  for (int64_t i = 0; i < n; ++i) {
+    bson::Document doc;
+    doc.Append("_id", Value::Int64(i));
+    doc.Append(kDateField, Value::DateTime(1000LL * i));
+    doc.Append("pad", Value::String(std::string(100, 'p')));
+    ASSERT_TRUE(cluster->Insert(std::move(doc)).ok());
+  }
+}
+
+/// Every stored _id, sorted: equal vectors mean the same documents, each
+/// exactly once.
+std::vector<int64_t> AllIds(const cluster::Cluster& cluster) {
+  const cluster::ClusterQueryResult all = cluster.Query(query::MakeAnd({}));
+  EXPECT_TRUE(all.status.ok());
+  std::vector<int64_t> ids;
+  for (const bson::Document& doc : all.docs) {
+    ids.push_back(doc.Get("_id")->AsInt64());
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+std::vector<int> Owners(const cluster::Cluster& cluster) {
+  std::vector<int> owners;
+  for (const cluster::Chunk& c : cluster.chunks().chunks()) {
+    owners.push_back(c.shard_id);
+  }
+  return owners;
+}
+
+TEST_F(RecoveryScenarioTest, MigrationCommitsOneWalBatchPerSide) {
+  const cluster::ClusterOptions options = MigrationOptions(dir_.path());
+  Counter& commits = MetricsRegistry::Instance().GetCounter("wal.commits");
+  Counter& committed =
+      MetricsRegistry::Instance().GetCounter("balancer.migrations_committed");
+  std::vector<int64_t> ids;
+  std::vector<int> owners;
+  {
+    cluster::Cluster source(options);
+    ASSERT_NO_FATAL_FAILURE(LoadUnbalanced(&source, 400));
+    ASSERT_GT(source.chunks().num_chunks(), 2u);
+    const uint64_t commits_before = commits.value();
+    const uint64_t migrations_before = committed.value();
+    source.Balance();
+    const uint64_t migrations = committed.value() - migrations_before;
+    ASSERT_GT(migrations, 0u);
+    // Per migration: the recipient's batch, the journaled flip and the
+    // donor's batch — not one commit per moved document.
+    EXPECT_EQ(commits.value() - commits_before, 3 * migrations);
+    ids = AllIds(source);
+    owners = Owners(source);
+  }
+  ASSERT_EQ(ids.size(), 400u);
+  const Result<std::unique_ptr<cluster::Cluster>> recovered =
+      cluster::RecoverCluster(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Owners(**recovered), owners);
+  EXPECT_EQ(AllIds(**recovered), ids);
+  for (const auto& shard : (*recovered)->shards()) {
+    EXPECT_GT(shard->num_documents(), 0u);
+  }
+}
+
+TEST_F(RecoveryScenarioTest, CrashInRecipientBatchKeepsDonorOwner) {
+  const cluster::ClusterOptions options = MigrationOptions(dir_.path());
+  std::vector<int64_t> ids;
+  {
+    cluster::Cluster source(options);
+    ASSERT_NO_FATAL_FAILURE(LoadUnbalanced(&source, 400));
+    ids = AllIds(source);
+    // The first commit of the first migration is the recipient's batch.
+    FailPoint* crash = FailPointRegistry::Instance().Find("walBeforeCommit");
+    ASSERT_NE(crash, nullptr);
+    FailPoint::Config once;
+    once.mode = FailPoint::Mode::kTimes;
+    once.count = 1;
+    once.error_code = StatusCode::kInternal;
+    crash->Enable(once);
+    source.Balance();
+    EXPECT_EQ(crash->times_fired(), 1u);
+    // The failed batch took itself back out of memory.
+    EXPECT_EQ(AllIds(source), ids);
+    EXPECT_EQ(Owners(source), std::vector<int>(source.chunks().num_chunks(), 0));
+    EXPECT_EQ(source.shards()[1]->num_documents(), 0u);
+  }
+  const Result<std::unique_ptr<cluster::Cluster>> recovered =
+      cluster::RecoverCluster(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Owners(**recovered),
+            std::vector<int>((*recovered)->chunks().num_chunks(), 0));
+  EXPECT_EQ(AllIds(**recovered), ids);
+}
+
+TEST_F(RecoveryScenarioTest, CrashJournalingFlipRollsOwnershipBack) {
+  const cluster::ClusterOptions options = MigrationOptions(dir_.path());
+  std::vector<int64_t> ids;
+  {
+    cluster::Cluster source(options);
+    ASSERT_NO_FATAL_FAILURE(LoadUnbalanced(&source, 400));
+    ids = AllIds(source);
+    // Skip the recipient's batch; crash the journaled flip (and, with it,
+    // the best-effort take-back on the recipient).
+    FailPoint* crash = FailPointRegistry::Instance().Find("walBeforeCommit");
+    ASSERT_NE(crash, nullptr);
+    FailPoint::Config after_recipient;
+    after_recipient.mode = FailPoint::Mode::kSkip;
+    after_recipient.count = 1;
+    after_recipient.error_code = StatusCode::kInternal;
+    crash->Enable(after_recipient);
+    source.Balance();
+    crash->Disable();
+    EXPECT_GE(crash->times_fired(), 1u);
+    // The rollback republished the donor as owner.
+    const std::vector<int> owners = Owners(source);
+    EXPECT_EQ(owners, std::vector<int>(owners.size(), 0));
+    const std::shared_ptr<const cluster::RoutingTable> routing =
+        source.routing();
+    EXPECT_EQ(routing->owners, owners);
+  }
+  const Result<std::unique_ptr<cluster::Cluster>> recovered =
+      cluster::RecoverCluster(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Owners(**recovered),
+            std::vector<int>((*recovered)->chunks().num_chunks(), 0));
+  EXPECT_EQ(AllIds(**recovered), ids);
+}
+
 }  // namespace
 }  // namespace stix::st
