@@ -1,8 +1,16 @@
 #include "cluster/balancer.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace stix::cluster {
+namespace {
+
+// Migrate only when the donor has at least this many more movable chunks
+// than the recipient.
+constexpr int kImbalanceThreshold = 2;
+
+}  // namespace
 
 int ZoneForChunk(const std::vector<ZoneRange>& zones, const Chunk& chunk) {
   // Zones are few and sorted; overlap is an interval intersection test.
@@ -15,8 +23,7 @@ int ZoneForChunk(const std::vector<ZoneRange>& zones, const Chunk& chunk) {
 std::optional<Migration> PickNextMigration(const ChunkManager& chunks,
                                            int num_shards,
                                            const std::vector<ZoneRange>& zones,
-                                           const BalancerOptions& options,
-                                           Rng* rng) {
+                                           bool weigh_by_points, Rng* rng) {
   // Priority 1: zone violations. Overlap-based pinning (ZoneForChunk)
   // catches chunks that straddle a zone boundary; classifying by the min
   // key alone left such chunks stranded on the wrong shard.
@@ -46,7 +53,7 @@ std::optional<Migration> PickNextMigration(const ChunkManager& chunks,
     if (counts[s] > counts[donor]) donor = s;
     if (counts[s] < counts[recipient]) recipient = s;
   }
-  if (counts[donor] - counts[recipient] < options.imbalance_threshold) {
+  if (counts[donor] - counts[recipient] < kImbalanceThreshold) {
     return std::nullopt;
   }
 
@@ -58,23 +65,7 @@ std::optional<Migration> PickNextMigration(const ChunkManager& chunks,
     movable.push_back(i);
   }
   if (movable.empty()) return std::nullopt;
-  if (options.weigh_by_writes) {
-    // Hottest movable chunk by the per-range write counter; ties (and the
-    // all-cold case) fall through to the points/random pick below.
-    uint64_t best = 0;
-    for (const size_t i : movable) {
-      best = std::max(best, chunks.chunk(i).writes);
-    }
-    if (best > 0) {
-      std::vector<size_t> hottest;
-      for (const size_t i : movable) {
-        if (chunks.chunk(i).writes == best) hottest.push_back(i);
-      }
-      const size_t pick = hottest[rng->NextBounded(hottest.size())];
-      return Migration{pick, recipient};
-    }
-  }
-  if (options.weigh_by_points) {
+  if (weigh_by_points) {
     // Heaviest movable chunk first; rng breaks ties among equals so the
     // degenerate all-equal case matches the unweighted pick distribution.
     uint64_t best = 0;

@@ -17,30 +17,10 @@ struct Migration {
 
 /// Balancer policy options.
 struct BalancerOptions {
-  /// Migrate only when the donor has at least this many more chunks than
-  /// the recipient (MongoDB's migration threshold, scaled down).
-  int imbalance_threshold = 2;
   /// Sleep between rounds of the background balancer thread
   /// (Cluster::StartBalancer). Small by default: bench-scale migrations are
   /// sub-millisecond, so the thread mostly idles on its condition variable.
   int background_interval_ms = 5;
-  /// Bucketed collections: chunks with equal document counts can differ by
-  /// orders of magnitude in logical points (buckets seal at different
-  /// fills). When set, the imbalance pick moves the donor's *heaviest*
-  /// movable chunk (by Chunk::points) instead of a random one, so data —
-  /// not bucket documents — evens out. The trigger (chunk-count
-  /// threshold) is unchanged. Off by default: row layouts keep the seeded
-  /// random pick bit-for-bit.
-  bool weigh_by_points = false;
-  /// Write-distribution awareness: when the imbalance pick fires, move the
-  /// donor's most *written* movable chunk (Chunk::writes, the per-range
-  /// write counter the router maintains) instead of a random one, so a
-  /// Zipf-hot insert range spreads across shards instead of pinning its
-  /// whole history to wherever it first split. Takes precedence over
-  /// weigh_by_points when both are set and any movable chunk has recorded
-  /// writes (with all-zero counters it falls through, keeping cold
-  /// workloads bit-for-bit reproducible).
-  bool weigh_by_writes = false;
 };
 
 /// The zone pinning a chunk, or -1 when no zone touches it. A chunk is
@@ -55,20 +35,27 @@ int ZoneForChunk(const std::vector<ZoneRange>& zones, const Chunk& chunk);
 ///  1. zone violations — a chunk whose pinning zone (see ZoneForChunk)
 ///     disagrees with the shard it sits on;
 ///  2. plain imbalance — move a random *movable* (zone-free) chunk from the
-///     shard with the most movable chunks to the shard with the fewest.
+///     shard with the most movable chunks to the shard with the fewest,
+///     once they differ by at least two (MongoDB's migration threshold,
+///     scaled down).
 ///     Counts, donor/recipient choice and the threshold all consider only
 ///     movable chunks: pinned chunks can never be moved to fix the
 ///     imbalance they create, and counting them both stalled the balancer
 ///     (donor with a pinned surplus, nothing movable) and hid real movable
 ///     imbalance elsewhere. With no zones every chunk is movable and this
 ///     degenerates to plain chunk counts.
+/// `weigh_by_points` (bucketed collections): chunks with equal document
+/// counts can differ by orders of magnitude in logical points (buckets
+/// seal at different fills), so the imbalance pick moves the donor's
+/// *heaviest* movable chunk (by Chunk::points) instead of a random one, and
+/// data — not bucket documents — evens out. The trigger is unchanged.
+/// Row layouts pass false and keep the seeded random pick.
 /// Returns nullopt when balanced. Randomness comes from the caller's seeded
 /// Rng, so placements are reproducible.
 std::optional<Migration> PickNextMigration(const ChunkManager& chunks,
                                            int num_shards,
                                            const std::vector<ZoneRange>& zones,
-                                           const BalancerOptions& options,
-                                           Rng* rng);
+                                           bool weigh_by_points, Rng* rng);
 
 }  // namespace stix::cluster
 

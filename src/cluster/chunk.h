@@ -58,7 +58,7 @@ struct Chunk {
   /// Write-distribution tracking: cumulative inserts + deletes routed into
   /// this key range (MongoDB's analyzeShardKey read/write distribution).
   /// Split distributes it across the parts; a migration keeps it with the
-  /// chunk, so the balancer can move heat instead of just bytes.
+  /// chunk. Reported by Cluster::DistributionJson.
   uint64_t writes = 0;
   bool jumbo = false;
 };

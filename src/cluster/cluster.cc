@@ -12,7 +12,6 @@
 #include "common/metrics.h"
 #include "keystring/keystring.h"
 #include "query/bucket_unpack.h"
-#include "query/planner.h"
 #include "storage/bucket.h"
 
 namespace stix::cluster {
@@ -206,7 +205,7 @@ Status Cluster::Insert(bson::Document doc) {
       // only race the reshard copier over the same documents.
       if (resharding_in_progress_ || reshard_preparing_) return Status::OK();
       m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                            options_.balancer, &rng_);
+                            weigh_by_points(), &rng_);
     }
     if (m.has_value()) {
       const Status s = MoveChunk(m->chunk_index, m->to_shard);
@@ -219,15 +218,20 @@ Status Cluster::Insert(bson::Document doc) {
 void Cluster::MaybeSplitChunk(size_t chunk_index) {
   Chunk& chunk = chunks_->chunk(chunk_index);
   Shard& shard = *shards_[static_cast<size_t>(chunk.shard_id)];
-  const index::Index* skidx = shard.catalog().Get(shard_key_index_name_);
-  if (skidx == nullptr) return;
 
-  // Shard-key values of the chunk, from the shard-key index.
+  // Shard-key values of the chunk, from the shard-key index. The topology
+  // hold does not cover the shard's catalog: a reshard's prepare phase adds
+  // indexes under the shard's data lock alone.
   std::vector<std::string> keys;
-  keys.reserve(chunk.docs);
-  for (storage::BTree::Cursor c = skidx->btree().SeekGE(chunk.min);
-       c.Valid() && c.key() < chunk.max; c.Next()) {
-    keys.push_back(c.key());
+  {
+    const std::shared_lock<std::shared_mutex> data(shard.data_mutex());
+    const index::Index* skidx = shard.catalog().Get(shard_key_index_name_);
+    if (skidx == nullptr) return;
+    keys.reserve(chunk.docs);
+    for (storage::BTree::Cursor c = skidx->btree().SeekGE(chunk.min);
+         c.Valid() && c.key() < chunk.max; c.Next()) {
+      keys.push_back(c.key());
+    }
   }
   if (keys.size() < 2) {
     chunk.jumbo = true;
@@ -292,19 +296,11 @@ Status Cluster::MoveChunk(size_t chunk_index, int to_shard) {
 
   // Copy phase: clone the chunk's current documents under the donor's
   // shared lock. Readers keep streaming; only the donor's writers wait.
-  std::map<storage::RecordId, bson::Document> clones;
-  {
+  Result<RangeDocs> clones = [&] {
     const std::shared_lock<std::shared_mutex> data(source.data_mutex());
-    const index::Index* skidx = source.catalog().Get(shard_key_index_name_);
-    if (skidx == nullptr) {
-      return Status::Internal("shard-key index missing on shard");
-    }
-    for (storage::BTree::Cursor c = skidx->btree().SeekGE(min);
-         c.Valid() && c.key() < max; c.Next()) {
-      const bson::Document* doc = source.collection().records().Get(c.rid());
-      if (doc != nullptr) clones.emplace(c.rid(), *doc);
-    }
-  }
+    return source.CollectRangeLocked(shard_key_index_name_, min, max);
+  }();
+  if (!clones.ok()) return clones.status();
 
   // Commit phase (the critical section). Lock order: latch < topology <
   // shard data, shards in id order. The latch is try-locked: interleaving
@@ -331,25 +327,11 @@ Status Cluster::MoveChunk(size_t chunk_index, int to_shard) {
   std::unique_lock<std::shared_mutex> second_lock(
       source.id() < dest.id() ? dest.data_mutex() : source.data_mutex());
 
-  const index::Index* skidx = source.catalog().Get(shard_key_index_name_);
-  if (skidx == nullptr) {
-    return Status::Internal("shard-key index missing on shard");
-  }
-  std::vector<storage::RecordId> moved;
-  std::vector<bson::Document> copies;
-  for (storage::BTree::Cursor c = skidx->btree().SeekGE(min);
-       c.Valid() && c.key() < max; c.Next()) {
-    if (const auto it = clones.find(c.rid()); it != clones.end()) {
-      copies.push_back(std::move(it->second));
-    } else {
-      // Inserted after the copy snapshot: clone it now, inside the
-      // critical section.
-      const bson::Document* doc = source.collection().records().Get(c.rid());
-      if (doc == nullptr) continue;
-      copies.push_back(*doc);
-    }
-    moved.push_back(c.rid());
-  }
+  // Documents inserted after the copy snapshot are cloned now, inside the
+  // critical section.
+  Result<RangeDocs> moved =
+      source.CollectRangeLocked(shard_key_index_name_, min, max, &*clones);
+  if (!moved.ok()) return moved.status();
   // Apply order is chosen for crash atomicity (a no-op reordering for the
   // in-memory store): the copies become durable on the recipient first
   // (one WAL batch, one commit), then the ownership flip is journaled, and
@@ -360,7 +342,7 @@ Status Cluster::MoveChunk(size_t chunk_index, int to_shard) {
   // vanishes whole. A failed recipient batch has already taken itself back
   // out of memory.
   Result<std::vector<storage::RecordId>> dest_rids =
-      dest.InsertBatchLocked(std::move(copies));
+      dest.InsertBatchLocked(std::move(moved->docs));
   if (!dest_rids.ok()) {
     aborted.Increment();
     return dest_rids.status();
@@ -376,7 +358,7 @@ Status Cluster::MoveChunk(size_t chunk_index, int to_shard) {
     aborted.Increment();
     return s;
   }
-  if (Status s = source.RemoveBatchLocked(moved); !s.ok()) return s;
+  if (Status s = source.RemoveBatchLocked(moved->rids); !s.ok()) return s;
   // Both shards' data distributions just changed: stale-mark their
   // statistics (next query rebuilds) and drop their cached plan choices.
   source.OnDataDistributionChanged();
@@ -488,7 +470,7 @@ void Cluster::Balance() {
       if (resharding_in_progress_ || reshard_preparing_) return;
       const std::lock_guard<std::mutex> bl(balance_mu_);
       m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                            options_.balancer, &rng_);
+                            weigh_by_points(), &rng_);
     }
     if (!m.has_value()) return;
     if (!MoveChunk(m->chunk_index, m->to_shard).ok()) return;
@@ -504,7 +486,7 @@ void Cluster::RunBalancerRound() {
     if (resharding_in_progress_ || reshard_preparing_) return;
     const std::lock_guard<std::mutex> bl(balance_mu_);
     m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                          options_.balancer, &rng_);
+                          weigh_by_points(), &rng_);
   }
   // Failures (an enabled balancerMoveChunk fail point, a benign abort) are
   // the background balancer's to swallow: the next round re-picks.
@@ -599,8 +581,9 @@ Status Cluster::SyncWals() {
 }
 
 ClusterQueryResult Cluster::Query(const query::ExprPtr& expr) const {
-  // One unbounded getMore per shard — identical to Router::Execute, but
-  // routed through OpenCursor so the drain holds the migration latch.
+  // One unbounded getMore per shard (the classic run-to-completion
+  // scatter/gather), routed through OpenCursor so the drain holds the
+  // migration latch.
   CursorOptions full_drain;
   full_drain.batch_size = 0;
   full_drain.limit = 0;
@@ -627,7 +610,7 @@ std::unique_ptr<ClusterCursor> Cluster::OpenCursor(
   // the cursor's whole life. No topology lock — inserts never stall this.
   std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
   const std::shared_ptr<const RoutingTable> snapshot = routing();
-  const Router router(*snapshot, &shards_, options_.router, &profiler_);
+  const Router router(*snapshot, &shards_, &profiler_);
   std::unique_ptr<ClusterCursor> cursor = router.OpenCursor(
       expr, options_.exec, cursor_options, std::move(latch));
   for (const int shard_id : cursor->targets()) {
@@ -639,35 +622,25 @@ std::unique_ptr<ClusterCursor> Cluster::OpenCursor(
 
 Result<std::vector<bson::Document>> Cluster::Aggregate(
     const query::Pipeline& pipeline) const {
-  std::vector<bson::Document> stream;
-  size_t first_merge_stage = 0;
-
+  // A leading $match is pushed down to the shards through the router;
+  // without one the stream is a match-all query over the same cursor path,
+  // so bucketed collections feed the merge stages points, not buckets.
   const auto& stages = pipeline.stages();
+  query::ExprPtr match = query::MakeAnd({});
+  size_t first_merge_stage = 0;
   if (!stages.empty()) {
-    if (const auto* match = std::get_if<query::MatchStage>(&stages[0])) {
-      // Push the $match down to the shards through the router.
-      ClusterQueryResult r = Query(match->expr);
-      stream = std::move(r.docs);
+    if (const auto* m = std::get_if<query::MatchStage>(&stages[0])) {
+      match = m->expr;
       first_merge_stage = 1;
     }
   }
-  if (first_merge_stage == 0) {
-    // No leading $match: full scatter of the raw collection. The shared
-    // topology hold fences out concurrent writers (all of which take it
-    // exclusive).
-    const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-    for (const auto& shard : shards_) {
-      shard->collection().records().ForEach(
-          [&](storage::RecordId, const bson::Document& doc) {
-            stream.push_back(doc);
-          });
-    }
-  }
+  ClusterQueryResult r = Query(match);
+  if (!r.status.ok()) return r.status;
 
   query::Pipeline merge_stages(std::vector<query::PipelineStage>(
       stages.begin() + static_cast<ptrdiff_t>(first_merge_stage),
       stages.end()));
-  return query::RunPipeline(std::move(stream), merge_stages);
+  return query::RunPipeline(std::move(r.docs), merge_stages);
 }
 
 Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
@@ -676,7 +649,7 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
   // and chunk accounting cannot race.
   const std::unique_lock<std::shared_mutex> topo(topology_mu_);
   const std::shared_ptr<const RoutingTable> snapshot = routing();
-  const Router router(*snapshot, &shards_, options_.router);
+  const Router router(*snapshot, &shards_);
   if (options_.exec.bucket_layout != nullptr && !options_.exec.raw_buckets) {
     return DeleteBucketsLocked(router, expr);
   }
@@ -814,39 +787,6 @@ Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
   return deleted;
 }
 
-std::string Cluster::Explain(const query::ExprPtr& expr) const {
-  const std::shared_ptr<const RoutingTable> snapshot = routing();
-  const Router router(*snapshot, &shards_, options_.router);
-  bool broadcast = false;
-  const std::vector<int> targets = router.TargetShards(
-      Router::RoutingExpr(expr, options_.exec), &broadcast);
-  query::PlanningContext plan_ctx;
-  if (!options_.exec.raw_buckets) {
-    plan_ctx.bucket_layout = options_.exec.bucket_layout;
-  }
-
-  std::string out = "query: " + expr->DebugString() + "\n";
-  out += "shard key: " + snapshot->pattern.DebugString() + "\n";
-  out += "targeting: " + std::to_string(targets.size()) + "/" +
-         std::to_string(shards_.size()) + " shards" +
-         (broadcast ? " (broadcast)" : "") + "\n";
-  for (const int shard_id : targets) {
-    const Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-    // Planning reads the shard's collection and indexes: hold its data
-    // lock shared against that shard's writers.
-    const std::shared_lock<std::shared_mutex> data(shard.data_mutex());
-    out += "  shard " + std::to_string(shard_id) + " (" +
-           std::to_string(shard.num_documents()) + " docs):\n";
-    const std::vector<query::CandidatePlan> candidates =
-        query::Planner::Plan(shard.collection().records(), shard.catalog(),
-                             expr, plan_ctx);
-    for (const query::CandidatePlan& plan : candidates) {
-      out += "    candidate: " + plan.summary + "\n";
-    }
-  }
-  return out;
-}
-
 ClusterExplain Cluster::Explain(const query::ExprPtr& expr,
                                 query::ExplainVerbosity verbosity) const {
   query::ExecutorOptions exec = options_.exec;
@@ -856,7 +796,7 @@ ClusterExplain Cluster::Explain(const query::ExprPtr& expr,
   // Targets like OpenCursor: the latch, then the routing snapshot.
   std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
   const std::shared_ptr<const RoutingTable> snapshot = routing();
-  const Router router(*snapshot, &shards_, options_.router, &profiler_);
+  const Router router(*snapshot, &shards_, &profiler_);
   std::unique_ptr<ClusterCursor> cursor =
       router.OpenCursor(expr, exec, full_drain, std::move(latch));
   while (!cursor->exhausted()) (void)cursor->NextBatch();
@@ -910,7 +850,7 @@ std::string PlannerStatusJson() {
 
 std::vector<int> Cluster::TargetShards(const query::ExprPtr& expr) const {
   const std::shared_ptr<const RoutingTable> snapshot = routing();
-  const Router router(*snapshot, &shards_, options_.router);
+  const Router router(*snapshot, &shards_);
   return router.TargetShards(Router::RoutingExpr(expr, options_.exec));
 }
 

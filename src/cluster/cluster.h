@@ -41,17 +41,6 @@ struct DurabilityOptions {
   uint64_t checkpoint_wal_bytes = 0;
 };
 
-/// Knobs for Cluster::Reshard (namespace scope so it can serve as a default
-/// argument — a nested struct's member initializers cannot).
-struct ReshardOptions {
-  /// Chunks in the target table; 0 derives one from the data volume and
-  /// chunk_max_bytes (at least one per shard).
-  size_t target_chunks = 0;
-  /// Sample every Nth shard-key value when building the target split
-  /// vector (MongoDB's resharding samples, it never sorts every key).
-  size_t sample_stride = 4;
-};
-
 /// Deployment-level knobs of the simulated cluster.
 struct ClusterOptions {
   int num_shards = 12;  ///< The paper's deployment uses 12 shard VMs.
@@ -67,7 +56,6 @@ struct ClusterOptions {
 
   uint64_t seed = 42;  ///< Drives balancer randomness; fully reproducible.
 
-  RouterOptions router;
   query::ExecutorOptions exec;
   BalancerOptions balancer;
   DurabilityOptions durability;
@@ -223,8 +211,7 @@ class Cluster {
   /// concurrent calls return AlreadyExists.
   Status Reshard(ShardKeyPattern new_pattern,
                  const std::vector<index::IndexDescriptor>& new_secondary_indexes,
-                 const ReshardEnrichFn& enrich = nullptr,
-                 const ReshardOptions& reshard_options = ReshardOptions());
+                 const ReshardEnrichFn& enrich = nullptr);
 
   /// True while a Reshard() is between its routing flip and its final
   /// metadata swap (reads broadcast, writes route by the target table).
@@ -233,17 +220,12 @@ class Cluster {
   /// Read/write distribution snapshot as one JSON object: per-shard cursor
   /// targeting counts (reads), per-shard write counts summed from the
   /// per-chunk write counters, and the hottest chunk's share — the figures
-  /// MongoDB's analyzeShardKey reports, feeding the balancer's
-  /// weigh_by_writes pick and the traffic harness report.
+  /// MongoDB's analyzeShardKey reports, feeding the traffic harness
+  /// report.
   std::string DistributionJson() const;
 
   /// Shards the router would contact (for node-count studies).
   std::vector<int> TargetShards(const query::ExprPtr& expr) const;
-
-  /// Human-readable multi-line plan report: targeting decision plus each
-  /// contacted shard's candidate plans (explain()-style, without running
-  /// the query).
-  std::string Explain(const query::ExprPtr& expr) const;
 
   /// Structured explain: executes the query once through the normal cursor
   /// path with per-stage timing enabled and returns the full execution
@@ -304,6 +286,11 @@ class Cluster {
 
   Status MoveChunk(size_t chunk_index, int to_shard);
   void MaybeSplitChunk(size_t chunk_index);
+  /// Bucketed collections balance by decoded points, not bucket documents
+  /// (see PickNextMigration).
+  bool weigh_by_points() const {
+    return options_.exec.bucket_layout != nullptr;
+  }
   /// Publishes a RoutingTable of the current pattern_, chunks_ and reshard
   /// flag. Every routing change calls it before it releases topology_mu_
   /// (or, in single-threaded setup, before it returns).
@@ -338,9 +325,11 @@ class Cluster {
       const std::vector<index::IndexDescriptor>& new_secondary_indexes,
       const ReshardEnrichFn& enrich);
   /// Phase 2: sampled split vector over the new-pattern keys of every
-  /// shard → the target chunk table with exact accounting.
+  /// shard → the target chunk table with exact accounting. The table has
+  /// as many chunks as the data volume over chunk_max_bytes, and at least
+  /// one per shard.
   Result<std::unique_ptr<ChunkManager>> ReshardBuildChunkTable(
-      const ShardKeyPattern& new_pattern, const ReshardOptions& opts) const;
+      const ShardKeyPattern& new_pattern) const;
   /// Phase 4, per target chunk: two-phase copy of every out-of-place
   /// document onto the owning shard, commit under the latch + exclusive
   /// topology, stats/plan-cache invalidation on every shard touched.

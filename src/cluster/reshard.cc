@@ -31,7 +31,6 @@
 // has moved under the new one.
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -41,6 +40,12 @@
 #include "storage/bucket.h"
 
 namespace stix::cluster {
+namespace {
+
+// Every Nth shard-key value feeds the target split vector.
+constexpr size_t kSampleStride = 4;
+
+}  // namespace
 
 // Fires at the start of every per-chunk reshard move, before any document
 // is cloned. A delay models a slow copy (stretching the window concurrent
@@ -52,8 +57,7 @@ STIX_FAIL_POINT_DEFINE(reshardMoveChunk);
 Status Cluster::Reshard(ShardKeyPattern new_pattern,
                         const std::vector<index::IndexDescriptor>&
                             new_secondary_indexes,
-                        const ReshardEnrichFn& enrich,
-                        const ReshardOptions& reshard_options) {
+                        const ReshardEnrichFn& enrich) {
   STIX_METRIC_COUNTER(completed, "reshard.completed");
 
   const std::unique_lock<std::mutex> one(reshard_mu_, std::try_to_lock);
@@ -112,7 +116,7 @@ Status Cluster::Reshard(ShardKeyPattern new_pattern,
   {
     const std::unique_lock<std::shared_mutex> topo(topology_mu_);
     Result<std::unique_ptr<ChunkManager>> table =
-        ReshardBuildChunkTable(new_pattern, reshard_options);
+        ReshardBuildChunkTable(new_pattern);
     if (!table.ok()) {
       reshard_preparing_ = false;
       reshard_enrich_ = nullptr;  // pre-flip failure, as in unwind()
@@ -234,7 +238,7 @@ Status Cluster::ReshardPrepareShards(
 }
 
 Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
-    const ShardKeyPattern& new_pattern, const ReshardOptions& opts) const {
+    const ShardKeyPattern& new_pattern) const {
   // Caller holds topology_mu_ exclusive: no writer can run, so one pass
   // over every shard is a consistent snapshot.
   struct Keyed {
@@ -257,24 +261,20 @@ Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
   std::sort(all.begin(), all.end(),
             [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
 
-  size_t target_chunks = opts.target_chunks;
-  if (target_chunks == 0) {
-    // Same density the split threshold would converge to, but computed in
-    // one pass — and never fewer chunks than shards, or the round-robin
-    // assignment would leave shards empty.
-    target_chunks = static_cast<size_t>(
-        total_bytes / std::max<uint64_t>(options_.chunk_max_bytes, 1) + 1);
-    target_chunks =
-        std::max(target_chunks, static_cast<size_t>(options_.num_shards));
-  }
+  // Same density the split threshold would converge to, but computed in
+  // one pass — and never fewer chunks than shards, or the round-robin
+  // assignment would leave shards empty.
+  const size_t target_chunks = std::max(
+      static_cast<size_t>(
+          total_bytes / std::max<uint64_t>(options_.chunk_max_bytes, 1) + 1),
+      static_cast<size_t>(options_.num_shards));
 
   // MongoDB's resharding samples the key space rather than sorting every
   // key into the split decision; the stride keeps that shape (accounting
   // below stays exact — only the boundary choice is sampled).
-  const size_t stride = std::max<size_t>(opts.sample_stride, 1);
   std::vector<std::string> sampled;
-  sampled.reserve(all.size() / stride + 1);
-  for (size_t i = 0; i < all.size(); i += stride) {
+  sampled.reserve(all.size() / kSampleStride + 1);
+  for (size_t i = 0; i < all.size(); i += kSampleStride) {
     sampled.push_back(all[i].key);
   }
   const std::vector<std::string> bounds = SplitVector(sampled, target_chunks);
@@ -342,25 +342,16 @@ Status Cluster::ReshardMoveChunk(size_t chunk_index) {
   // key ranges proceed. Post-flip inserts land on the owner directly, so
   // this source set only ever shrinks (deletes); there are no stragglers
   // to chase.
-  std::vector<std::map<storage::RecordId, bson::Document>> clones(
-      shards_.size());
+  std::vector<RangeDocs> clones(shards_.size());
   bool any = false;
   for (const auto& shard : shards_) {
     if (shard->id() == owner) continue;
     const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
-    const index::Index* idx = shard->catalog().Get(reshard_index_name_);
-    if (idx == nullptr) {
-      return Status::Internal("reshard index missing on shard");
-    }
-    auto& mine = clones[static_cast<size_t>(shard->id())];
-    for (storage::BTree::Cursor c = idx->btree().SeekGE(min);
-         c.Valid() && c.key() < max; c.Next()) {
-      const bson::Document* doc = shard->collection().records().Get(c.rid());
-      if (doc != nullptr) {
-        mine.emplace(c.rid(), *doc);
-        any = true;
-      }
-    }
+    Result<RangeDocs> mine =
+        shard->CollectRangeLocked(reshard_index_name_, min, max);
+    if (!mine.ok()) return mine.status();
+    any = any || !mine->rids.empty();
+    clones[static_cast<size_t>(shard->id())] = std::move(*mine);
   }
   if (!any) {
     chunks_migrated.Increment();
@@ -381,37 +372,22 @@ Status Cluster::ReshardMoveChunk(size_t chunk_index) {
   uint64_t moved = 0;
   for (const auto& shard : shards_) {
     if (shard->id() == owner) continue;
-    const index::Index* idx = shard->catalog().Get(reshard_index_name_);
-    if (idx == nullptr) {
-      return Status::Internal("reshard index missing on shard");
-    }
     // Re-scan inside the critical section: a clone whose document was
     // deleted mid-copy silently drops out here.
-    auto& mine = clones[static_cast<size_t>(shard->id())];
-    std::vector<storage::RecordId> rids;
-    std::vector<bson::Document> copies;
-    for (storage::BTree::Cursor c = idx->btree().SeekGE(min);
-         c.Valid() && c.key() < max; c.Next()) {
-      if (const auto it = mine.find(c.rid()); it != mine.end()) {
-        copies.push_back(std::move(it->second));
-      } else {
-        const bson::Document* doc =
-            shard->collection().records().Get(c.rid());
-        if (doc == nullptr) continue;
-        copies.push_back(*doc);
-      }
-      rids.push_back(c.rid());
-    }
-    if (rids.empty()) continue;
+    Result<RangeDocs> range = shard->CollectRangeLocked(
+        reshard_index_name_, min, max,
+        &clones[static_cast<size_t>(shard->id())]);
+    if (!range.ok()) return range.status();
+    if (range->rids.empty()) continue;
     // One batch onto the owner, then one batch off this shard — the same
     // apply as a balancer migration.
     if (Result<std::vector<storage::RecordId>> inserted =
-            dest.InsertBatchLocked(std::move(copies));
+            dest.InsertBatchLocked(std::move(range->docs));
         !inserted.ok()) {
       return inserted.status();
     }
-    if (Status s = shard->RemoveBatchLocked(rids); !s.ok()) return s;
-    moved += rids.size();
+    if (Status s = shard->RemoveBatchLocked(range->rids); !s.ok()) return s;
+    moved += range->rids.size();
     shard->OnDataDistributionChanged();
   }
   if (moved > 0) {

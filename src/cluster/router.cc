@@ -22,6 +22,13 @@ STIX_FAIL_POINT_DEFINE(clusterMergeBatch);
 
 namespace {
 
+// Fixed cost charged per contacted shard in the modelled latency
+// (connection handling + result batching on the mongos). The paper's
+// discussion of small queries hinges on this being small but non-zero;
+// it is scaled down with the data so it stays proportionally as minor
+// as a LAN round trip is against the paper's 10-1000 ms queries.
+constexpr double kPerNodeOverheadMs = 0.02;
+
 std::vector<int> AllShardIds(size_t n) {
   std::vector<int> ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = static_cast<int>(i);
@@ -154,31 +161,18 @@ std::unique_ptr<ClusterCursor> Router::OpenCursor(
   std::vector<int> targets = TargetShards(RoutingExpr(expr, exec), &broadcast);
   return std::unique_ptr<ClusterCursor>(
       new ClusterCursor(shards_, std::move(targets), broadcast, expr, exec,
-                        options_, cursor_options, profiler_,
+                        cursor_options, profiler_,
                         std::move(migration_latch)));
-}
-
-ClusterQueryResult Router::Execute(
-    const query::ExprPtr& expr,
-    const query::ExecutorOptions& exec_options) const {
-  // One unbounded getMore per shard: the classic run-to-completion
-  // scatter/gather is the degenerate case of the streaming cursor, so both
-  // paths share one merge and one set of accounting.
-  CursorOptions full_drain;
-  full_drain.batch_size = 0;
-  full_drain.limit = 0;
-  return OpenCursor(expr, exec_options, full_drain)->Drain();
 }
 
 ClusterCursor::ClusterCursor(
     const std::vector<std::unique_ptr<Shard>>* shards,
     std::vector<int> targets, bool broadcast, const query::ExprPtr& expr,
     const query::ExecutorOptions& exec_options,
-    const RouterOptions& router_options, const CursorOptions& cursor_options,
-    OpProfiler* profiler, std::shared_lock<std::shared_mutex> migration_latch)
+    const CursorOptions& cursor_options, OpProfiler* profiler,
+    std::shared_lock<std::shared_mutex> migration_latch)
     : targets_(std::move(targets)),
       broadcast_(broadcast),
-      router_options_(router_options),
       cursor_options_(cursor_options),
       expr_(expr),
       profiler_(profiler),
@@ -336,10 +330,10 @@ ClusterQueryResult ClusterCursor::Summary() const {
     result.sum_shard_millis += report.millis;
   }
   result.merge_millis = merge_millis_;
-  result.modeled_millis = result.max_shard_millis +
-                          router_options_.per_node_overhead_ms *
-                              static_cast<double>(result.nodes_contacted) +
-                          result.merge_millis;
+  result.modeled_millis =
+      result.max_shard_millis +
+      kPerNodeOverheadMs * static_cast<double>(result.nodes_contacted) +
+      result.merge_millis;
   result.n_returned = returned_;
   result.bytes_materialized = bytes_materialized_;
   result.first_result_millis =

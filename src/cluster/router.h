@@ -14,16 +14,6 @@ namespace stix::cluster {
 
 class OpProfiler;
 
-/// Router (mongos) behaviour knobs.
-struct RouterOptions {
-  /// Fixed cost charged per contacted shard in the modelled latency
-  /// (connection handling + result batching on the mongos). The paper's
-  /// discussion of small queries hinges on this being small but non-zero;
-  /// it is scaled down with the data so it stays proportionally as minor
-  /// as a LAN round trip is against the paper's 10-1000 ms queries.
-  double per_node_overhead_ms = 0.02;
-};
-
 /// Knobs for a streaming cluster cursor.
 struct CursorOptions {
   /// Documents requested from each shard per getMore round; 0 drains every
@@ -71,7 +61,7 @@ struct ClusterQueryResult {
   double max_shard_millis = 0.0;
   double sum_shard_millis = 0.0;
   double merge_millis = 0.0;
-  /// max_shard + per-node overhead + merge: the headline execution time.
+  /// max_shard + 0.02 ms per node + merge: the headline execution time.
   double modeled_millis = 0.0;
 
   /// Streaming accounting: documents the merge produced, bytes copied out
@@ -157,7 +147,7 @@ class ClusterCursor {
   ClusterQueryResult Summary() const;
 
   /// Drains the remaining stream and returns the full result, docs
-  /// included — Router::Execute is exactly open + Drain with batch size 0.
+  /// included — Cluster::Query is exactly open + Drain with batch size 0.
   ClusterQueryResult Drain();
 
   /// Explain view of this cursor's execution so far (complete once
@@ -173,7 +163,6 @@ class ClusterCursor {
                 std::vector<int> targets, bool broadcast,
                 const query::ExprPtr& expr,
                 const query::ExecutorOptions& exec_options,
-                const RouterOptions& router_options,
                 const CursorOptions& cursor_options,
                 OpProfiler* profiler,
                 std::shared_lock<std::shared_mutex> migration_latch);
@@ -190,7 +179,6 @@ class ClusterCursor {
 
   std::vector<int> targets_;
   bool broadcast_ = false;
-  RouterOptions router_options_;
   CursorOptions cursor_options_;
   query::ExprPtr expr_;  ///< For explain/profiler rendering.
   OpProfiler* profiler_ = nullptr;
@@ -257,11 +245,8 @@ class Router {
   /// threshold.
   Router(const RoutingTable& routing,
          const std::vector<std::unique_ptr<Shard>>* shards,
-         RouterOptions options, OpProfiler* profiler = nullptr)
-      : routing_(routing),
-        shards_(shards),
-        options_(options),
-        profiler_(profiler) {}
+         OpProfiler* profiler = nullptr)
+      : routing_(routing), shards_(shards), profiler_(profiler) {}
 
   /// Shard ids this query must contact (sorted, unique).
   std::vector<int> TargetShards(const query::ExprPtr& expr,
@@ -292,15 +277,9 @@ class Router {
       const CursorOptions& cursor_options = {},
       std::shared_lock<std::shared_mutex> migration_latch = {}) const;
 
-  /// Scatter/gather execution with per-shard measurement: open + drain with
-  /// a single unbounded getMore per shard.
-  ClusterQueryResult Execute(const query::ExprPtr& expr,
-                             const query::ExecutorOptions& exec_options) const;
-
  private:
   const RoutingTable& routing_;
   const std::vector<std::unique_ptr<Shard>>* shards_;
-  RouterOptions options_;
   OpProfiler* profiler_;
 };
 

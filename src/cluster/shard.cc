@@ -1,6 +1,7 @@
 #include "cluster/shard.h"
 
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <sstream>
 
@@ -100,6 +101,35 @@ Result<storage::RecordId> Shard::Insert(bson::Document doc) {
 Status Shard::CommitWalLocked() {
   const Result<uint64_t> lsn = wal_->Commit();
   return lsn.ok() ? Status::OK() : lsn.status();
+}
+
+Result<RangeDocs> Shard::CollectRangeLocked(const std::string& index_name,
+                                            const std::string& min,
+                                            const std::string& max,
+                                            RangeDocs* reuse) const {
+  const index::Index* idx = catalog_.Get(index_name);
+  if (idx == nullptr) {
+    return Status::Internal("index " + index_name + " missing on shard");
+  }
+  std::map<storage::RecordId, size_t> reusable;
+  if (reuse != nullptr) {
+    for (size_t i = 0; i < reuse->rids.size(); ++i) {
+      reusable.emplace(reuse->rids[i], i);
+    }
+  }
+  RangeDocs out;
+  for (storage::BTree::Cursor c = idx->btree().SeekGE(min);
+       c.Valid() && c.key() < max; c.Next()) {
+    if (const auto it = reusable.find(c.rid()); it != reusable.end()) {
+      out.docs.push_back(std::move(reuse->docs[it->second]));
+    } else {
+      const bson::Document* doc = collection_.records().Get(c.rid());
+      if (doc == nullptr) continue;
+      out.docs.push_back(*doc);
+    }
+    out.rids.push_back(c.rid());
+  }
+  return out;
 }
 
 Result<std::vector<storage::RecordId>> Shard::InsertBatchLocked(
@@ -460,14 +490,6 @@ ShardExplain ShardCursor::Explain() const {
   explain.winning_plan = exec_.ExplainWinner();
   explain.rejected_plans = exec_.ExplainRejected();
   return explain;
-}
-
-ShardExplain Shard::Explain(const query::ExprPtr& expr,
-                            query::ExecutorOptions options) const {
-  options.stage_timing = true;
-  const std::unique_ptr<ShardCursor> cursor = OpenCursor(expr, options);
-  while (!cursor->exhausted()) (void)cursor->GetMore(0);
-  return cursor->Explain();
 }
 
 ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <string>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "index/index_catalog.h"
@@ -117,12 +118,19 @@ class ShardCursor {
   bool closed_ = false;
 };
 
+/// A chunk range's documents on one shard, in key order: a migration's
+/// source set.
+struct RangeDocs {
+  std::vector<storage::RecordId> rids;
+  std::vector<bson::Document> docs;  ///< Parallel to rids.
+};
+
 /// One MongoDB shard server: a shard-local collection plus its index
 /// catalog. Queries run against it through the same executor a standalone
 /// mongod would use; the router fans out and merges.
 ///
 /// Concurrency: a reader–writer lock over the shard's data (collection +
-/// indexes). Readers — OpenCursor/GetMore/Explain/RunQuery — hold it
+/// indexes). Readers — OpenCursor/GetMore/RunQuery — hold it
 /// shared; Insert and Remove (migration apply) hold it exclusive. Acquired
 /// last in the cluster's lock order (migration latch < topology < shard
 /// data) and never held across calls out of the shard. Contended
@@ -163,13 +171,6 @@ class Shard {
   std::unique_ptr<ShardCursor> OpenCursor(query::ExprPtr expr,
                                           const query::ExecutorOptions& options,
                                           uint64_t limit = 0) const;
-
-  /// Executes `expr` to exhaustion with per-stage timing enabled and
-  /// returns the explain slice of that execution (mongod's explain: the
-  /// query runs once, and what ran is what is reported). Plan-cache state
-  /// advances exactly as a normal query would advance it.
-  ShardExplain Explain(const query::ExprPtr& expr,
-                       query::ExecutorOptions options) const;
 
   uint64_t num_documents() const {
     return collection_.records().num_records();
@@ -225,6 +226,14 @@ class Shard {
   /// index fault stops at the failing record, as a single Remove() always
   /// has. Remove() is the one-record case.
   Status RemoveBatchLocked(const std::vector<storage::RecordId>& rids);
+  /// Copies of the documents whose `index_name` key lies in [min, max), in
+  /// key order, for a caller holding data_mutex() (shared suffices). A
+  /// document already in `reuse` (a migration's copy-phase snapshot of the
+  /// same range) is moved out of it instead of copied again.
+  Result<RangeDocs> CollectRangeLocked(const std::string& index_name,
+                                       const std::string& min,
+                                       const std::string& max,
+                                       RangeDocs* reuse = nullptr) const;
 
   // ---- Durability ----
   //

@@ -9,6 +9,11 @@
 namespace stix::query {
 namespace {
 
+// A cached or cost-picked plan may spend this multiple of its expected
+// works before the shape is re-raced (MongoDB's
+// internalQueryCacheEvictionRatio).
+constexpr double kReplanFactor = 10.0;
+
 // Places a plan-level estimate onto the stages it predicts: est_keys on the
 // first IXSCAN in the tree, est_docs on the first FETCH or COLLSCAN (the
 // stage whose docs_examined counter the estimate targets).
@@ -84,10 +89,9 @@ bool PlanExecutor::DrainCachedWithCap(Racer* racer, uint64_t cap) {
 // Races all candidates (MongoDB's multi-planner trial) and returns the
 // winner, which may be partially or fully executed.
 PlanExecutor::Racer* PlanExecutor::RunTrial() {
-  uint64_t budget = options_.trial_works;
-  if (budget == 0) {
-    budget = std::max<uint64_t>(10000, records_.num_records() * 3 / 10);
-  }
+  // Per-plan works budget, as MongoDB derives it from collection size.
+  const uint64_t budget =
+      std::max<uint64_t>(10000, records_.num_records() * 3 / 10);
   // The pushed-down limit caps the trial's result target: once any plan can
   // satisfy the whole query there is nothing left to race for.
   uint64_t target = options_.trial_results;
@@ -153,7 +157,7 @@ void PlanExecutor::Prepare() {
       if (cached_plan != nullptr) {
         const uint64_t cap = std::max<uint64_t>(
             options_.replan_min_works,
-            static_cast<uint64_t>(options_.replan_factor *
+            static_cast<uint64_t>(kReplanFactor *
                                   static_cast<double>(entry->works)));
         const bool forced_replan =
             planExecutorReplan.Evaluate().has_value();
@@ -187,7 +191,7 @@ void PlanExecutor::Prepare() {
   // budget is exactly where the estimates have been misleading; let the
   // race re-measure reality. A cost-picked plan still runs under a works
   // cap derived from its own estimate, so a bad estimate costs at most
-  // replan_factor x the predicted work before the race takes over.
+  // kReplanFactor x the predicted work before the race takes over.
   if (candidates_.size() > 1 && !replanned_ &&
       options_.plan_selection == PlanSelectionMode::kCost &&
       options_.shard_stats != nullptr) {
@@ -205,7 +209,7 @@ void PlanExecutor::Prepare() {
         const double est_cost = estimates_[choice.winner].cost;
         const uint64_t cap = std::max<uint64_t>(
             options_.replan_min_works,
-            static_cast<uint64_t>(options_.replan_factor * est_cost));
+            static_cast<uint64_t>(kReplanFactor * est_cost));
         racers_.push_back(Racer{pick, {}, {}, 0, false});
         if (DrainCachedWithCap(&racers_.back(), cap)) {
           winner_ = &racers_.back();

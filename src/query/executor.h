@@ -41,13 +41,9 @@ struct ExecutorOptions {
   /// A plan that produces this many results during the trial wins
   /// immediately (MongoDB's 101).
   uint64_t trial_results = 101;
-  /// Per-plan work budget for the trial; 0 derives it from collection size
-  /// (MongoDB: max(10000, 0.3 * collection size)).
-  uint64_t trial_works = 0;
-  /// A cached plan may spend up to replan_factor * cached-works (but at
-  /// least replan_min_works) before it is abandoned and the shape re-raced
-  /// (MongoDB's internalQueryCacheEvictionRatio = 10).
-  double replan_factor = 10.0;
+  /// A cached plan may spend up to 10x its cached works (MongoDB's
+  /// internalQueryCacheEvictionRatio), but at least replan_min_works, before
+  /// it is abandoned and the shape re-raced.
   uint64_t replan_min_works = 200;
   /// Per-stage wall-clock timing on every plan stage (explain/profiler
   /// executions). Off by default: normal queries pay no clock reads.

@@ -31,11 +31,14 @@ std::vector<CandidatePlan> Planner::Plan(const storage::RecordStore& records,
   // Bucketed collections: index bounds come from the *widened* rewrite of
   // the point expression (safe over bucket documents); the exact point
   // filter moves into the BUCKET_UNPACK stage wrapped around every plan.
-  // A null widened expression simply constrains no path, so the planner
-  // falls through to BUCKET_UNPACK -> COLLSCAN.
+  // A null widened expression simply constrains no path (a match-all), so
+  // the planner falls through to BUCKET_UNPACK -> COLLSCAN.
   const bool bucketed = ctx.bucket_layout != nullptr;
   ExprPtr bounds_expr = expr;
-  if (bucketed) bounds_expr = WidenForBuckets(expr, *ctx.bucket_layout);
+  if (bucketed) {
+    bounds_expr = WidenForBuckets(expr, *ctx.bucket_layout);
+    if (bounds_expr == nullptr) bounds_expr = MakeAnd({});
+  }
 
   const std::map<std::string, PathInfo> paths = AnalyzeQuery(bounds_expr);
   std::vector<CandidatePlan> candidates;

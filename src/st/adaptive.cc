@@ -8,6 +8,10 @@
 namespace stix::st {
 namespace {
 
+// Baseline weight every document carries even if no workload query touches
+// it, so cold data still spreads across shards.
+constexpr double kBackgroundWeight = 0.05;
+
 struct WeightedValue {
   bson::Value value;  // zone-path value (hilbertIndex or date)
   double weight;
@@ -55,7 +59,7 @@ Result<std::vector<cluster::ZoneRange>> ComputeWorkloadAwareZones(
           }
           const bson::Value* v = doc.GetPath(zone_path);
           if (v == nullptr) return;
-          double weight = options.background_weight;
+          double weight = kBackgroundWeight;
           for (const auto& [expr, query_weight] : predicates) {
             if (expr->Matches(doc)) weight += query_weight;
           }

@@ -20,9 +20,6 @@ struct WorkloadQuery {
 struct AdaptiveZoneOptions {
   /// Documents sampled for the load estimate (0 = use all documents).
   size_t sample_limit = 100000;
-  /// Baseline weight every document carries even if no workload query
-  /// touches it, so cold data still spreads across shards.
-  double background_weight = 0.05;
   uint64_t seed = 97;
 };
 

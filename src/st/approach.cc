@@ -4,6 +4,12 @@
 #include "common/stopwatch.h"
 
 namespace stix::st {
+namespace {
+
+// Selectivity above which the adaptive cover budget goes coarse.
+constexpr double kCoarseCoverFraction = 0.02;
+
+}  // namespace
 
 size_t Approach::CacheKeyHash::operator()(const CacheKey& k) const {
   // FNV-1a over the raw bytes: the key is a POD of doubles/int64s compared
@@ -96,16 +102,14 @@ std::vector<index::IndexDescriptor> Approach::secondary_indexes() const {
           "location_2dsphere_date_1",
           std::vector<index::IndexField>{
               {kLocationField, index::IndexFieldKind::k2dsphere},
-              {kDateField, index::IndexFieldKind::kAscending}},
-          config_.geohash_bits);
+              {kDateField, index::IndexFieldKind::kAscending}});
       break;
     case ApproachKind::kBslTS:
       out.emplace_back(
           "date_1_location_2dsphere",
           std::vector<index::IndexField>{
               {kDateField, index::IndexFieldKind::kAscending},
-              {kLocationField, index::IndexFieldKind::k2dsphere}},
-          config_.geohash_bits);
+              {kLocationField, index::IndexFieldKind::k2dsphere}});
       break;
     case ApproachKind::kHil:
     case ApproachKind::kHilStar:
@@ -291,7 +295,7 @@ TranslatedQuery Approach::TranslateRegionQuery(query::ExprPtr geo_predicate,
 size_t Approach::PickCoverBudget(double est_fraction) const {
   if (!uses_hilbert() || !config_.adaptive_cover_budget) return 0;
   if (est_fraction < 0.0) return 0;  // unknown selectivity: stay exact
-  if (est_fraction <= config_.coarse_cover_fraction) {
+  if (est_fraction <= kCoarseCoverFraction) {
     STIX_METRIC_COUNTER(fine, "planner.cover_fine");
     fine.Increment();
     return 0;

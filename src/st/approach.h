@@ -40,8 +40,6 @@ struct ApproachConfig {
   /// Hilbert curve bits per dimension (paper: 13, matching the 26 total bits
   /// of the 2dsphere GeoHash).
   int hilbert_order = 13;
-  /// 2dsphere GeoHash precision in total bits (MongoDB default 26).
-  int geohash_bits = 26;
   /// MBR of the data set; only consulted by kHilStar.
   geo::Rect dataset_mbr = geo::GlobeRect();
   /// 1D linearization behind the hilbertIndex field (curve approaches
@@ -60,7 +58,7 @@ struct ApproachConfig {
   /// Adaptive curve-covering budget (Hilbert approaches only): when the
   /// store can estimate a query's selectivity from the shard histograms,
   /// low-selectivity rects — ones expected to touch more than
-  /// `coarse_cover_fraction` of the data — are covered with at most
+  /// 2% of the data — are covered with at most
   /// `coarse_cover_max_ranges` ranges (a coarser superset: fewer seeks and
   /// far less covering work, and still exact because the residual
   /// $geoWithin + date predicates refine at FETCH), while hot small rects
@@ -68,7 +66,6 @@ struct ApproachConfig {
   /// the exact covering.
   bool adaptive_cover_budget = true;
   size_t coarse_cover_max_ranges = 64;
-  double coarse_cover_fraction = 0.02;
 };
 
 /// A spatio-temporal range query translated into the store's match language,
@@ -144,7 +141,7 @@ class Approach {
 
   /// The covering budget for a query expected to select `est_fraction`
   /// (0..1) of the stored documents: coarse_cover_max_ranges when the
-  /// adaptive budget is on and the fraction crosses coarse_cover_fraction,
+  /// adaptive budget is on and the fraction crosses 2%,
   /// else 0 (exact). A negative fraction means unknown — exact covering.
   size_t PickCoverBudget(double est_fraction) const;
 

@@ -5,6 +5,9 @@
 namespace stix::st {
 namespace {
 
+constexpr double kInitialRadiusM = 250.0;
+constexpr int kMaxExpansions = 16;
+
 // Keeps `best` sorted ascending by distance with at most k entries; a
 // candidate no closer than the current k-th is dropped without copying.
 void OfferCandidate(Neighbor candidate, size_t k, std::vector<Neighbor>* best) {
@@ -24,14 +27,14 @@ KnnResult KnnQuery(const StStore& store, geo::Point center,
                    int64_t t_begin_ms, int64_t t_end_ms,
                    const KnnOptions& options) {
   KnnResult result;
-  double radius_m = options.initial_radius_m;
-  if (options.seed_from_buckets && store.bucketed()) {
+  double radius_m = kInitialRadiusM;
+  if (store.bucketed()) {
     const std::optional<double> seed =
         store.MinBucketDistanceM(center, t_begin_ms, t_end_ms);
     if (seed.has_value()) radius_m = std::max(radius_m, *seed);
   }
 
-  for (int round = 0; round <= options.max_expansions; ++round) {
+  for (int round = 0; round <= kMaxExpansions; ++round) {
     const geo::Rect ring = geo::RectAroundPoint(center, radius_m);
 
     // Stream the ring probe: batches arrive per shard getMore round and
@@ -70,7 +73,7 @@ KnnResult KnnQuery(const StStore& store, geo::Point center,
         ring.lo.lat <= -90.0 && ring.hi.lat >= 90.0;
     const bool complete =
         best.size() >= options.k && best.back().distance_m <= radius_m;
-    if (complete || covers_everything || round == options.max_expansions) {
+    if (complete || covers_everything || round == kMaxExpansions) {
       result.neighbors = std::move(best);
       return result;
     }

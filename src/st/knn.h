@@ -10,18 +10,8 @@ namespace stix::st {
 /// k-nearest-neighbour search options.
 struct KnnOptions {
   size_t k = 10;
-  /// First search ring radius; doubles on each expansion.
-  double initial_radius_m = 250.0;
-  /// Give up (return what was found) after this many doublings.
-  int max_expansions = 16;
   /// Documents pulled per shard per getMore while streaming a ring probe.
   size_t batch_size = 256;
-  /// Bucketed stores only: seed the first ring radius from the distance to
-  /// the nearest bucket MBR overlapping the time window (a metadata-only
-  /// scan, no column decompression). Enlarging the first ring never skips a
-  /// neighbour — no point can lie closer than its bucket's MBR — it only
-  /// skips ring probes that provably return nothing. No-op on row stores.
-  bool seed_from_buckets = true;
   /// Candidate budget per ring probe, pushed down the cursor stack as a
   /// limit: the probe's shard executors stop as soon as this many
   /// candidates have been produced. 0 (default) keeps the search exact; a
@@ -55,7 +45,12 @@ struct KnnResult {
 /// paper's range-query machinery):
 /// a square of half-width r is queried; the answer is final once at least k
 /// candidates lie within distance r (no point outside the square can be
-/// closer). Otherwise r doubles.
+/// closer). Otherwise r doubles, at most 16 times. r starts at 250 m; on
+/// bucketed stores it starts at least at the distance to the nearest bucket
+/// MBR overlapping the time window (a metadata-only scan, no column
+/// decompression). Enlarging the first ring never skips a neighbour — no
+/// point can lie closer than its bucket's MBR — it only skips ring probes
+/// that provably return nothing.
 KnnResult KnnQuery(const StStore& store, geo::Point center,
                    int64_t t_begin_ms, int64_t t_end_ms,
                    const KnnOptions& options = {});

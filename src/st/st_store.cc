@@ -12,6 +12,9 @@
 namespace stix::st {
 namespace {
 
+// Inserts per second of the client-side _id load clock.
+constexpr uint64_t kDocsPerIdSecond = 128;
+
 /// Resolves the bucket layout against the approach before anything is
 /// constructed from it: the catalog's encoding and the executor's widening
 /// must agree on whether points carry a hilbertIndex.
@@ -20,12 +23,10 @@ StStoreOptions ResolveOptions(StStoreOptions options) {
     const ApproachKind kind = options.approach.kind;
     options.bucket->use_hilbert = (kind == ApproachKind::kHil ||
                                    kind == ApproachKind::kHilStar);
-    // The executor unpacks buckets behind every query; the balancer weighs
-    // chunks by decoded point count instead of (uniformly small) bucket
-    // document counts.
+    // The executor unpacks buckets behind every query (and the balancer
+    // then weighs chunks by decoded point count).
     options.cluster.exec.bucket_layout =
         std::make_shared<const storage::BucketLayout>(*options.bucket);
-    options.cluster.balancer.weigh_by_points = true;
   }
   return options;
 }
@@ -60,8 +61,7 @@ StStore::StStore(StStoreOptions resolved,
       id_generator_(options_.cluster.seed ^ 0x1d5ULL) {
   if (options_.bucket.has_value()) {
     catalog_ = std::make_unique<storage::BucketCatalog>(
-        *options_.bucket, storage::BucketCatalogOptions{},
-        [this](bson::Document bucket) {
+        *options_.bucket, [this](bson::Document bucket) {
           return cluster_->Insert(std::move(bucket));
         });
   }
@@ -99,9 +99,7 @@ Status StStore::Insert(bson::Document doc) {
     if (!doc.Has("_id")) {
       const uint32_t load_seconds = static_cast<uint32_t>(
           options_.load_clock_begin_ms / 1000 +
-          static_cast<int64_t>(inserted_ /
-                               static_cast<uint64_t>(
-                                   options_.docs_per_id_second)));
+          static_cast<int64_t>(inserted_ / kDocsPerIdSecond));
       doc.Append("_id",
                  bson::Value::Id(id_generator_.Generate(load_seconds)));
     }

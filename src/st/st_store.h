@@ -26,10 +26,9 @@ struct StStoreOptions {
   /// approach, so leave it defaulted.
   std::optional<storage::BucketLayout> bucket;
   /// _id generation: the load clock starts here and advances one second per
-  /// `docs_per_id_second` inserts — the driver-side ObjectId timestamps the
+  /// 128 inserts — the client-side ObjectId timestamps the
   /// paper's A.3 prefix-compression analysis depends on.
   int64_t load_clock_begin_ms = 1538352000000;  // 2018-10-01T00:00:00Z
-  int docs_per_id_second = 128;
 };
 
 /// Result of one spatio-temporal query at cluster level.

@@ -6,6 +6,13 @@
 #include "common/metrics.h"
 
 namespace stix::storage {
+namespace {
+
+// Open-bucket cap; past it the least-recently-touched bucket seals even
+// if short (bounds writer memory under many concurrent vehicles).
+constexpr size_t kMaxOpenBuckets = 1024;
+
+}  // namespace
 
 // Fires at the start of every bucket flush (seal, eviction or FlushAll).
 // An error action fails the flush: the bucket stays buffered and the error
@@ -13,11 +20,8 @@ namespace stix::storage {
 // restored by the next flush, which the fuzz harness verifies.
 STIX_FAIL_POINT_DEFINE(bucketCatalogFlush);
 
-BucketCatalog::BucketCatalog(BucketLayout layout, BucketCatalogOptions options,
-                             FlushFn flush)
-    : layout_(std::move(layout)),
-      options_(options),
-      flush_(std::move(flush)) {
+BucketCatalog::BucketCatalog(BucketLayout layout, FlushFn flush)
+    : layout_(std::move(layout)), flush_(std::move(flush)) {
   // Pre-register the bucket metrics so ServerStatus shows them from the
   // first snapshot, not from the first flush/unpack.
   MetricsRegistry& registry = MetricsRegistry::Instance();
@@ -47,7 +51,7 @@ Status BucketCatalog::Add(bson::Document point, uint64_t wal_lsn) {
   if (bucket.points.size() >= layout_.max_points) {
     return FlushOneLocked(*key);
   }
-  if (open_.size() > options_.max_open_buckets) {
+  if (open_.size() > kMaxOpenBuckets) {
     // Evict the least-recently-touched bucket (never the one just fed).
     const BucketKey* lru = nullptr;
     uint64_t lru_touch = 0;

@@ -11,17 +11,11 @@
 
 namespace stix::storage {
 
-struct BucketCatalogOptions {
-  /// Open-bucket cap; past it the least-recently-touched bucket seals even
-  /// if short (bounds writer memory under many concurrent vehicles).
-  size_t max_open_buckets = 1024;
-};
-
 /// The write path of the bucketed layout (MongoDB's BucketCatalog, scaled
 /// down): live inserts buffer into open buckets keyed by
 /// (vehicle, window[, hilbert cell]); a bucket seals — encodes and hands the
 /// bucket document to the flush callback — when it reaches
-/// BucketLayout::max_points, when the open-bucket cap evicts it, or on
+/// BucketLayout::max_points, when the open-bucket cap (1024) evicts it, or on
 /// FlushAll() (which query paths call first, so buffered points are always
 /// visible to readers).
 ///
@@ -36,8 +30,7 @@ class BucketCatalog {
  public:
   using FlushFn = std::function<Status(bson::Document bucket)>;
 
-  BucketCatalog(BucketLayout layout, BucketCatalogOptions options,
-                FlushFn flush);
+  BucketCatalog(BucketLayout layout, FlushFn flush);
 
   const BucketLayout& layout() const { return layout_; }
 
@@ -69,7 +62,6 @@ class BucketCatalog {
   Status FlushOneLocked(const BucketKey& key);
 
   const BucketLayout layout_;
-  const BucketCatalogOptions options_;
   const FlushFn flush_;
 
   mutable std::mutex mu_;

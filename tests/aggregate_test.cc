@@ -269,18 +269,39 @@ TEST_F(ClusterAggregateTest, DeleteRemovesMatchingAndUpdatesAccounting) {
 
 // ---------- explain ----------
 
+// True when some shard's winning plan has a `stage` node anywhere.
+bool AnyWinningPlanHas(const cluster::ClusterExplain& explain,
+                       const std::string& stage) {
+  std::vector<const ExplainNode*> todo;
+  for (const cluster::ShardExplain& shard : explain.shards) {
+    todo.push_back(&shard.winning_plan);
+  }
+  while (!todo.empty()) {
+    const ExplainNode* node = todo.back();
+    todo.pop_back();
+    if (node->stage == stage) return true;
+    for (const ExplainNode& child : node->children) todo.push_back(&child);
+  }
+  return false;
+}
+
 TEST_F(ClusterAggregateTest, ExplainReportsTargetingAndCandidates) {
   const ExprPtr targeted = MakeRange("date", Value::DateTime(0),
                                      Value::DateTime(60000LL * 50));
-  const std::string plan = cluster_->Explain(targeted);
-  EXPECT_NE(plan.find("shard key: {date: 1}"), std::string::npos);
-  EXPECT_NE(plan.find("IXSCAN"), std::string::npos);
-  EXPECT_EQ(plan.find("broadcast"), std::string::npos);
+  const cluster::ClusterExplain plan =
+      cluster_->Explain(targeted, ExplainVerbosity::kQueryPlanner);
+  EXPECT_EQ(plan.shard_key, "{date: 1}");
+  EXPECT_FALSE(plan.broadcast);
+  EXPECT_TRUE(AnyWinningPlanHas(plan, "IXSCAN"));
+  for (const cluster::ShardExplain& shard : plan.shards) {
+    EXPECT_GE(shard.num_candidates, 1);
+  }
 
   const ExprPtr off_key = MakeCmp("vehicle", CmpOp::kEq, Value::Int32(1));
-  const std::string broadcast_plan = cluster_->Explain(off_key);
-  EXPECT_NE(broadcast_plan.find("broadcast"), std::string::npos);
-  EXPECT_NE(broadcast_plan.find("COLLSCAN"), std::string::npos);
+  const cluster::ClusterExplain broadcast_plan =
+      cluster_->Explain(off_key, ExplainVerbosity::kQueryPlanner);
+  EXPECT_TRUE(broadcast_plan.broadcast);
+  EXPECT_TRUE(AnyWinningPlanHas(broadcast_plan, "COLLSCAN"));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "bson/object_id.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "query/aggregate.h"
 #include "query/bucket_unpack.h"
 #include "query/expression.h"
 #include "st/knn.h"
@@ -439,6 +440,18 @@ TEST(BucketQueryTest, RegistryCountersMoveAfterBucketedQuery) {
             pruned_before);
   EXPECT_GE(registry.GetCounter("bucket.points_unpacked").value(),
             unpacked_before + r.cluster.docs.size());
+}
+
+TEST(BucketQueryTest, AggregateWithoutMatchSeesPoints) {
+  const auto bucket = LoadedStore(ApproachKind::kHil, true, 1500);
+  ASSERT_TRUE(bucket->FlushBuckets().ok());
+  query::GroupStage group;
+  group.accumulators = {{"n", query::AccumulatorOp::kCount, ""}};
+  const auto out =
+      bucket->cluster().Aggregate(query::Pipeline().Group(std::move(group)));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out->size(), 1u);
+  EXPECT_EQ(out->front().Get("n")->AsInt64(), 1500);
 }
 
 TEST(BucketQueryTest, DeleteRemovesPointsUnderBucketLayout) {

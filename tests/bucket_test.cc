@@ -425,7 +425,7 @@ TEST(BucketCatalogTest, SealsOnMaxPoints) {
   BucketLayout layout;
   layout.max_points = 10;
   std::vector<bson::Document> flushed;
-  BucketCatalog catalog(layout, {}, [&](bson::Document bucket) {
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
     flushed.push_back(std::move(bucket));
     return Status::OK();
   });
@@ -451,7 +451,7 @@ TEST(BucketCatalogTest, KeysByVehicleAndWindow) {
   BucketLayout layout;
   layout.window_ms = 1000;
   std::vector<bson::Document> flushed;
-  BucketCatalog catalog(layout, {}, [&](bson::Document bucket) {
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
     flushed.push_back(std::move(bucket));
     return Status::OK();
   });
@@ -472,7 +472,7 @@ TEST(BucketCatalogTest, FailedFlushKeepsPointsAndRetries) {
   BucketLayout layout;
   bool fail = true;
   std::vector<bson::Document> flushed;
-  BucketCatalog catalog(layout, {}, [&](bson::Document bucket) {
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
     if (fail) return Status::Internal("flush rejected");
     flushed.push_back(std::move(bucket));
     return Status::OK();
@@ -497,7 +497,7 @@ TEST(BucketCatalogTest, HilbertCellSplitsBuckets) {
   layout.use_hilbert = true;
   layout.hilbert_shift = 4;
   std::vector<bson::Document> flushed;
-  BucketCatalog catalog(layout, {}, [&](bson::Document bucket) {
+  BucketCatalog catalog(layout, [&](bson::Document bucket) {
     flushed.push_back(std::move(bucket));
     return Status::OK();
   });

@@ -150,8 +150,8 @@ TEST(BalancerTest, NoMoveWhenBalanced) {
   cm.Split(0, keystring::Encode(Value::Int64(10)));
   cm.chunk(1).shard_id = 1;
   Rng rng(1);
-  EXPECT_FALSE(
-      PickNextMigration(cm, 2, {}, BalancerOptions{}, &rng).has_value());
+  EXPECT_FALSE(PickNextMigration(cm, 2, {}, /*weigh_by_points=*/false, &rng)
+                   .has_value());
 }
 
 TEST(BalancerTest, MovesFromLoadedToEmpty) {
@@ -162,7 +162,7 @@ TEST(BalancerTest, MovesFromLoadedToEmpty) {
   }
   // All 4 chunks on shard 0, 2 shards total.
   Rng rng(1);
-  const auto m = PickNextMigration(cm, 2, {}, BalancerOptions{}, &rng);
+  const auto m = PickNextMigration(cm, 2, {}, /*weigh_by_points=*/false, &rng);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->to_shard, 1);
 }
@@ -175,7 +175,8 @@ TEST(BalancerTest, ZoneViolationsComeFirst) {
   zones.push_back({keystring::Encode(Value::Int64(10)), keystring::MaxKey(), 1});
   // Chunk 1 belongs to zone of shard 1 but sits on shard 0.
   Rng rng(1);
-  const auto m = PickNextMigration(cm, 2, zones, BalancerOptions{}, &rng);
+  const auto m =
+      PickNextMigration(cm, 2, zones, /*weigh_by_points=*/false, &rng);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->chunk_index, 1u);
   EXPECT_EQ(m->to_shard, 1);
@@ -196,7 +197,8 @@ TEST(BalancerTest, StraddlingChunkIsPinnedByOverlapNotMinKey) {
   EXPECT_EQ(ZoneForKey(zones, cm.chunk(1).min), -1);
   EXPECT_EQ(ZoneForChunk(zones, cm.chunk(1)), 1);
   Rng rng(1);
-  const auto m = PickNextMigration(cm, 2, zones, BalancerOptions{}, &rng);
+  const auto m =
+      PickNextMigration(cm, 2, zones, /*weigh_by_points=*/false, &rng);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->chunk_index, 1u);
   EXPECT_EQ(m->to_shard, 1);
@@ -220,11 +222,55 @@ TEST(BalancerTest, PinnedChunksDoNotMaskMovableImbalance) {
   zones.push_back(
       {keystring::MinKey(), keystring::Encode(Value::Int64(40)), 2});
   Rng rng(1);
-  const auto m = PickNextMigration(cm, 3, zones, BalancerOptions{}, &rng);
+  const auto m =
+      PickNextMigration(cm, 3, zones, /*weigh_by_points=*/false, &rng);
   ASSERT_TRUE(m.has_value());
   EXPECT_GE(m->chunk_index, 4u);
   EXPECT_EQ(cm.chunk(m->chunk_index).shard_id, 1);
   EXPECT_EQ(m->to_shard, 0);
+}
+
+// Chunks [Min,10) [10,20) [20,30) [30,Max) on shard 0 of two, with very
+// different point counts; the last is pinned to shard 0 by a zone.
+ChunkManager UnevenPointChunks(std::vector<ZoneRange>* zones) {
+  ChunkManager cm(0);
+  for (int v : {10, 20, 30}) {
+    cm.Split(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
+             keystring::Encode(Value::Int64(v)));
+  }
+  const uint64_t points[] = {5, 900, 40, 5000};
+  for (size_t i = 0; i < 4; ++i) cm.chunk(i).points = points[i];
+  zones->push_back(
+      {keystring::Encode(Value::Int64(30)), keystring::MaxKey(), 0});
+  return cm;
+}
+
+TEST(BalancerTest, BucketedPickMovesHeaviestMovableChunk) {
+  std::vector<ZoneRange> zones;
+  const ChunkManager cm = UnevenPointChunks(&zones);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const auto m =
+        PickNextMigration(cm, 2, zones, /*weigh_by_points=*/true, &rng);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->chunk_index, 1u) << "seed " << seed;
+    EXPECT_EQ(m->to_shard, 1);
+  }
+}
+
+TEST(BalancerTest, RowPickStaysSeededRandom) {
+  std::vector<ZoneRange> zones;
+  const ChunkManager cm = UnevenPointChunks(&zones);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const auto m =
+        PickNextMigration(cm, 2, zones, /*weigh_by_points=*/false, &rng);
+    ASSERT_TRUE(m.has_value());
+    // Movable chunks 0..2: the pick is the seeded Rng's first draw.
+    Rng expected(seed);
+    EXPECT_EQ(m->chunk_index, expected.NextBounded(3)) << "seed " << seed;
+    EXPECT_EQ(m->to_shard, 1);
+  }
 }
 
 // ---------- Cluster end-to-end ----------

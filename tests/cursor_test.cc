@@ -438,8 +438,8 @@ TEST_F(ClusterCursorTest, DrainMatchesExecuteAtEveryBatchSize) {
     EXPECT_GE(r.first_result_millis, 0.0);
     if (batch == 0) {
       EXPECT_EQ(r.num_batches, 1);
-      // Execute() is exactly open + drain with batch size 0, so even the
-      // document order matches.
+      // Cluster::Query is exactly open + drain with batch size 0, so even
+      // the document order matches.
       EXPECT_EQ(r.docs.size(), reference.docs.size());
       for (size_t i = 0; i < r.docs.size(); ++i) {
         EXPECT_EQ(r.docs[i].Get("_id")->AsInt64(),
