@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <variant>
@@ -159,15 +160,12 @@ Status Cluster::Insert(bson::Document doc) {
         doc_points = storage::StoredPointCount(doc);
       }
     }
-    // While a reshard is in flight, writes route by the *target* table —
-    // the document lands directly on its final owner (so the chunk copier
-    // never chases a moving tail) and reads broadcast until the swap.
-    const bool resharding = resharding_in_progress_;
-    const ShardKeyPattern& pattern = resharding ? reshard_pattern_ : pattern_;
-    ChunkManager& table = resharding ? *reshard_chunks_ : *chunks_;
-    const std::string key = pattern.KeyOf(doc);
-    const size_t chunk_index = table.FindChunkIndex(key);
-    Chunk& chunk = table.chunk(chunk_index);
+    // From a reshard's routing flip on, chunks_ is its target table: the
+    // document lands directly on its final owner, so the chunk copier never
+    // chases a moving tail, and reads broadcast until the last chunk lands.
+    const std::string key = pattern_.KeyOf(doc);
+    const size_t chunk_index = chunks_->FindChunkIndex(key);
+    Chunk& chunk = chunks_->chunk(chunk_index);
 
     Result<storage::RecordId> rid =
         shards_[static_cast<size_t>(chunk.shard_id)]->Insert(std::move(doc));
@@ -177,9 +175,10 @@ Status Cluster::Insert(bson::Document doc) {
     chunk.docs += 1;
     chunk.points += doc_points;
     chunk.writes += 1;
-    // The transitional table never splits; the sampled split vector already
-    // sized its chunks, and the copier iterates it by index.
-    if (!resharding && chunk.bytes > options_.chunk_max_bytes &&
+    // A reshard walks its table by chunk index until the last chunk lands,
+    // so the table does not split meanwhile; the sampled split vector
+    // already sized its chunks.
+    if (!resharding_in_progress_ && chunk.bytes > options_.chunk_max_bytes &&
         !chunk.jumbo) {
       MaybeSplitChunk(chunk_index);
     }
@@ -196,23 +195,9 @@ Status Cluster::Insert(bson::Document doc) {
       run_round = true;
     }
   }
-  if (run_round) {
-    std::optional<Migration> m;
-    {
-      const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-      const std::lock_guard<std::mutex> bl(balance_mu_);
-      // The old table is being drained chunk by chunk; balancing it would
-      // only race the reshard copier over the same documents.
-      if (resharding_in_progress_ || reshard_preparing_) return Status::OK();
-      m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                            weigh_by_points(), &rng_);
-    }
-    if (m.has_value()) {
-      const Status s = MoveChunk(m->chunk_index, m->to_shard);
-      if (!s.ok()) return s;
-    }
-  }
-  return Status::OK();
+  if (!run_round) return Status::OK();
+  const std::optional<Migration> m = PickMigration();
+  return m.has_value() ? BalancerMove(*m) : Status::OK();
 }
 
 void Cluster::MaybeSplitChunk(size_t chunk_index) {
@@ -261,110 +246,193 @@ void Cluster::MaybeSplitChunk(size_t chunk_index) {
   (void)LogTopology();
 }
 
-// Two-phase chunk migration (MongoDB's moveChunk, with its critical
-// section). The copy phase clones the chunk's documents from the donor
-// under a shared lock, concurrently with readers and other shards'
-// writers. The commit phase then takes the migration latch exclusive
-// (held shared by every open cluster cursor; contention aborts the
-// migration benignly), re-resolves the chunk under the exclusive topology
-// lock, and — aborting benignly if the chunk split or moved during the
-// copy — applies the removes/inserts under both shards' data locks and
-// flips ownership. Documents are immutable here (no
-// updates), so a pre-copied clone is never stale; documents inserted after
-// the copy snapshot are cloned as stragglers inside the commit.
-Status Cluster::MoveChunk(size_t chunk_index, int to_shard) {
-  STIX_METRIC_COUNTER(committed, "balancer.migrations_committed");
-  STIX_METRIC_COUNTER(aborted, "balancer.migrations_aborted");
-
-  // Snapshot the chunk identity. The index may be stale (a concurrent split
-  // shifts indices) — harmless: it still names a real chunk, and the commit
-  // re-validates against this snapshot.
-  std::string min, max;
-  int from_shard = -1;
+// The one chunk migration (MongoDB's moveChunk, with its critical section):
+// make shard `to` hold every document of the chunk's range and own the
+// chunk. The balancer moves a chunk to a new owner, every document on the
+// old one. A reshard, whose target table went live at its routing flip,
+// gathers each chunk onto the owner it already has from wherever the old
+// table left the documents. The copy phase clones the range from every
+// other shard under that shard's shared lock, concurrently with readers and
+// writers. The commit then takes the migration latch exclusive (per
+// `mode`) and the topology lock exclusive, aborts benignly if the chunk
+// split, moved or was re-keyed during the copy, and applies the move under
+// the data locks of `to`, the owner and the shards the copy found documents
+// on. Documents are immutable here (no updates), so a pre-copied clone is
+// never stale; writes after the copy snapshot land on the owner, whose
+// stragglers are cloned inside the commit.
+Result<Cluster::MoveResult> Cluster::MoveChunk(size_t chunk_index, int to,
+                                               LatchMode mode) {
+  // Snapshot the chunk identity and the index that keys it. The index may
+  // be stale (a concurrent split shifts indices) — harmless: it still names
+  // a real chunk, and the commit re-validates against this snapshot.
+  std::string min, max, index_name;
+  int owner = -1;
   {
     const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-    if (chunk_index >= chunks_->num_chunks()) return Status::OK();
+    if (chunk_index >= chunks_->num_chunks()) return MoveResult{};
     const Chunk& chunk = chunks_->chunk(chunk_index);
-    if (chunk.shard_id == to_shard) return Status::OK();
     min = chunk.min;
     max = chunk.max;
-    from_shard = chunk.shard_id;
+    owner = chunk.shard_id;
+    index_name = shard_key_index_name_;
   }
-  if (Status s = CheckFailPoint(balancerMoveChunk); !s.ok()) return s;
-  Shard& source = *shards_[static_cast<size_t>(from_shard)];
-  Shard& dest = *shards_[static_cast<size_t>(to_shard)];
+  Shard& dest = *shards_[static_cast<size_t>(to)];
 
-  // Copy phase: clone the chunk's current documents under the donor's
-  // shared lock. Readers keep streaming; only the donor's writers wait.
-  Result<RangeDocs> clones = [&] {
-    const std::shared_lock<std::shared_mutex> data(source.data_mutex());
-    return source.CollectRangeLocked(shard_key_index_name_, min, max);
-  }();
-  if (!clones.ok()) return clones.status();
+  // Copy phase: readers keep streaming; each shard's writers wait only for
+  // that shard's scan.
+  std::vector<RangeDocs> clones(shards_.size());
+  std::vector<int> donors;  // in id order
+  for (const auto& shard : shards_) {
+    if (shard->id() == to) continue;
+    const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
+    Result<RangeDocs> found =
+        shard->CollectRangeLocked(index_name, min, max);
+    if (!found.ok()) return found.status();
+    // The owner donates even when empty: it takes the writes that arrive
+    // before the commit.
+    if (found->rids.empty() && shard->id() != owner) continue;
+    donors.push_back(shard->id());
+    clones[static_cast<size_t>(shard->id())] = std::move(*found);
+  }
+  if (donors.empty()) return MoveResult{MoveResult::kInPlace, 0};
 
   // Commit phase (the critical section). Lock order: latch < topology <
-  // shard data, shards in id order. The latch is try-locked: interleaving
-  // inserts with an open cursor on one thread is legal, and that thread
-  // already holds the latch shared — blocking here would self-deadlock.
-  // Contention aborts the migration benignly; a later round retries.
-  const std::unique_lock<std::shared_mutex> commit(migration_commit_latch_,
-                                                   std::try_to_lock);
-  if (!commit.owns_lock()) {
-    aborted.Increment();
-    return Status::OK();
-  }
+  // shard data, shards in id order.
+  const std::unique_lock<std::shared_mutex> commit = LatchExclusive(mode);
+  if (!commit.owns_lock()) return MoveResult{};
   const std::unique_lock<std::shared_mutex> topo(topology_mu_);
-  const size_t idx = chunks_->FindChunkIndex(min);
-  Chunk& chunk = chunks_->chunk(idx);
-  if (chunk.min != min || chunk.max != max || chunk.shard_id != from_shard) {
-    // The chunk split or was migrated while we copied. Nothing moved;
-    // a later round re-picks against the new topology.
-    aborted.Increment();
-    return Status::OK();
+  Chunk& chunk = chunks_->chunk(chunks_->FindChunkIndex(min));
+  // A balancer move that a reshard overtook aborts as well: its clones may
+  // predate the enrichment sweep.
+  if (chunk.min != min || chunk.max != max || chunk.shard_id != owner ||
+      index_name != shard_key_index_name_ ||
+      (mode == LatchMode::kTry &&
+       (resharding_in_progress_ || reshard_preparing_))) {
+    return MoveResult{};
   }
-  std::unique_lock<std::shared_mutex> first_lock(
-      source.id() < dest.id() ? source.data_mutex() : dest.data_mutex());
-  std::unique_lock<std::shared_mutex> second_lock(
-      source.id() < dest.id() ? dest.data_mutex() : source.data_mutex());
+  std::vector<int> locked = donors;
+  locked.insert(std::upper_bound(locked.begin(), locked.end(), to), to);
+  std::vector<std::unique_lock<std::shared_mutex>> data_locks;
+  data_locks.reserve(locked.size());
+  for (const int id : locked) {
+    data_locks.emplace_back(shards_[static_cast<size_t>(id)]->data_mutex());
+  }
 
-  // Documents inserted after the copy snapshot are cloned now, inside the
-  // critical section.
-  Result<RangeDocs> moved =
-      source.CollectRangeLocked(shard_key_index_name_, min, max, &*clones);
-  if (!moved.ok()) return moved.status();
+  // Re-collect inside the critical section: stragglers are cloned now, and
+  // a clone whose document was deleted mid-copy drops out.
+  std::vector<std::vector<storage::RecordId>> doomed(donors.size());
+  std::vector<bson::Document> moved;
+  for (size_t i = 0; i < donors.size(); ++i) {
+    const int id = donors[i];
+    Result<RangeDocs> range = shards_[static_cast<size_t>(id)]
+                                  ->CollectRangeLocked(
+                                      index_name, min, max,
+                                      &clones[static_cast<size_t>(id)]);
+    if (!range.ok()) return range.status();
+    doomed[i] = std::move(range->rids);
+    std::move(range->docs.begin(), range->docs.end(),
+              std::back_inserter(moved));
+  }
+  const uint64_t num_moved = moved.size();
   // Apply order is chosen for crash atomicity (a no-op reordering for the
   // in-memory store): the copies become durable on the recipient first
-  // (one WAL batch, one commit), then the ownership flip is journaled, and
-  // only then do the donor's copies die (one more batch). A crash anywhere
-  // leaves either the old or the new owner journaled, and recovery's
-  // orphan sweep removes whichever side the journaled owner does not claim
-  // — an acknowledged migration survives whole, an unacknowledged one
-  // vanishes whole. A failed recipient batch has already taken itself back
-  // out of memory.
+  // (one WAL batch, one commit), then an ownership flip is journaled, and
+  // only then do the donors' copies die (one more batch each). A crash
+  // anywhere leaves either the old or the new owner journaled, and
+  // recovery's orphan sweep removes whichever side the journaled owner does
+  // not claim — an acknowledged migration survives whole, an unacknowledged
+  // one vanishes whole. A failed recipient batch has already taken itself
+  // back out of memory.
   Result<std::vector<storage::RecordId>> dest_rids =
-      dest.InsertBatchLocked(std::move(moved->docs));
-  if (!dest_rids.ok()) {
-    aborted.Increment();
-    return dest_rids.status();
-  }
-  chunk.shard_id = to_shard;
-  PublishRouting();
-  if (Status s = LogTopology(); !s.ok()) {
-    chunk.shard_id = from_shard;
+      dest.InsertBatchLocked(std::move(moved));
+  if (!dest_rids.ok()) return dest_rids.status();
+  const bool flip = owner != to;
+  if (flip) {
+    chunk.shard_id = to;
     PublishRouting();
-    // Best effort: after a simulated crash the recipient's WAL may be dead
-    // too, and recovery's orphan sweep finishes the job.
-    (void)dest.RemoveBatchLocked(*dest_rids);
-    aborted.Increment();
-    return s;
+    if (Status s = LogTopology(); !s.ok()) {
+      chunk.shard_id = owner;
+      PublishRouting();
+      // Best effort: after a simulated crash the recipient's WAL may be
+      // dead too, and recovery's orphan sweep finishes the job.
+      (void)dest.RemoveBatchLocked(*dest_rids);
+      return s;
+    }
   }
-  if (Status s = source.RemoveBatchLocked(moved->rids); !s.ok()) return s;
-  // Both shards' data distributions just changed: stale-mark their
-  // statistics (next query rebuilds) and drop their cached plan choices.
-  source.OnDataDistributionChanged();
-  dest.OnDataDistributionChanged();
-  committed.Increment();
-  return Status::OK();
+  for (size_t i = 0; i < donors.size(); ++i) {
+    if (Status s = shards_[static_cast<size_t>(donors[i])]->RemoveBatchLocked(
+            doomed[i]);
+        !s.ok()) {
+      return s;
+    }
+  }
+  // Every touched shard's data distribution just changed: stale-mark its
+  // statistics (next query rebuilds) and drop its cached plan choices.
+  for (const int id : locked) {
+    shards_[static_cast<size_t>(id)]->OnDataDistributionChanged();
+  }
+  return MoveResult{flip ? MoveResult::kFlipped : MoveResult::kInPlace,
+                    num_moved};
+}
+
+Status Cluster::BalancerMove(const Migration& m) {
+  STIX_METRIC_COUNTER(committed, "balancer.migrations_committed");
+  STIX_METRIC_COUNTER(aborted, "balancer.migrations_aborted");
+  if (Status s = CheckFailPoint(balancerMoveChunk); !s.ok()) return s;
+  // Try-locked: interleaving inserts with an open cursor on one thread is
+  // legal, and that thread already holds the latch shared — blocking would
+  // self-deadlock. Contention aborts the move benignly; a later round
+  // retries. A failed move counts as aborted too.
+  const Result<MoveResult> r =
+      MoveChunk(m.chunk_index, m.to_shard, LatchMode::kTry);
+  if (!r.ok() || r->outcome == MoveResult::kAborted) aborted.Increment();
+  if (r.ok() && r->outcome == MoveResult::kFlipped) committed.Increment();
+  return r.ok() ? Status::OK() : r.status();
+}
+
+std::optional<Migration> Cluster::PickMigration() {
+  const std::shared_lock<std::shared_mutex> topo(topology_mu_);
+  if (chunks_ == nullptr) return std::nullopt;  // not sharded yet
+  // A reshard owns chunk movement for its whole duration.
+  if (resharding_in_progress_ || reshard_preparing_) return std::nullopt;
+  const std::lock_guard<std::mutex> bl(balance_mu_);
+  return PickNextMigration(*chunks_, options_.num_shards, zones_,
+                           weigh_by_points(), &rng_);
+}
+
+std::unique_lock<std::shared_mutex> Cluster::LatchExclusive(LatchMode mode) {
+  if (mode == LatchMode::kTry) {
+    return std::unique_lock<std::shared_mutex>(migration_commit_latch_,
+                                               std::try_to_lock);
+  }
+  // Raise the gate first: new cursors pause (bounded) in LatchShared, the
+  // existing shared holders drain, and the blocking exclusive acquisition
+  // below cannot be starved by a reader-preferring rwlock. Under open-loop
+  // traffic a try-lock would starve forever.
+  reshard_commit_pending_.store(true, std::memory_order_release);
+  std::unique_lock<std::shared_mutex> latch(migration_commit_latch_);
+  reshard_commit_pending_.store(false, std::memory_order_release);
+  {
+    // Empty critical section pairs with the gate's predicate check, so no
+    // waiter can check the flag and then sleep through the notify.
+    const std::lock_guard<std::mutex> gate(reshard_gate_mu_);
+  }
+  reshard_gate_cv_.notify_all();
+  return latch;
+}
+
+std::shared_lock<std::shared_mutex> Cluster::LatchShared() const {
+  // While a commit waits for the latch exclusive, new readers pause briefly
+  // so the shared holders drain and the commit gets in. Bounded wait, never
+  // a lock: a thread that already holds the latch shared through another
+  // open cursor times out and proceeds — slower commit, no deadlock.
+  if (reshard_commit_pending_.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> gate(reshard_gate_mu_);
+    reshard_gate_cv_.wait_for(gate, std::chrono::milliseconds(50), [this] {
+      return !reshard_commit_pending_.load(std::memory_order_acquire);
+    });
+  }
+  return std::shared_lock<std::shared_mutex>(migration_commit_latch_);
 }
 
 Status Cluster::SetZones(std::vector<ZoneRange> zones) {
@@ -463,41 +531,20 @@ void Cluster::Balance() {
     max_rounds = 16 * chunks_->num_chunks() + 64;
   }
   for (size_t round = 0; round < max_rounds; ++round) {
-    std::optional<Migration> m;
-    {
-      const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-      // Reshard owns chunk movement for its whole duration.
-      if (resharding_in_progress_ || reshard_preparing_) return;
-      const std::lock_guard<std::mutex> bl(balance_mu_);
-      m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                            weigh_by_points(), &rng_);
-    }
-    if (!m.has_value()) return;
-    if (!MoveChunk(m->chunk_index, m->to_shard).ok()) return;
+    const std::optional<Migration> m = PickMigration();
+    if (!m.has_value() || !BalancerMove(*m).ok()) return;
   }
-}
-
-void Cluster::RunBalancerRound() {
-  std::optional<Migration> m;
-  {
-    const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-    if (chunks_ == nullptr) return;  // balancer started before sharding
-    // Reshard owns chunk movement for its whole duration.
-    if (resharding_in_progress_ || reshard_preparing_) return;
-    const std::lock_guard<std::mutex> bl(balance_mu_);
-    m = PickNextMigration(*chunks_, options_.num_shards, zones_,
-                          weigh_by_points(), &rng_);
-  }
-  // Failures (an enabled balancerMoveChunk fail point, a benign abort) are
-  // the background balancer's to swallow: the next round re-picks.
-  if (m.has_value()) (void)MoveChunk(m->chunk_index, m->to_shard);
 }
 
 void Cluster::BalancerMain(int interval_ms) {
   std::unique_lock<std::mutex> lock(balancer_mu_);
   while (!balancer_stop_) {
     lock.unlock();
-    RunBalancerRound();
+    // Failures (an enabled balancerMoveChunk fail point, a benign abort)
+    // are the background balancer's to swallow: the next round re-picks.
+    if (const std::optional<Migration> m = PickMigration()) {
+      (void)BalancerMove(*m);
+    }
     lock.lock();
     balancer_cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
                           [this] { return balancer_stop_; });
@@ -592,23 +639,11 @@ ClusterQueryResult Cluster::Query(const query::ExprPtr& expr) const {
 
 std::unique_ptr<ClusterCursor> Cluster::OpenCursor(
     const query::ExprPtr& expr, const CursorOptions& cursor_options) const {
-  // Reshard-commit gate: while a reshard wants the latch exclusive, new
-  // cursors pause briefly so the shared holders drain and the commit gets
-  // in (a reader-preferring rwlock would otherwise starve it under open-
-  // loop traffic). Bounded wait, never a lock: a thread that already holds
-  // the latch shared through another open cursor times out and proceeds —
-  // slower commit, no deadlock.
-  if (reshard_commit_pending_.load(std::memory_order_acquire)) {
-    std::unique_lock<std::mutex> gate(reshard_gate_mu_);
-    reshard_gate_cv_.wait_for(gate, std::chrono::milliseconds(50), [this] {
-      return !reshard_commit_pending_.load(std::memory_order_acquire);
-    });
-  }
   // The migration latch (kept by the cursor until it closes) first, then
   // the routing snapshot: an ownership flip publishes before its commit
   // releases the latch, so the snapshot matches where documents live for
   // the cursor's whole life. No topology lock — inserts never stall this.
-  std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
+  std::shared_lock<std::shared_mutex> latch = LatchShared();
   const std::shared_ptr<const RoutingTable> snapshot = routing();
   const Router router(*snapshot, &shards_, &profiler_);
   std::unique_ptr<ClusterCursor> cursor = router.OpenCursor(
@@ -653,12 +688,6 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
   if (options_.exec.bucket_layout != nullptr && !options_.exec.raw_buckets) {
     return DeleteBucketsLocked(router, expr);
   }
-  // During a reshard, account against the target table (documents may sit
-  // on either shard mid-copy; the per-chunk commit recomputes accounting
-  // exactly, so transient drift here is self-healing).
-  const bool resharding = resharding_in_progress_;
-  const ShardKeyPattern& pattern = resharding ? reshard_pattern_ : pattern_;
-  ChunkManager& table = resharding ? *reshard_chunks_ : *chunks_;
   const std::vector<int> targets = router.TargetShards(expr);
   uint64_t deleted = 0;
   for (const int shard_id : targets) {
@@ -672,11 +701,11 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
     std::vector<std::pair<std::string, uint64_t>> doomed;
     doomed.reserve(r.docs.size());
     for (const bson::Document* doc : r.docs) {
-      doomed.emplace_back(pattern.KeyOf(*doc), doc->ApproxBsonSize());
+      doomed.emplace_back(pattern_.KeyOf(*doc), doc->ApproxBsonSize());
     }
     for (size_t i = 0; i < r.rids.size(); ++i) {
       // Update the owning chunk's accounting before the document dies.
-      Chunk& chunk = table.chunk(table.FindChunkIndex(doomed[i].first));
+      Chunk& chunk = chunks_->chunk(chunks_->FindChunkIndex(doomed[i].first));
       const Status s = shard.Remove(r.rids[i]);
       if (!s.ok()) return s;
       chunk.bytes -= std::min(chunk.bytes, doomed[i].second);
@@ -794,7 +823,7 @@ ClusterExplain Cluster::Explain(const query::ExprPtr& expr,
   CursorOptions full_drain;
   full_drain.batch_size = 0;
   // Targets like OpenCursor: the latch, then the routing snapshot.
-  std::shared_lock<std::shared_mutex> latch(migration_commit_latch_);
+  std::shared_lock<std::shared_mutex> latch = LatchShared();
   const std::shared_ptr<const RoutingTable> snapshot = routing();
   const Router router(*snapshot, &shards_, &profiler_);
   std::unique_ptr<ClusterCursor> cursor =
@@ -914,12 +943,17 @@ double Cluster::EstimateFraction(const std::string& path, int64_t lo,
   return std::min(1.0, in_range / total);
 }
 
+// Introspection reads shard records and catalogs under the topology lock
+// shared (a consistent cut against inserts, deletes and migration commits)
+// plus each shard's data lock shared: a reshard's prepare phase rewrites
+// documents and creates indexes under the shard's data lock alone.
 uint64_t Cluster::total_documents() const {
-  // Every shard-data writer holds topology_mu_ exclusive, so a shared hold
-  // makes the per-shard record counts safe to read.
   const std::shared_lock<std::shared_mutex> topo(topology_mu_);
   uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->num_documents();
+  for (const auto& shard : shards_) {
+    const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
+    total += shard->num_documents();
+  }
   return total;
 }
 
@@ -927,6 +961,7 @@ storage::CollectionStats Cluster::ComputeDataStats() const {
   const std::shared_lock<std::shared_mutex> topo(topology_mu_);
   storage::CollectionStats total;
   for (const auto& shard : shards_) {
+    const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
     const storage::CollectionStats s = shard->collection().ComputeStats();
     total.num_documents += s.num_documents;
     total.logical_bytes += s.logical_bytes;
@@ -939,6 +974,7 @@ std::map<std::string, uint64_t> Cluster::ComputeIndexSizes() const {
   const std::shared_lock<std::shared_mutex> topo(topology_mu_);
   std::map<std::string, uint64_t> sizes;
   for (const auto& shard : shards_) {
+    const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
     for (const auto& idx : shard->catalog().indexes()) {
       sizes[idx->descriptor().name()] +=
           idx->btree().SizeWithPrefixCompression();

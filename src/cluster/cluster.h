@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -82,14 +83,21 @@ struct ClusterOptions {
 ///       its lifetime; a migration's commit phase takes it exclusive, so
 ///       chunk ownership never flips under a live stream (chunk *copies*
 ///       proceed concurrently — MongoDB's critical section, stretched to
-///       cursor granularity);
+///       cursor granularity). A balancer commit try-locks it (its thread
+///       may hold a cursor); a reshard commit waits for it behind a gate
+///       that pauses new readers;
 ///   topology_mu_             — chunks_ + zones_ + chunk accounting, for
 ///       writers: Insert routing/split, migration commit, Delete take it
 ///       exclusive; the balancer's pick and introspection take it shared.
-///       Because every shard-data writer holds it exclusive, it also
-///       establishes the happens-before for reads like total_documents();
-///   shard data_mu_ (per shard) — see Shard; always acquired last, both
-///       shards in shard-id order inside a migration commit.
+///       A reshard's prepare phase writes shard data under the shard lock
+///       alone, so introspection also takes each shard's lock shared;
+///   shard data_mu_ (per shard) — see Shard; always acquired last, in
+///       shard-id order inside a migration commit.
+///
+/// One migration path: MoveChunk makes a shard hold every document of a
+/// chunk's range and own the chunk. The balancer uses it to give a chunk a
+/// new owner. A reshard installs its target table at its routing flip and
+/// then uses it to gather each chunk onto the owner the table assigned.
 ///
 /// Targeting takes no topology lock. Every writer that changes routing
 /// (pattern, chunk bounds, owners, the reshard flag) publishes a fresh
@@ -202,19 +210,20 @@ class Cluster {
   /// process): re-keys the populated collection onto `new_pattern` while
   /// queries, cursors and writers keep running. Five phases — per-shard
   /// document enrichment + index build, a sampled split vector for the
-  /// target chunk table, a dual-routing flip (new writes land by the new
-  /// table, reads broadcast), chunk-by-chunk two-phase copy under the
-  /// migration-commit latch (planner stats + plan caches invalidate per
-  /// migrated chunk), and the final metadata swap. Zones are cleared (they
-  /// were keyed in the old shard-key space). In-memory clusters only:
+  /// target chunk table, the routing flip (the target table, pattern and
+  /// index go live: new writes land by them, reads broadcast), a MoveChunk
+  /// per target chunk onto its owner (planner stats + plan caches
+  /// invalidate per migrated chunk), and the end of the broadcast. Zones are
+  /// cleared at the flip (they were keyed in the old shard-key space).
+  /// In-memory clusters only:
   /// durable clusters return NotSupported. One reshard at a time;
   /// concurrent calls return AlreadyExists.
   Status Reshard(ShardKeyPattern new_pattern,
                  const std::vector<index::IndexDescriptor>& new_secondary_indexes,
                  const ReshardEnrichFn& enrich = nullptr);
 
-  /// True while a Reshard() is between its routing flip and its final
-  /// metadata swap (reads broadcast, writes route by the target table).
+  /// True while a Reshard() is between its routing flip and its last chunk
+  /// move (reads broadcast, writes route by the target table).
   bool resharding() const { return routing()->resharding; }
 
   /// Read/write distribution snapshot as one JSON object: per-shard cursor
@@ -284,7 +293,37 @@ class Cluster {
   friend Result<std::unique_ptr<Cluster>> RecoverCluster(
       const ClusterOptions& options);
 
-  Status MoveChunk(size_t chunk_index, int to_shard);
+  /// How a migration commit takes the migration latch exclusive.
+  enum class LatchMode {
+    kTry,   ///< Balancer: its thread may hold a cursor, so a busy latch
+            ///< aborts the move.
+    kWait,  ///< Reshard: its thread holds no cursor; waits through the gate.
+  };
+  /// What one MoveChunk did.
+  struct MoveResult {
+    enum Outcome {
+      kAborted,  ///< Benign: latch busy or chunk changed; nothing moved.
+      kInPlace,  ///< `to` already owned the chunk.
+      kFlipped,  ///< Ownership moved to `to`.
+    };
+    Outcome outcome = kAborted;
+    uint64_t docs = 0;  ///< Documents copied onto `to`.
+  };
+  /// The one two-phase migration: makes shard `to` hold every document of
+  /// chunk `chunk_index`'s range and own the chunk (see cluster.cc).
+  Result<MoveResult> MoveChunk(size_t chunk_index, int to, LatchMode mode);
+  /// One balancer move: the balancerMoveChunk fail point, a try-locked
+  /// MoveChunk and the balancer.migrations_* counters.
+  Status BalancerMove(const Migration& m);
+  /// The balancer's next move; none when balanced, unsharded, or while a
+  /// reshard owns chunk movement.
+  std::optional<Migration> PickMigration();
+  /// The migration latch exclusive. kTry may return a lock that does not
+  /// own it; kWait raises the gate LatchShared honours, then blocks.
+  std::unique_lock<std::shared_mutex> LatchExclusive(LatchMode mode);
+  /// The migration latch shared, for a reader: a bounded pause at the gate
+  /// while a commit waits, then a blocking acquisition.
+  std::shared_lock<std::shared_mutex> LatchShared() const;
   void MaybeSplitChunk(size_t chunk_index);
   /// Bucketed collections balance by decoded points, not bucket documents
   /// (see PickNextMigration).
@@ -311,9 +350,6 @@ class Cluster {
   /// survivors. Caller holds topology_mu_ exclusive.
   Result<uint64_t> DeleteBucketsLocked(const Router& router,
                                        const query::ExprPtr& expr);
-  /// One background-balancer cadence: pick under the topology lock, then
-  /// two-phase move. Aborted commits are benign (retried next round).
-  void RunBalancerRound();
   void BalancerMain(int interval_ms);
   static std::string IndexNameForPattern(const ShardKeyPattern& pattern);
 
@@ -330,14 +366,6 @@ class Cluster {
   /// one per shard.
   Result<std::unique_ptr<ChunkManager>> ReshardBuildChunkTable(
       const ShardKeyPattern& new_pattern) const;
-  /// Phase 4, per target chunk: two-phase copy of every out-of-place
-  /// document onto the owning shard, commit under the latch + exclusive
-  /// topology, stats/plan-cache invalidation on every shard touched.
-  Status ReshardMoveChunk(size_t chunk_index);
-  /// Blocking exclusive acquisition of the migration-commit latch with the
-  /// open-cursor gate raised (new cursors hold off briefly so the reader
-  /// population drains; see OpenCursor).
-  std::unique_lock<std::shared_mutex> ReshardLatchExclusive();
 
   ClusterOptions options_;
   // Execution-state, not collection-state (like the shard plan caches):
@@ -374,9 +402,10 @@ class Cluster {
   // --- resharding state ---
   // Serializes whole Reshard() calls (never nested in another lock).
   std::mutex reshard_mu_;
-  // The rest is guarded by topology_mu_: the flag flips exclusive (and is
-  // published in the RoutingTable for readers); the target table/pattern
-  // live here between the routing flip and the final swap.
+  // The rest is guarded by topology_mu_. The flag flips exclusive and is
+  // published in the RoutingTable for readers; it is set from the routing
+  // flip, where the target table replaces chunks_, until the last chunk
+  // lands.
   bool resharding_in_progress_ = false;
   // Set for the whole Reshard() call, before the routing flip: suspends
   // chunk movement (splits keep running — they don't relocate documents)
@@ -388,16 +417,14 @@ class Cluster {
   // completes before the sweep starts (the sweep enriches it) or enriches
   // itself at write time — a racing writer can never slip an un-enriched
   // document onto an already-swept shard, where it would key into the
-  // null-key chunk and vanish from post-swap queries. Deliberately kept
-  // installed after the swap (idempotent, one field probe per insert):
+  // null-key chunk and vanish from post-reshard queries. Deliberately kept
+  // installed after the reshard (idempotent, one field probe per insert):
   // a writer stalled since before the reshard began must still enrich.
   ReshardEnrichFn reshard_enrich_;
-  ShardKeyPattern reshard_pattern_;
-  std::unique_ptr<ChunkManager> reshard_chunks_;
-  std::string reshard_index_name_;
   // Commit gate: while a reshard commit wants the latch exclusive, new
-  // cursors wait (bounded) before taking it shared, so the shared holders
-  // drain and the commit cannot be starved by a reader-preferring rwlock.
+  // readers (LatchShared: cursors and Explain) wait (bounded) before
+  // taking it shared, so the shared holders drain and the commit cannot be
+  // starved by a reader-preferring rwlock.
   std::atomic<bool> reshard_commit_pending_{false};
   mutable std::mutex reshard_gate_mu_;
   mutable std::condition_variable reshard_gate_cv_;

@@ -11,17 +11,17 @@
 //      over every document's new-pattern key becomes the target chunk
 //      table, round-robin across shards, with exact byte/doc/point
 //      accounting;
-//   3. flip     — in the same exclusive hold: routing switches — writes
-//      land directly on their target-table owner (so the copier's source
-//      set only shrinks), reads broadcast (a document may sit on either
-//      side of the move), splits and the balancer suspend;
-//   4. copy     — chunk by chunk, the two-phase migration dance: clone
-//      out-of-place documents under shared source locks, then commit under
-//      the migration latch (exclusive) + exclusive topology + every
-//      shard's data lock, invalidating planner stats and plan caches on
-//      each shard touched;
-//   5. swap     — the target table/pattern/index become the live ones,
-//      zones (keyed in the old shard-key space) clear, routing resumes.
+//   3. flip     — in the same exclusive hold: the target table, pattern
+//      and shard-key index replace the live ones and zones (keyed in the
+//      old shard-key space) clear. Writes land directly on their owner
+//      under the new table (so the copier's source set only shrinks), reads
+//      broadcast (a document may still sit where the old table put it),
+//      splits and the balancer suspend;
+//   4. copy     — chunk by chunk, MoveChunk onto the chunk's owner: the same
+//      two-phase migration the balancer runs, its commit waiting for the
+//      migration latch through the cursor gate and locking only the owner
+//      and the shards holding documents of the range;
+//   5. finish   — the flag clears and targeted routing resumes.
 //
 // Failure discipline: before the flip every error unwinds cleanly (the
 // enrichment and extra indexes are benign leftovers). After the flip the
@@ -90,7 +90,7 @@ Status Cluster::Reshard(ShardKeyPattern new_pattern,
     reshard_preparing_ = true;
     // From here on every Insert enriches under its own exclusive topology
     // hold; writes already past routing completed before this hold began,
-    // so the sweep below sees them. Stays installed after the swap.
+    // so the sweep below sees them. Stays installed after the reshard.
     reshard_enrich_ = enrich;
   }
   const auto unwind = [this](Status s) {
@@ -113,6 +113,7 @@ Status Cluster::Reshard(ShardKeyPattern new_pattern,
   // accounting cannot be invalidated by a write that the flipped routing
   // would miss. This is the reshard's stop-the-world moment: one scan of
   // the data, no document movement.
+  size_t num_target_chunks = 0;
   {
     const std::unique_lock<std::shared_mutex> topo(topology_mu_);
     Result<std::unique_ptr<ChunkManager>> table =
@@ -122,35 +123,43 @@ Status Cluster::Reshard(ShardKeyPattern new_pattern,
       reshard_enrich_ = nullptr;  // pre-flip failure, as in unwind()
       return table.status();
     }
-    reshard_chunks_ = std::move(*table);
-    reshard_pattern_ = std::move(new_pattern);
-    reshard_index_name_ = new_index_name;
+    chunks_ = std::move(*table);
+    pattern_ = std::move(new_pattern);
+    shard_key_index_name_ = new_index_name;
+    zones_.clear();
+    num_target_chunks = chunks_->num_chunks();
     resharding_in_progress_ = true;
     reshard_preparing_ = false;
     PublishRouting();  // reads broadcast from here on
   }
 
-  // Phase 4: chunk-by-chunk copy. The transitional table never splits, so
-  // indices are stable across the loop.
-  size_t num_target_chunks = 0;
-  {
-    const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-    num_target_chunks = reshard_chunks_->num_chunks();
-  }
+  // Phase 4: chunk-by-chunk copy. The table does not split while the flag
+  // is set, so indices are stable across the loop.
+  STIX_METRIC_COUNTER(chunks_migrated, "reshard.chunks_migrated");
+  STIX_METRIC_COUNTER(docs_moved, "reshard.docs_moved");
   for (size_t i = 0; i < num_target_chunks; ++i) {
-    if (Status s = ReshardMoveChunk(i); !s.ok()) return s;
+    if (Status s = CheckFailPoint(reshardMoveChunk); !s.ok()) return s;
+    int owner = -1;
+    {
+      const std::shared_lock<std::shared_mutex> topo(topology_mu_);
+      owner = chunks_->chunk(i).shard_id;
+    }
+    const Result<MoveResult> moved = MoveChunk(i, owner, LatchMode::kWait);
+    if (!moved.ok()) return moved.status();
+    // Nothing else changes the table mid-reshard, so an abort is a bug;
+    // stay broadcasting rather than leave the chunk half-gathered.
+    if (moved->outcome != MoveResult::kInPlace) {
+      return Status::Internal("reshard chunk move aborted");
+    }
+    docs_moved.Increment(moved->docs);
+    chunks_migrated.Increment();
   }
 
-  // Phase 5: the metadata swap.
+  // Phase 5: every document sits on its owner; targeting resumes.
   {
     const std::unique_lock<std::shared_mutex> topo(topology_mu_);
-    pattern_ = std::move(reshard_pattern_);
-    chunks_ = std::move(reshard_chunks_);
-    shard_key_index_name_ = std::move(reshard_index_name_);
-    zones_.clear();
     resharding_in_progress_ = false;
     PublishRouting();
-    if (Status s = LogTopology(); !s.ok()) return s;
   }
   completed.Increment();
   return Status::OK();
@@ -300,104 +309,6 @@ Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
     table[ci].points += k.points;
   }
   return ChunkManager::FromChunks(std::move(table));
-}
-
-std::unique_lock<std::shared_mutex> Cluster::ReshardLatchExclusive() {
-  // Raise the gate first: new cursors pause (bounded) in OpenCursor, the
-  // existing shared holders drain, and the blocking exclusive acquisition
-  // below cannot be starved by a reader-preferring rwlock. Blocking — not
-  // MoveChunk's try_lock — is safe here because Reshard() runs on its own
-  // thread that holds no cursor, and required because under open-loop
-  // traffic a try_lock would starve forever.
-  reshard_commit_pending_.store(true, std::memory_order_release);
-  std::unique_lock<std::shared_mutex> latch(migration_commit_latch_);
-  reshard_commit_pending_.store(false, std::memory_order_release);
-  {
-    // Empty critical section pairs with the gate's predicate check, so no
-    // waiter can check the flag and then sleep through the notify.
-    const std::lock_guard<std::mutex> gate(reshard_gate_mu_);
-  }
-  reshard_gate_cv_.notify_all();
-  return latch;
-}
-
-Status Cluster::ReshardMoveChunk(size_t chunk_index) {
-  STIX_METRIC_COUNTER(chunks_migrated, "reshard.chunks_migrated");
-  STIX_METRIC_COUNTER(docs_moved, "reshard.docs_moved");
-
-  std::string min, max;
-  int owner = -1;
-  {
-    const std::shared_lock<std::shared_mutex> topo(topology_mu_);
-    const Chunk& c = reshard_chunks_->chunk(chunk_index);
-    min = c.min;
-    max = c.max;
-    owner = c.shard_id;
-  }
-  if (Status s = CheckFailPoint(reshardMoveChunk); !s.ok()) return s;
-  Shard& dest = *shards_[static_cast<size_t>(owner)];
-
-  // Copy phase: clone every out-of-place document in the chunk's range
-  // under its shard's shared lock — readers stream on, writers to other
-  // key ranges proceed. Post-flip inserts land on the owner directly, so
-  // this source set only ever shrinks (deletes); there are no stragglers
-  // to chase.
-  std::vector<RangeDocs> clones(shards_.size());
-  bool any = false;
-  for (const auto& shard : shards_) {
-    if (shard->id() == owner) continue;
-    const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
-    Result<RangeDocs> mine =
-        shard->CollectRangeLocked(reshard_index_name_, min, max);
-    if (!mine.ok()) return mine.status();
-    any = any || !mine->rids.empty();
-    clones[static_cast<size_t>(shard->id())] = std::move(*mine);
-  }
-  if (!any) {
-    chunks_migrated.Increment();
-    return Status::OK();
-  }
-
-  // Commit phase: latch exclusive (via the gate), topology exclusive, every
-  // shard's data lock in id order — documents for this chunk may sit on any
-  // shard, unlike a balancer move's single donor.
-  const std::unique_lock<std::shared_mutex> commit = ReshardLatchExclusive();
-  const std::unique_lock<std::shared_mutex> topo(topology_mu_);
-  std::vector<std::unique_lock<std::shared_mutex>> data_locks;
-  data_locks.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    data_locks.emplace_back(shard->data_mutex());
-  }
-
-  uint64_t moved = 0;
-  for (const auto& shard : shards_) {
-    if (shard->id() == owner) continue;
-    // Re-scan inside the critical section: a clone whose document was
-    // deleted mid-copy silently drops out here.
-    Result<RangeDocs> range = shard->CollectRangeLocked(
-        reshard_index_name_, min, max,
-        &clones[static_cast<size_t>(shard->id())]);
-    if (!range.ok()) return range.status();
-    if (range->rids.empty()) continue;
-    // One batch onto the owner, then one batch off this shard — the same
-    // apply as a balancer migration.
-    if (Result<std::vector<storage::RecordId>> inserted =
-            dest.InsertBatchLocked(std::move(range->docs));
-        !inserted.ok()) {
-      return inserted.status();
-    }
-    if (Status s = shard->RemoveBatchLocked(range->rids); !s.ok()) return s;
-    moved += range->rids.size();
-    shard->OnDataDistributionChanged();
-  }
-  if (moved > 0) {
-    // Planner stats and the plan cache invalidate per migrated chunk — the
-    // recipient's distribution moved under any cached choice.
-    dest.OnDataDistributionChanged();
-    docs_moved.Increment(moved);
-  }
-  chunks_migrated.Increment();
-  return Status::OK();
 }
 
 }  // namespace stix::cluster

@@ -214,7 +214,8 @@ struct RoutingTable {
   std::vector<std::string> bounds;
   /// owners[i] is the shard holding chunk i.
   std::vector<int> owners;
-  /// True while a reshard is between its routing flip and its final swap.
+  /// True while a reshard is between its routing flip and its last chunk
+  /// move.
   bool resharding = false;
 
   /// Snapshot of `chunks` (null before sharding) under `pattern`.

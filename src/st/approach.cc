@@ -29,8 +29,6 @@ size_t Approach::CacheKeyHash::operator()(const CacheKey& k) const {
   mix(&k.t_begin_ms, sizeof k.t_begin_ms);
   mix(&k.t_end_ms, sizeof k.t_end_ms);
   mix(&k.max_ranges, sizeof k.max_ranges);
-  mix(&k.curve_kind, sizeof k.curve_kind);
-  mix(&k.curve_gen, sizeof k.curve_gen);
   return static_cast<size_t>(h);
 }
 
@@ -56,33 +54,6 @@ Approach::Approach(const ApproachConfig& config) : config_(config) {
     curve_ = geo::MakeCurve(config_.curve_kind, config_.hilbert_order, domain,
                             config_.curve_fit_sample);
   }
-}
-
-std::shared_ptr<const geo::Curve2D> Approach::curve() const {
-  const std::lock_guard<std::mutex> lock(curve_mu_);
-  return curve_;
-}
-
-uint64_t Approach::curve_generation() const {
-  const std::lock_guard<std::mutex> lock(curve_mu_);
-  return curve_generation_;
-}
-
-Status Approach::RefitCurve(const std::vector<geo::Point>& sample) {
-  if (!uses_hilbert() || config_.curve_kind != geo::CurveKind::kEGeoHash) {
-    return Status::InvalidArgument(
-        "RefitCurve applies only to EntropyGeoHash curve approaches");
-  }
-  const geo::Rect domain = config_.kind == ApproachKind::kHilStar
-                               ? config_.dataset_mbr
-                               : geo::GlobeRect();
-  std::shared_ptr<const geo::Curve2D> refit =
-      geo::MakeCurve(config_.curve_kind, config_.hilbert_order, domain,
-                     sample);
-  const std::lock_guard<std::mutex> lock(curve_mu_);
-  curve_ = std::move(refit);
-  ++curve_generation_;
-  return Status::OK();
 }
 
 cluster::ShardKeyPattern Approach::shard_key() const {
@@ -130,7 +101,7 @@ Status Approach::EnrichDocument(bson::Document* doc) const {
   }
   doc->Set(kHilbertField,
            bson::Value::Int64(
-               static_cast<int64_t>(curve()->PointToD(lon, lat))));
+               static_cast<int64_t>(curve_->PointToD(lon, lat))));
   return Status::OK();
 }
 
@@ -140,17 +111,6 @@ TranslatedQuery Approach::TranslateQuery(const geo::Rect& rect,
   // Baselines have no covering, so the budget would only fragment their
   // cache entries.
   if (!uses_hilbert()) max_ranges = 0;
-  // One atomic (curve, generation) snapshot: the covering below must be
-  // computed against exactly the mapping the cache key names, or a refit
-  // racing this translation could cache a new-mapping cover under an
-  // old-generation key.
-  std::shared_ptr<const geo::Curve2D> curve;
-  uint64_t curve_gen = 0;
-  if (uses_hilbert()) {
-    const std::lock_guard<std::mutex> lock(curve_mu_);
-    curve = curve_;
-    curve_gen = curve_generation_;
-  }
   // Normalize -0.0 so bitwise hashing agrees with value equality.
   const auto norm = [](double d) { return d == 0.0 ? 0.0 : d; };
   const CacheKey key{norm(rect.lo.lon),
@@ -159,9 +119,7 @@ TranslatedQuery Approach::TranslateQuery(const geo::Rect& rect,
                      norm(rect.hi.lat),
                      t_begin_ms,
                      t_end_ms,
-                     static_cast<uint64_t>(max_ranges),
-                     static_cast<uint32_t>(config_.curve_kind),
-                     curve_gen};
+                     static_cast<uint64_t>(max_ranges)};
   STIX_METRIC_COUNTER(cover_hits, "cover_cache.hits");
   STIX_METRIC_COUNTER(cover_misses, "cover_cache.misses");
   STIX_METRIC_COUNTER(cover_evictions, "cover_cache.evictions");
@@ -189,7 +147,7 @@ TranslatedQuery Approach::TranslateQuery(const geo::Rect& rect,
   // harmless (same value, last writer wins).
   TranslatedQuery fresh = TranslateRegionQuery(
       query::MakeGeoWithinBox(kLocationField, rect), geo::RectRegion(rect),
-      t_begin_ms, t_end_ms, max_ranges, curve.get());
+      t_begin_ms, t_end_ms, max_ranges);
   if (config_.cover_cache_capacity == 0) return fresh;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -228,19 +186,16 @@ void Approach::ClearCoverCache() const {
 TranslatedQuery Approach::TranslatePolygonQuery(const geo::Polygon& polygon,
                                                 int64_t t_begin_ms,
                                                 int64_t t_end_ms) const {
-  const std::shared_ptr<const geo::Curve2D> snapshot = curve();
   return TranslateRegionQuery(
       query::MakeGeoWithinPolygon(kLocationField, polygon), polygon,
-      t_begin_ms, t_end_ms, /*max_ranges=*/0, snapshot.get());
+      t_begin_ms, t_end_ms, /*max_ranges=*/0);
 }
 
 TranslatedQuery Approach::TranslateRegionQuery(query::ExprPtr geo_predicate,
                                                const geo::Region& region,
                                                int64_t t_begin_ms,
                                                int64_t t_end_ms,
-                                               size_t max_ranges,
-                                               const geo::Curve2D* curve)
-    const {
+                                               size_t max_ranges) const {
   TranslatedQuery out;
   std::vector<query::ExprPtr> conjuncts;
   conjuncts.push_back(std::move(geo_predicate));
@@ -248,7 +203,7 @@ TranslatedQuery Approach::TranslateRegionQuery(query::ExprPtr geo_predicate,
                                        bson::Value::DateTime(t_begin_ms),
                                        bson::Value::DateTime(t_end_ms)));
 
-  if (uses_hilbert() && curve != nullptr) {
+  if (curve_ != nullptr) {
     // A capped covering is a superset of the exact one (both strategies'
     // budget contract), so results stay exact: the $geoWithin conjunct
     // re-checks every fetched point. num_ranges/num_singletons report what
@@ -259,11 +214,11 @@ TranslatedQuery Approach::TranslateRegionQuery(query::ExprPtr geo_predicate,
     // Per-curve covering counters surface which linearization serves
     // traffic in ServerStatus ("covering.by_curve.<name>").
     MetricsRegistry::Instance()
-        .GetCounter(std::string("covering.by_curve.") + curve->name())
+        .GetCounter(std::string("covering.by_curve.") + curve_->name())
         .Increment();
     Stopwatch cover_timer;
     const geo::Covering covering =
-        geo::CoverRegion(*curve, region, cover_options);
+        geo::CoverRegion(*curve_, region, cover_options);
     out.cover_millis = cover_timer.ElapsedMillis();
 
     // Consecutive cells become ranges; isolated cells are width-one entries

@@ -154,22 +154,10 @@ class Approach {
   /// Field zones are defined on ("date" / "hilbertIndex"), Section 4.x.3.
   std::string zone_path() const;
 
-  /// The curve behind hilbertIndex (null for baselines). The snapshot stays
-  /// valid across a concurrent RefitCurve — callers keep the mapping they
-  /// grabbed; new translations pick up the new one.
-  std::shared_ptr<const geo::Curve2D> curve() const;
-
-  /// Monotone mapping generation: 0 at construction, bumped by every
-  /// RefitCurve. Part of the cover-cache key, so covers computed against an
-  /// older mapping can never be served after a refit.
-  uint64_t curve_generation() const;
-
-  /// EntropyGeoHash approaches only: swaps in a mapping refitted from
-  /// `sample` and bumps the mapping generation (invalidating every cached
-  /// cover). Documents enriched before the refit keep their old
-  /// hilbertIndex values — refitting a *loaded* store needs a
-  /// Reshard-style re-enrichment, so stores fit once before load instead.
-  Status RefitCurve(const std::vector<geo::Point>& sample);
+  /// The curve behind hilbertIndex (null for baselines). Fixed at
+  /// construction — an EntropyGeoHash mapping is fitted once, from
+  /// ApproachConfig::curve_fit_sample — so it needs no lock.
+  const std::shared_ptr<const geo::Curve2D>& curve() const { return curve_; }
 
   /// Covering/translation cache counters (cumulative for this approach
   /// instance).
@@ -185,17 +173,12 @@ class Approach {
   void ClearCoverCache() const;
 
  private:
-  /// Cache key: the exact rect coordinates, time window, and the identity
-  /// of the mapping the cover was computed under. Curve kind and mapping
-  /// generation join the key because curves are pluggable and EGeoHash
-  /// refits change cell boundaries — a cover cached for one mapping must
-  /// never be served for another.
+  /// Cache key: the exact rect coordinates, time window and covering
+  /// budget. The curve is fixed per approach, so it needs no key part.
   struct CacheKey {
     double lo_lon, lo_lat, hi_lon, hi_lat;
     int64_t t_begin_ms, t_end_ms;
     uint64_t max_ranges;  ///< Covering budget (0 = exact).
-    uint32_t curve_kind;  ///< geo::CurveKind of the translating curve.
-    uint64_t curve_gen;   ///< Mapping generation (RefitCurve bumps it).
 
     bool operator==(const CacheKey&) const = default;
   };
@@ -203,21 +186,13 @@ class Approach {
     size_t operator()(const CacheKey& k) const;
   };
 
-  /// `curve` is the caller's atomic (curve, generation) snapshot — null for
-  /// baselines. Taking it once in the caller keeps the cover and the
-  /// cache-key generation consistent under a concurrent RefitCurve.
   TranslatedQuery TranslateRegionQuery(query::ExprPtr geo_predicate,
                                        const geo::Region& region,
                                        int64_t t_begin_ms, int64_t t_end_ms,
-                                       size_t max_ranges,
-                                       const geo::Curve2D* curve) const;
+                                       size_t max_ranges) const;
 
   ApproachConfig config_;
-  /// The curve behind hilbertIndex plus its refit generation, both under
-  /// curve_mu_ (refits swap the pointer; readers snapshot it).
-  mutable std::mutex curve_mu_;
-  std::shared_ptr<const geo::Curve2D> curve_;
-  uint64_t curve_generation_ = 0;
+  std::shared_ptr<const geo::Curve2D> curve_;  ///< Null for baselines.
 
   /// Memoized rect translations as a bounded LRU: a recency list of
   /// (key, value) pairs plus an index into it. A hit splices its entry to

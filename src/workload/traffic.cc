@@ -13,6 +13,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/metrics.h"
 #include "common/percentile.h"
 #include "geo/region.h"
 #include "st/knn.h"
@@ -417,6 +418,12 @@ TrafficReport RunTraffic(st::StStore* store, const TrafficPlan& plan,
     }
   }
 
+  MetricsRegistry& metrics = MetricsRegistry::Instance();
+  Counter& committed = metrics.GetCounter("balancer.migrations_committed");
+  Counter& aborted = metrics.GetCounter("balancer.migrations_aborted");
+  const uint64_t committed_before = committed.value();
+  const uint64_t aborted_before = aborted.value();
+
   const int num_threads = std::max(1, options.threads);
   std::vector<WorkerStats> stats(static_cast<size_t>(num_threads));
   const Clock::time_point start = Clock::now();
@@ -474,6 +481,10 @@ TrafficReport RunTraffic(st::StStore* store, const TrafficPlan& plan,
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] { return completed * 2 >= total; });
       }
+      Counter& chunks = metrics.GetCounter("reshard.chunks_migrated");
+      Counter& docs = metrics.GetCounter("reshard.docs_moved");
+      const uint64_t chunks_before = chunks.value();
+      const uint64_t docs_before = docs.value();
       const Clock::time_point begin = Clock::now();
       const Status s = store->Reshard(options.reshard_to);
       report.reshard_millis =
@@ -481,6 +492,8 @@ TrafficReport RunTraffic(st::StStore* store, const TrafficPlan& plan,
               .count();
       report.reshard_ran = true;
       report.reshard_status = s;
+      report.reshard_chunks_migrated = chunks.value() - chunks_before;
+      report.reshard_docs_moved = docs.value() - docs_before;
     });
   }
 
@@ -493,6 +506,8 @@ TrafficReport RunTraffic(st::StStore* store, const TrafficPlan& plan,
   if (resharder.joinable()) resharder.join();
   report.duration_sec =
       std::chrono::duration<double>(Clock::now() - start).count();
+  report.migrations_committed = committed.value() - committed_before;
+  report.migrations_aborted = aborted.value() - aborted_before;
 
   report.per_class.resize(kNumTrafficOpClasses);
   for (int c = 0; c < kNumTrafficOpClasses; ++c) {
@@ -571,11 +586,15 @@ std::string TrafficReport::ToJson() const {
         << ", \"p99_ms\": " << cls.p99_ms << ", \"max_ms\": " << cls.max_ms
         << "}";
   }
-  out << "]";
+  out << "], \"balancer\": {\"migrations_committed\": "
+      << migrations_committed
+      << ", \"migrations_aborted\": " << migrations_aborted << "}";
   if (reshard_ran) {
     out << ", \"reshard\": {\"status\": \""
         << (reshard_status.ok() ? "OK" : reshard_status.ToString())
-        << "\", \"millis\": " << reshard_millis << "}";
+        << "\", \"millis\": " << reshard_millis
+        << ", \"chunks_migrated\": " << reshard_chunks_migrated
+        << ", \"docs_moved\": " << reshard_docs_moved << "}";
   }
   out << "}";
   return out.str();

@@ -152,9 +152,17 @@ struct TrafficReport {
   uint64_t total_ops = 0;
   uint64_t total_errors = 0;
   std::vector<TrafficClassStats> per_class;  ///< One entry per op class.
+  /// Balancer migrations over the run: deltas of the
+  /// balancer.migrations_committed / _aborted counters.
+  uint64_t migrations_committed = 0;
+  uint64_t migrations_aborted = 0;
   bool reshard_ran = false;
   Status reshard_status;
   double reshard_millis = 0.0;
+  /// The reshard's chunk moves and the documents they carried (deltas of
+  /// reshard.chunks_migrated / reshard.docs_moved across the call).
+  uint64_t reshard_chunks_migrated = 0;
+  uint64_t reshard_docs_moved = 0;
 
   std::string ToJson() const;
 };

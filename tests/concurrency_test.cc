@@ -21,6 +21,7 @@
 #include "common/stopwatch.h"
 #include "keystring/keystring.h"
 #include "query/expression.h"
+#include "st/st_store.h"
 #include "temp_dir.h"
 
 namespace stix::cluster {
@@ -340,6 +341,57 @@ TEST_F(ConcurrencyTest, ReaderDoesNotWaitForTopologyWriter) {
   EXPECT_LT(reader_ms, kStallMs / 2);
   EXPECT_TRUE(write_status.ok()) << write_status.ToString();
   EXPECT_EQ(cluster.total_documents(), 201u);
+}
+
+TEST_F(ConcurrencyTest, IntrospectionDuringReshardIsRaceFree) {
+  // A reshard's prepare phase rewrites stored documents (Remove, then
+  // RestoreAt) and creates indexes under each shard's data lock alone, so
+  // the introspection readers must hold that lock too: ThreadSanitizer
+  // flags any read of records or catalogs without it, and a count taken
+  // mid-rewrite comes up one short.
+  constexpr int kDocs = 3000;
+  st::StStoreOptions options;
+  options.approach.kind = st::ApproachKind::kBslTS;
+  options.approach.dataset_mbr = geo::Rect{{0, 0}, {10, 10}};
+  options.cluster.num_shards = 4;
+  options.cluster.chunk_max_bytes = 16 * 1024;
+  options.cluster.balance_every_inserts = 0;
+  st::StStore store(options);
+  ASSERT_TRUE(store.Setup().ok());
+  Rng rng(31);
+  for (int i = 0; i < kDocs; ++i) {
+    bson::Document doc;
+    doc.Append(st::kLocationField,
+               Value::MakeDocument(bson::GeoJsonPoint(rng.NextDouble(0, 10),
+                                                      rng.NextDouble(0, 10))));
+    doc.Append(st::kDateField, Value::DateTime(60000LL * i));
+    ASSERT_TRUE(store.Insert(std::move(doc)).ok());
+  }
+  ASSERT_TRUE(store.FinishLoad().ok());
+  const Cluster& cluster = store.cluster();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> rounds{0};
+  std::atomic<int> miscounts{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      if (cluster.total_documents() != kDocs) miscounts.fetch_add(1);
+      if (cluster.ComputeDataStats().num_documents != kDocs) {
+        miscounts.fetch_add(1);
+      }
+      (void)cluster.ComputeIndexSizes();
+      rounds.fetch_add(1);
+    }
+  });
+  while (rounds.load() == 0) std::this_thread::yield();
+  const Status resharded = store.Reshard(st::ApproachKind::kHil);
+  done.store(true);
+  reader.join();
+
+  ASSERT_TRUE(resharded.ok()) << resharded.ToString();
+  EXPECT_EQ(miscounts.load(), 0);
+  EXPECT_EQ(cluster.total_documents(), static_cast<uint64_t>(kDocs));
+  EXPECT_GT(cluster.ComputeIndexSizes().count("hilbertIndex_1_date_1"), 0u);
 }
 
 }  // namespace

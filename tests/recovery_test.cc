@@ -699,7 +699,9 @@ TEST_F(RecoveryScenarioTest, DamagedCheckpointFallsBackWhenWalCoversIt) {
     for (int64_t id = 0; id < 300; ++id) {
       ASSERT_TRUE(
           store.Insert(ScenarioDoc(id, 0.5 + (id % 95) / 10.0, 5.0)).ok());
-      if (id == 149) ASSERT_TRUE(store.Checkpoint().ok());
+      if (id == 149) {
+        ASSERT_TRUE(store.Checkpoint().ok());
+      }
     }
   }
   std::string shard_dir;

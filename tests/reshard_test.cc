@@ -1,7 +1,8 @@
 // Live shard-key resharding: Cluster::Reshard driven through
 // StStore::Reshard — approach migration on a populated store, with and
-// without concurrent traffic, plus every rejection gate and the
-// reshardMoveChunk fail point's abort semantics.
+// without concurrent traffic, plus every rejection gate, the
+// reshardMoveChunk fail point's abort semantics and the placement every
+// migrated document ends in.
 
 #include <algorithm>
 #include <atomic>
@@ -356,6 +357,80 @@ TEST(ReshardTest, MigrationUnderConcurrentWritersStaysExact) {
   const geo::Rect sub{{23.45, 37.75}, {23.95, 38.25}};
   const int64_t t1 = kT0 + kSpanMs / 2;
   EXPECT_EQ(QueryFids(*store, sub, kT0, t1), OracleFids(all, sub, kT0, t1));
+}
+
+TEST(ReshardTest, EveryDocumentLandsOnItsChunkOwner) {
+  // The placement invariant of the unified migration: after the reshard,
+  // every document sits on the shard its new-key chunk names, however the
+  // concurrent inserts and deletes interleaved with the chunk moves.
+  const std::vector<TestDoc> base = MakeDocs(1200, 31, 0);
+  auto store = LoadedStore(ApproachKind::kBslTS, base, 4);
+
+  // Inserts land in the last half of the span, deletes cover the first
+  // quarter, so the outcome does not depend on how they interleave.
+  const int64_t delete_end = kT0 + kSpanMs / 4;
+  std::vector<TestDoc> inserted = MakeDocs(300, 32, 1200);
+  for (TestDoc& d : inserted) {
+    d.t_ms = kT0 + kSpanMs / 2 + d.t_ms % (kSpanMs / 2);
+  }
+
+  // Stretch the copy so both writers overlap it.
+  FailPoint* fp = FailPointRegistry::Instance().Find("reshardMoveChunk");
+  ASSERT_NE(fp, nullptr);
+  FailPoint::Config config;
+  config.mode = FailPoint::Mode::kAlwaysOn;
+  config.delay_ms = 2.0;
+  fp->Enable(config);
+
+  std::atomic<bool> write_failed{false};
+  std::atomic<bool> reshard_done{false};
+  std::thread inserter([&] {
+    for (const TestDoc& d : inserted) {
+      if (!store->Insert(MakeDoc(d)).ok()) write_failed.store(true);
+    }
+  });
+  std::thread deleter([&] {
+    // Delete while chunks move under the flipped table.
+    while (!store->cluster().resharding() && !reshard_done.load()) {
+      std::this_thread::yield();
+    }
+    if (!store->Delete(kMbr, kT0, delete_end).ok()) write_failed.store(true);
+  });
+  const Status migrated = store->Reshard(ApproachKind::kHil);
+  reshard_done.store(true);
+  inserter.join();
+  deleter.join();
+  fp->Disable();
+  ASSERT_TRUE(migrated.ok()) << migrated.ToString();
+  EXPECT_FALSE(write_failed.load());
+
+  const cluster::Cluster& cluster = store->cluster();
+  for (const auto& shard : cluster.shards()) {
+    shard->collection().records().ForEach(
+        [&](storage::RecordId, const bson::Document& doc) {
+          const std::string key = cluster.shard_key().KeyOf(doc);
+          const cluster::ChunkManager& chunks = cluster.chunks();
+          EXPECT_EQ(chunks.chunk(chunks.FindChunkIndex(key)).shard_id,
+                    shard->id());
+        });
+  }
+  uint64_t chunk_docs = 0;
+  for (const cluster::Chunk& c : cluster.chunks().chunks()) {
+    chunk_docs += c.docs;
+  }
+  EXPECT_EQ(chunk_docs, cluster.total_documents());
+
+  std::vector<TestDoc> expected;
+  for (const TestDoc& d : base) {
+    if (d.t_ms > delete_end) expected.push_back(d);
+  }
+  expected.insert(expected.end(), inserted.begin(), inserted.end());
+  EXPECT_EQ(cluster.total_documents(), expected.size());
+  EXPECT_EQ(QueryFids(*store, kMbr, kT0, kT0 + kSpanMs),
+            OracleFids(expected, kMbr, kT0, kT0 + kSpanMs));
+  const geo::Rect sub{{23.5, 37.8}, {23.9, 38.2}};
+  EXPECT_EQ(QueryFids(*store, sub, kT0, kT0 + kSpanMs),
+            OracleFids(expected, sub, kT0, kT0 + kSpanMs));
 }
 
 }  // namespace

@@ -167,7 +167,6 @@ TEST(ApproachTest, CurveKindSelectsTheLinearization) {
     const auto curve = a.curve();
     ASSERT_NE(curve, nullptr);
     EXPECT_STREQ(curve->name(), geo::CurveKindName(kind));
-    EXPECT_EQ(a.curve_generation(), 0u);
 
     bson::Document doc;
     doc.Append(kLocationField,
@@ -215,52 +214,6 @@ TEST(ApproachTest, QueryConstraintCoversRectCellsForEveryCurve) {
           << geo::CurveKindName(kind) << " (" << lon << "," << lat << ")";
     }
   }
-}
-
-TEST(ApproachTest, RefitCurveInvalidatesCachedCovers) {
-  // The cover-cache staleness regression: a cover computed under one
-  // mapping must never be served after a refit changed the cell
-  // boundaries. The mapping generation is part of the cache key, so the
-  // refit turns the warm entry into a miss.
-  ApproachConfig config;
-  config.kind = ApproachKind::kHilStar;
-  config.dataset_mbr = geo::Rect{{23.0, 37.0}, {25.0, 39.0}};
-  config.curve_kind = geo::CurveKind::kEGeoHash;
-  Approach a(config);  // no sample: starts on uniform boundaries
-  EXPECT_EQ(a.curve_generation(), 0u);
-
-  const geo::Rect rect{{23.606039, 38.023982}, {24.032754, 38.353926}};
-  EXPECT_FALSE(a.TranslateQuery(rect, 0, 1000).cache_hit);
-  EXPECT_TRUE(a.TranslateQuery(rect, 0, 1000).cache_hit);
-
-  Rng rng(46);
-  std::vector<geo::Point> sample;
-  for (int i = 0; i < 600; ++i) {
-    sample.push_back({23.65 + rng.NextGaussian() * 0.05,
-                      38.1 + rng.NextGaussian() * 0.05});
-  }
-  ASSERT_TRUE(a.RefitCurve(sample).ok());
-  EXPECT_EQ(a.curve_generation(), 1u);
-  EXPECT_TRUE(a.curve()->grid().warped());
-
-  // Same rect, same window: the old cover is unreachable now — the query
-  // re-translates against the refitted mapping and matches refitted keys.
-  const TranslatedQuery refitted = a.TranslateQuery(rect, 0, 1000);
-  EXPECT_FALSE(refitted.cache_hit);
-  bson::Document doc;
-  doc.Append(kLocationField,
-             Value::MakeDocument(bson::GeoJsonPoint(23.65, 38.1)));
-  doc.Append(kDateField, Value::DateTime(500));
-  ASSERT_TRUE(a.EnrichDocument(&doc).ok());
-  EXPECT_TRUE(refitted.expr->Matches(doc));
-
-  // Refitting anything but an EntropyGeoHash curve is rejected.
-  ApproachConfig hil;
-  hil.kind = ApproachKind::kHil;
-  EXPECT_FALSE(Approach(hil).RefitCurve(sample).ok());
-  ApproachConfig baseline;
-  baseline.kind = ApproachKind::kBslTS;
-  EXPECT_FALSE(Approach(baseline).RefitCurve(sample).ok());
 }
 
 // ---------- StStore end-to-end over all four approaches ----------

@@ -362,6 +362,16 @@ TEST(TrafficTest, ReshardMidwayRunKeepsExactParity) {
   EXPECT_EQ(report.total_errors, 0u);
   EXPECT_TRUE(report.reshard_ran);
   EXPECT_TRUE(report.reshard_status.ok()) << report.reshard_status.ToString();
+  // Every target chunk takes one reshard move (later inserts may split
+  // them further); the report carries the migration outcomes beside the
+  // latencies.
+  EXPECT_GT(report.reshard_chunks_migrated, 0u);
+  EXPECT_LE(report.reshard_chunks_migrated,
+            store.cluster().chunks().num_chunks());
+  const std::string json = report.ToJson();
+  EXPECT_NE(json.find("\"migrations_committed\": "), std::string::npos);
+  EXPECT_NE(json.find("\"chunks_migrated\": "), std::string::npos);
+  EXPECT_NE(json.find("\"docs_moved\": "), std::string::npos);
   EXPECT_EQ(store.approach().kind(), st::ApproachKind::kHil);
   EXPECT_FALSE(store.resharding());
   EXPECT_EQ(VerifyTrafficParity(store, plan), 0u);

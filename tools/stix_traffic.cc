@@ -240,12 +240,17 @@ int TrafficMain(int argc, char** argv) {
   json << ",\n  \"achieved_ops_per_sec\": " << report.achieved_ops_per_sec
        << ",\n  \"duration_sec\": " << report.duration_sec
        << ",\n  \"total_errors\": " << report.total_errors
-       << ",\n  \"parity_divergences\": " << divergences;
+       << ",\n  \"parity_divergences\": " << divergences
+       << ",\n  \"balancer\": {\"migrations_committed\": "
+       << report.migrations_committed << ", \"migrations_aborted\": "
+       << report.migrations_aborted << "}";
   if (report.reshard_ran) {
     json << ",\n  \"reshard\": {\"status\": \""
          << (report.reshard_status.ok() ? "OK"
                                         : report.reshard_status.ToString())
-         << "\", \"millis\": " << report.reshard_millis << "}";
+         << "\", \"millis\": " << report.reshard_millis
+         << ", \"chunks_migrated\": " << report.reshard_chunks_migrated
+         << ", \"docs_moved\": " << report.reshard_docs_moved << "}";
   }
   json << "\n}\n";
 
