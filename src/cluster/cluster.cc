@@ -344,7 +344,7 @@ Result<Cluster::MoveResult> Cluster::MoveChunk(size_t chunk_index, int to,
   // one vanishes whole. A failed recipient batch has already taken itself
   // back out of memory.
   Result<std::vector<storage::RecordId>> dest_rids =
-      dest.InsertBatchLocked(std::move(moved));
+      dest.WriteBatchLocked({}, std::move(moved));
   if (!dest_rids.ok()) return dest_rids.status();
   const bool flip = owner != to;
   if (flip) {
@@ -355,15 +355,16 @@ Result<Cluster::MoveResult> Cluster::MoveChunk(size_t chunk_index, int to,
       PublishRouting();
       // Best effort: after a simulated crash the recipient's WAL may be
       // dead too, and recovery's orphan sweep finishes the job.
-      (void)dest.RemoveBatchLocked(*dest_rids);
+      (void)dest.WriteBatchLocked(*dest_rids, {});
       return s;
     }
   }
   for (size_t i = 0; i < donors.size(); ++i) {
-    if (Status s = shards_[static_cast<size_t>(donors[i])]->RemoveBatchLocked(
-            doomed[i]);
-        !s.ok()) {
-      return s;
+    if (Result<std::vector<storage::RecordId>> r =
+            shards_[static_cast<size_t>(donors[i])]->WriteBatchLocked(
+                doomed[i], {});
+        !r.ok()) {
+      return r.status();
     }
   }
   // Every touched shard's data distribution just changed: stale-mark its
@@ -678,139 +679,103 @@ Result<std::vector<bson::Document>> Cluster::Aggregate(
   return query::RunPipeline(std::move(r.docs), merge_stages);
 }
 
+// One delete loop for both layouts. Each target shard's candidates are read
+// through the shard's own cursor: raw documents, selected on a bucketed
+// store by the widened bucket-level expression. Each stored document is
+// decided on its own: a row document dies if it matches; a bucket runs the
+// bucket predicate kernel and, where points match, is replaced by a
+// re-encoded bucket of its survivors (MongoDB's time-series delete does the
+// same unpack/rewrite). A survivor bucket keeps the window start and cell
+// base, so it stays in the same chunk on the same shard, and the shard's
+// removals and rewrites commit as one write batch: crash-atomic per shard.
+// Returns the number of points deleted.
 Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
-  // One exclusive topology step: serializes against inserts and migration
-  // commits, so per-shard query-then-remove stays internally consistent
-  // and chunk accounting cannot race.
+  // Exclusive for the chunk accounting: no insert, split or migration
+  // commit lands between a shard's read and its batch, so the accounting
+  // matches what the batch removed. Held across one WAL commit per target
+  // shard.
   const std::unique_lock<std::shared_mutex> topo(topology_mu_);
-  const std::shared_ptr<const RoutingTable> snapshot = routing();
-  const Router router(*snapshot, &shards_);
-  if (options_.exec.bucket_layout != nullptr && !options_.exec.raw_buckets) {
-    return DeleteBucketsLocked(router, expr);
-  }
-  const std::vector<int> targets = router.TargetShards(expr);
-  uint64_t deleted = 0;
-  for (const int shard_id : targets) {
-    Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-    const query::ExecutionResult r = shard.RunQuery(expr, options_.exec);
-    // r.docs borrows from the record store, so read everything the
-    // accounting needs before the first Remove invalidates the borrow
-    // window (the generation check in CheckBorrows enforces exactly this
-    // discipline).
-    r.CheckBorrows();
-    std::vector<std::pair<std::string, uint64_t>> doomed;
-    doomed.reserve(r.docs.size());
-    for (const bson::Document* doc : r.docs) {
-      doomed.emplace_back(pattern_.KeyOf(*doc), doc->ApproxBsonSize());
-    }
-    for (size_t i = 0; i < r.rids.size(); ++i) {
-      // Update the owning chunk's accounting before the document dies.
-      Chunk& chunk = chunks_->chunk(chunks_->FindChunkIndex(doomed[i].first));
-      const Status s = shard.Remove(r.rids[i]);
-      if (!s.ok()) return s;
-      chunk.bytes -= std::min(chunk.bytes, doomed[i].second);
-      if (chunk.docs > 0) --chunk.docs;
-      if (chunk.points > 0) --chunk.points;
-      chunk.writes += 1;
-      ++deleted;
-    }
-  }
-  return deleted;
-}
-
-// Deleting from a bucketed collection (topology held exclusive by Delete):
-// fetch the raw bucket documents the widened expression can reach, run the
-// bucket predicate kernel on each, and where any point matches, decode the
-// bucket, remove it and re-insert a re-encoded bucket of the survivors —
-// MongoDB's time-series deletes do the same unpack/rewrite dance. Returns
-// the number of *points* deleted.
-Result<uint64_t> Cluster::DeleteBucketsLocked(const Router& router,
-                                              const query::ExprPtr& expr) {
-  const storage::BucketLayout& layout = *options_.exec.bucket_layout;
+  const storage::BucketLayout* layout =
+      options_.exec.raw_buckets ? nullptr : options_.exec.bucket_layout.get();
   query::ExecutorOptions raw_exec = options_.exec;
   raw_exec.raw_buckets = true;
-  const query::ExprPtr bucket_expr = Router::RoutingExpr(expr, options_.exec);
-  const std::vector<int> targets = router.TargetShards(bucket_expr);
+  const query::ExprPtr routing_expr = Router::RoutingExpr(expr, options_.exec);
   const query::BucketPruneSpec spec =
-      query::ExtractBucketPredicates(expr, layout);
-
+      layout != nullptr ? query::ExtractBucketPredicates(expr, *layout)
+                        : query::BucketPruneSpec{};
+  const Router router(*routing(), &shards_);
+  storage::BucketReader reader;
+  storage::BucketSelection selection;
   uint64_t deleted = 0;
-  for (const int shard_id : targets) {
+  for (const int shard_id : router.TargetShards(routing_expr)) {
     Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-    const query::ExecutionResult r = shard.RunQuery(bucket_expr, raw_exec);
-    r.CheckBorrows();
-
-    // Decode and partition every affected bucket before the first Remove
-    // invalidates the borrow window.
+    const ShardCursor::Batch found =
+        shard.OpenCursor(routing_expr, raw_exec)->GetMore(0);
+    if (!found.error.ok()) return found.error;
     struct Doomed {
-      storage::RecordId rid;
-      std::string key;
+      size_t chunk;
       uint64_t bytes;
-      uint64_t total_points;
       uint64_t removed_points;
-      std::vector<bson::Document> survivors;
+      uint64_t new_bytes;  ///< The survivor bucket's; 0 when none.
     };
     std::vector<Doomed> doomed;
-    storage::BucketReader reader;
-    storage::BucketSelection selection;
-    for (size_t i = 0; i < r.docs.size(); ++i) {
-      const bson::Document& doc = *r.docs[i];
-      if (!storage::IsBucketDocument(doc)) {
-        // Row document in a bucketed store (mixed loads): plain delete.
+    std::vector<storage::RecordId> removes;
+    std::vector<bson::Document> rebucketed;
+    for (size_t i = 0; i < found.docs.size(); ++i) {
+      const bson::Document& doc = found.docs[i];
+      Doomed d{0, doc.ApproxBsonSize(), 1, 0};
+      if (layout == nullptr || !storage::IsBucketDocument(doc)) {
         if (expr != nullptr && !expr->Matches(doc)) continue;
-        doomed.push_back({r.rids[i], pattern_.KeyOf(doc),
-                          doc.ApproxBsonSize(), 1, 1, {}});
-        continue;
-      }
-      if (Status s = reader.Reset(doc); !s.ok()) return s;
-      if (Status s = reader.Select(spec, &selection); !s.ok()) return s;
-      if (selection.rows.empty()) continue;  // nothing to delete here
-      std::vector<bson::Document> points;
-      if (Status s = reader.Build(layout, nullptr, &points); !s.ok()) return s;
-      const uint64_t total = points.size();
-      std::vector<bson::Document> survivors;
-      size_t next = 0;  // Cursor into the ascending selected rows.
-      for (uint32_t row = 0; row < total; ++row) {
-        const bool selected =
-            next < selection.rows.size() && selection.rows[next] == row;
-        next += selected;
-        bson::Document& p = points[row];
-        if (selected &&
-            (selection.exact || expr == nullptr || expr->Matches(p))) {
-          continue;
+      } else {
+        if (Status s = reader.Reset(doc); !s.ok()) return s;
+        if (Status s = reader.Select(spec, &selection); !s.ok()) return s;
+        if (selection.rows.empty()) continue;
+        std::vector<bson::Document> points;
+        if (Status s = reader.Build(*layout, nullptr, &points); !s.ok()) {
+          return s;
         }
-        survivors.push_back(std::move(p));
+        std::vector<bson::Document> survivors;
+        size_t next = 0;  // cursor into the ascending selected rows
+        for (uint32_t row = 0; row < points.size(); ++row) {
+          const bool selected =
+              next < selection.rows.size() && selection.rows[next] == row;
+          next += selected;
+          if (selected && (selection.exact || expr == nullptr ||
+                           expr->Matches(points[row]))) {
+            continue;
+          }
+          survivors.push_back(std::move(points[row]));
+        }
+        if (survivors.size() == points.size()) continue;  // none matched
+        d.removed_points = points.size() - survivors.size();
+        if (!survivors.empty()) {
+          Result<bson::Document> bucket =
+              storage::EncodeBucket(survivors, *layout);
+          if (!bucket.ok()) return bucket.status();
+          d.new_bytes = bucket->ApproxBsonSize();
+          rebucketed.push_back(std::move(*bucket));
+        }
       }
-      if (survivors.size() == total) continue;  // no selected row matched
-      doomed.push_back({r.rids[i], pattern_.KeyOf(doc), doc.ApproxBsonSize(),
-                        total, total - survivors.size(),
-                        std::move(survivors)});
+      d.chunk = chunks_->FindChunkIndex(pattern_.KeyOf(doc));
+      doomed.push_back(d);
+      removes.push_back(found.rids[i]);
     }
-
-    for (Doomed& d : doomed) {
-      Chunk& chunk = chunks_->chunk(chunks_->FindChunkIndex(d.key));
-      const Status s = shard.Remove(d.rid);
-      if (!s.ok()) return s;
-      chunk.bytes -= std::min(chunk.bytes, d.bytes);
-      if (chunk.docs > 0) --chunk.docs;
-      chunk.points -= std::min(chunk.points, d.total_points);
+    if (removes.empty()) continue;
+    {
+      const std::unique_lock<std::shared_mutex> data(shard.data_mutex());
+      if (Result<std::vector<storage::RecordId>> r =
+              shard.WriteBatchLocked(removes, std::move(rebucketed));
+          !r.ok()) {
+        return r.status();
+      }
+    }
+    for (const Doomed& d : doomed) {
+      Chunk& chunk = chunks_->chunk(d.chunk);
+      chunk.bytes = chunk.bytes - std::min(chunk.bytes, d.bytes) + d.new_bytes;
+      chunk.points -= std::min(chunk.points, d.removed_points);
+      if (d.new_bytes == 0 && chunk.docs > 0) --chunk.docs;
+      chunk.writes += 1;
       deleted += d.removed_points;
-
-      if (d.survivors.empty()) continue;
-      Result<bson::Document> rebucketed =
-          storage::EncodeBucket(d.survivors, layout);
-      if (!rebucketed.ok()) return rebucketed.status();
-      const std::string key = pattern_.KeyOf(*rebucketed);
-      Chunk& dst = chunks_->chunk(chunks_->FindChunkIndex(key));
-      const uint64_t new_bytes = rebucketed->ApproxBsonSize();
-      const uint64_t kept = d.survivors.size();
-      Result<storage::RecordId> rid =
-          shards_[static_cast<size_t>(dst.shard_id)]->Insert(
-              std::move(*rebucketed));
-      if (!rid.ok()) return rid.status();
-      dst.bytes += new_bytes;
-      dst.docs += 1;
-      dst.points += kept;
     }
   }
   return deleted;

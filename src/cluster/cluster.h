@@ -192,9 +192,11 @@ class Cluster {
   Result<std::vector<bson::Document>> Aggregate(
       const query::Pipeline& pipeline) const;
 
-  /// Deletes every document matching the expression; returns the count.
-  /// Chunk byte/document accounting is updated (chunks never re-merge, as
-  /// in MongoDB).
+  /// Deletes every document (on a bucketed store: every point) matching
+  /// the expression; returns the count. Each target shard's removals and
+  /// re-encoded buckets commit as one write batch (Shard::WriteBatchLocked),
+  /// so the delete is crash-atomic per shard. Chunk byte/document
+  /// accounting is updated (chunks never re-merge, as in MongoDB).
   Result<uint64_t> Delete(const query::ExprPtr& expr);
 
   // --- online resharding (reshard.cc) ---
@@ -346,10 +348,6 @@ class Cluster {
   /// Rewrites the config journal as one current metadata record (tmp +
   /// rename — a crash mid-compaction keeps the old journal).
   Status CompactConfigWalLocked();
-  /// Bucketed-collection delete (see Delete): unpack, filter, re-encode
-  /// survivors. Caller holds topology_mu_ exclusive.
-  Result<uint64_t> DeleteBucketsLocked(const Router& router,
-                                       const query::ExprPtr& expr);
   void BalancerMain(int interval_ms);
   static std::string IndexNameForPattern(const ShardKeyPattern& pattern);
 

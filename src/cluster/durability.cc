@@ -210,8 +210,8 @@ Result<std::unique_ptr<Cluster>> RecoverCluster(const ClusterOptions& options) {
     if (!rs.ok()) return rs;
   }
 
-  // Orphan sweep (see above). The removes go through the normal durable
-  // path, so the sweep itself survives a crash-during-recovery.
+  // Orphan sweep (see above): one write batch per shard, through the normal
+  // durable path, so the sweep itself survives a crash-during-recovery.
   {
     const std::unique_lock<std::shared_mutex> topo(cluster->topology_mu_);
     STIX_METRIC_COUNTER(orphans, "recovery.orphans_swept");
@@ -224,13 +224,15 @@ Result<std::unique_ptr<Cluster>> RecoverCluster(const ClusterOptions& options) {
                 cluster->chunks_->chunk(cluster->chunks_->FindChunkIndex(key));
             if (chunk.shard_id != shard->id()) doomed.push_back(rid);
           });
-      for (const storage::RecordId rid : doomed) {
-        if (Status rs = shard->Remove(rid); !rs.ok()) return rs;
+      if (doomed.empty()) continue;
+      const std::unique_lock<std::shared_mutex> data(shard->data_mutex());
+      if (Result<std::vector<storage::RecordId>> r =
+              shard->WriteBatchLocked(doomed, {});
+          !r.ok()) {
+        return r.status();
       }
-      if (!doomed.empty()) {
-        orphans.Increment(doomed.size());
-        shard->OnDataDistributionChanged();
-      }
+      orphans.Increment(doomed.size());
+      shard->OnDataDistributionChanged();
     }
   }
 

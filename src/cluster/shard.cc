@@ -93,14 +93,9 @@ Result<storage::RecordId> Shard::Insert(bson::Document doc) {
   std::vector<bson::Document> one;
   one.push_back(std::move(doc));
   Result<std::vector<storage::RecordId>> rids =
-      InsertBatchLocked(std::move(one));
+      WriteBatchLocked({}, std::move(one));
   if (!rids.ok()) return rids.status();
   return rids->front();
-}
-
-Status Shard::CommitWalLocked() {
-  const Result<uint64_t> lsn = wal_->Commit();
-  return lsn.ok() ? Status::OK() : lsn.status();
 }
 
 Result<RangeDocs> Shard::CollectRangeLocked(const std::string& index_name,
@@ -132,24 +127,40 @@ Result<RangeDocs> Shard::CollectRangeLocked(const std::string& index_name,
   return out;
 }
 
-Result<std::vector<storage::RecordId>> Shard::InsertBatchLocked(
-    std::vector<bson::Document> docs) {
-  std::vector<storage::RecordId> rids;
-  rids.reserve(docs.size());
-  // Take every apply back out, so the caller's error means "nothing
+Result<std::vector<storage::RecordId>> Shard::WriteBatchLocked(
+    const std::vector<storage::RecordId>& removes,
+    std::vector<bson::Document> inserts) {
+  storage::RecordStore& records = collection_.records();
+  // The removed documents are the undo copies: a failure puts them back
+  // and takes the inserts out again, so the caller's error means "nothing
   // happened" — the unacked-atomic half of the crash oracle.
+  std::vector<bson::Document> removed;
+  removed.reserve(removes.size());
+  std::vector<storage::RecordId> rids;
+  rids.reserve(inserts.size());
   const auto undo = [&](Status s) {
     for (const storage::RecordId rid : rids) {
-      (void)catalog_.OnRemove(*collection_.records().Get(rid), rid);
-      collection_.records().Remove(rid);
+      (void)catalog_.OnRemove(*records.Get(rid), rid);
+      records.Remove(rid);
+    }
+    for (size_t i = 0; i < removed.size(); ++i) {
+      (void)records.RestoreAt(removes[i], std::move(removed[i]));
+      (void)catalog_.OnInsert(*records.Get(removes[i]), removes[i]);
     }
     return s;
   };
-  for (bson::Document& doc : docs) {
-    const storage::RecordId rid = collection_.records().Insert(std::move(doc));
-    if (Status s = catalog_.OnInsert(*collection_.records().Get(rid), rid);
-        !s.ok()) {
-      collection_.records().Remove(rid);
+  for (const storage::RecordId rid : removes) {
+    const bson::Document* doc = records.Get(rid);
+    if (doc == nullptr) {
+      return undo(Status::NotFound("record " + std::to_string(rid)));
+    }
+    if (Status s = catalog_.OnRemove(*doc, rid); !s.ok()) return undo(s);
+    removed.push_back(std::move(*records.Remove(rid)));
+  }
+  for (bson::Document& doc : inserts) {
+    const storage::RecordId rid = records.Insert(std::move(doc));
+    if (Status s = catalog_.OnInsert(*records.Get(rid), rid); !s.ok()) {
+      records.Remove(rid);
       return undo(s);
     }
     rids.push_back(rid);
@@ -157,78 +168,35 @@ Result<std::vector<storage::RecordId>> Shard::InsertBatchLocked(
   // Stage only after every apply succeeded: a staged record cannot be
   // withdrawn, and would ride along with the log's next commit.
   if (wal_ != nullptr) {
-    for (const storage::RecordId rid : rids) {
+    for (const storage::RecordId rid : removes) {
       if (Result<uint64_t> a =
-              wal_->Append(storage::WalRecordType::kInsert, rid,
-                           bson::EncodeBson(*collection_.records().Get(rid)));
+              wal_->Append(storage::WalRecordType::kRemove, rid, {});
           !a.ok()) {
         return undo(a.status());
       }
     }
-    if (Status s = CommitWalLocked(); !s.ok()) return undo(s);
+    for (const storage::RecordId rid : rids) {
+      if (Result<uint64_t> a =
+              wal_->Append(storage::WalRecordType::kInsert, rid,
+                           bson::EncodeBson(*records.Get(rid)));
+          !a.ok()) {
+        return undo(a.status());
+      }
+    }
+    if (Result<uint64_t> lsn = wal_->Commit(); !lsn.ok()) {
+      return undo(lsn.status());
+    }
+  }
+  for (const bson::Document& doc : removed) {
+    stats_.Observe(query::stats::ExtractStatsValues(doc, StatsGeoHash()), -1);
   }
   for (const storage::RecordId rid : rids) {
-    stats_.Observe(query::stats::ExtractStatsValues(
-                       *collection_.records().Get(rid), StatsGeoHash()),
-                   +1);
+    stats_.Observe(
+        query::stats::ExtractStatsValues(*records.Get(rid), StatsGeoHash()),
+        +1);
   }
   if (wal_ != nullptr) MaybeCheckpointLocked();
   return rids;
-}
-
-Status Shard::Remove(storage::RecordId rid) {
-  const std::unique_lock<std::shared_mutex> lock = LockExclusive(data_mu_);
-  return RemoveBatchLocked({rid});
-}
-
-Status Shard::RemoveBatchLocked(const std::vector<storage::RecordId>& rids) {
-  for (const storage::RecordId rid : rids) {
-    if (collection_.records().Get(rid) == nullptr) {
-      return Status::NotFound("record " + std::to_string(rid));
-    }
-  }
-  // A durable shard keeps undo copies: any later failure restores every
-  // record, so an error means "the records are still there".
-  std::vector<bson::Document> undo_copies;
-  if (wal_ != nullptr) undo_copies.reserve(rids.size());
-  for (const storage::RecordId rid : rids) {
-    const bson::Document* doc = collection_.records().Get(rid);
-    if (wal_ != nullptr) undo_copies.push_back(*doc);
-    if (Status s = catalog_.OnRemove(*doc, rid); !s.ok()) {
-      if (wal_ != nullptr) undo_copies.pop_back();  // still stored
-      return RestoreRemovedLocked(rids, std::move(undo_copies), std::move(s));
-    }
-    stats_.Observe(query::stats::ExtractStatsValues(*doc, StatsGeoHash()), -1);
-    collection_.records().Remove(rid);
-  }
-  if (wal_ == nullptr) return Status::OK();
-  // Staged after every removal succeeded, as in InsertBatchLocked.
-  for (const storage::RecordId rid : rids) {
-    if (Result<uint64_t> a =
-            wal_->Append(storage::WalRecordType::kRemove, rid, {});
-        !a.ok()) {
-      return RestoreRemovedLocked(rids, std::move(undo_copies), a.status());
-    }
-  }
-  if (Status s = CommitWalLocked(); !s.ok()) {
-    return RestoreRemovedLocked(rids, std::move(undo_copies), std::move(s));
-  }
-  MaybeCheckpointLocked();
-  return Status::OK();
-}
-
-Status Shard::RestoreRemovedLocked(
-    const std::vector<storage::RecordId>& rids,
-    std::vector<bson::Document> copies, Status status) {
-  // copies[i] is the removed document of rids[i].
-  for (size_t i = 0; i < copies.size(); ++i) {
-    (void)collection_.records().RestoreAt(rids[i], std::move(copies[i]));
-    const bson::Document* restored = collection_.records().Get(rids[i]);
-    (void)catalog_.OnInsert(*restored, rids[i]);
-    stats_.Observe(query::stats::ExtractStatsValues(*restored, StatsGeoHash()),
-                   +1);
-  }
-  return status;
 }
 
 Status Shard::AttachWal(const std::string& dir, storage::WalOptions options,
@@ -432,16 +400,6 @@ void Shard::RebuildStatsFromStorage() const {
 void Shard::OnDataDistributionChanged() const {
   stats_.MarkStale();
   plan_cache_.InvalidateAll();
-}
-
-query::ExecutionResult Shard::RunQuery(
-    const query::ExprPtr& expr, const query::ExecutorOptions& options) const {
-  const std::shared_lock<std::shared_mutex> lock = LockShared(data_mu_);
-  MaybeRebuildStats();
-  query::ExecutorOptions opts = options;
-  opts.shard_stats = &stats_;
-  return query::ExecuteQuery(collection_.records(), catalog_, expr, opts,
-                             &plan_cache_);
 }
 
 std::unique_ptr<ShardCursor> Shard::OpenCursor(

@@ -130,11 +130,12 @@ struct RangeDocs {
 /// mongod would use; the router fans out and merges.
 ///
 /// Concurrency: a reader–writer lock over the shard's data (collection +
-/// indexes). Readers — OpenCursor/GetMore/RunQuery — hold it
-/// shared; Insert and Remove (migration apply) hold it exclusive. Acquired
-/// last in the cluster's lock order (migration latch < topology < shard
-/// data) and never held across calls out of the shard. Contended
-/// acquisitions feed "shard.lock_waits" / "shard.lock_wait_micros".
+/// indexes). Readers (cursor GetMores) hold it shared; writers (Insert, and
+/// the deletes and migrations that call WriteBatchLocked) hold it
+/// exclusive. Acquired last in the cluster's lock order (migration latch <
+/// topology < shard data) and never held across calls out of the shard.
+/// Contended acquisitions feed "shard.lock_waits" /
+/// "shard.lock_wait_micros".
 class Shard {
  public:
   explicit Shard(int id) : id_(id) {}
@@ -149,20 +150,9 @@ class Shard {
   index::IndexCatalog& catalog() { return catalog_; }
   const index::IndexCatalog& catalog() const { return catalog_; }
 
-  /// Stores a document and maintains every index (exclusive lock).
+  /// Stores a document and maintains every index (exclusive lock): the
+  /// one-document WriteBatchLocked.
   Result<storage::RecordId> Insert(bson::Document doc);
-
-  /// Removes a record and its index entries (chunk migration; exclusive
-  /// lock).
-  Status Remove(storage::RecordId rid);
-
-  /// Runs a query locally to completion, returning documents and
-  /// explain-style stats. Plan choices are remembered per query shape in
-  /// this shard's plan cache, as in mongod. Holds the shard lock shared for
-  /// the whole execution; the result borrows the record store, so consume
-  /// it before the next local mutation.
-  query::ExecutionResult RunQuery(const query::ExprPtr& expr,
-                                  const query::ExecutorOptions& options) const;
 
   /// Opens a resumable cursor over this shard's results for `expr`. A
   /// non-zero `limit` is pushed down to the executor (trial race target and
@@ -179,8 +169,8 @@ class Shard {
   const query::PlanCache& plan_cache() const { return plan_cache_; }
 
   /// This shard's online statistics (histograms over date / hilbertIndex /
-  /// geo cells plus layout counts), maintained by Insert/Remove and read by
-  /// the executor's cost model.
+  /// geo cells plus layout counts), maintained by every write batch and
+  /// read by the executor's cost model.
   const query::stats::ShardStatistics& statistics() const { return stats_; }
 
   /// Lazy statistics rebuild: when the histogram boundaries have drifted
@@ -207,25 +197,22 @@ class Shard {
   void OnDataDistributionChanged() const;
 
   /// The shard's reader–writer data lock. Exposed for multi-record critical
-  /// sections that must hold it across calls (the migration commit batches
-  /// its removes/inserts under one exclusive acquisition via the *Locked
-  /// entry points below).
+  /// sections that must hold it across calls (a migration commit or a
+  /// delete applies its changes under one exclusive acquisition via the
+  /// *Locked entry points below).
   std::shared_mutex& data_mutex() const { return data_mu_; }
 
-  /// Batched Insert for callers that already hold data_mutex() exclusively
-  /// (a migration's recipient side): stores and indexes every document and
-  /// logs them as one WAL batch with a single commit. All or nothing: on
-  /// any failure every document applied so far is taken back out. Returns
-  /// the new record ids in input order. Insert() is the one-document case.
-  Result<std::vector<storage::RecordId>> InsertBatchLocked(
-      std::vector<bson::Document> docs);
-  /// Batched Remove under an exclusive data_mutex() hold (a migration's
-  /// donor side): one WAL batch, one commit. A missing record fails the
-  /// call before anything is removed. On a durable shard any later failure
-  /// restores every record; an in-memory shard keeps no undo copies, so an
-  /// index fault stops at the failing record, as a single Remove() always
-  /// has. Remove() is the one-record case.
-  Status RemoveBatchLocked(const std::vector<storage::RecordId>& rids);
+  /// The one shard write, for a caller holding data_mutex() exclusively:
+  /// removes every record of `removes`, then stores and indexes every
+  /// document of `inserts`, and logs both as one WAL batch with a single
+  /// commit. All or nothing: any failure (a missing record included) puts
+  /// every removed record back and takes every insert out again, so an
+  /// error means "nothing happened" (a record whose own index removal
+  /// fails stays stored as the index left it). Returns the new record ids
+  /// in input order.
+  Result<std::vector<storage::RecordId>> WriteBatchLocked(
+      const std::vector<storage::RecordId>& removes,
+      std::vector<bson::Document> inserts);
   /// Copies of the documents whose `index_name` key lies in [min, max), in
   /// key order, for a caller holding data_mutex() (shared suffices). A
   /// document already in `reuse` (a migration's copy-phase snapshot of the
@@ -237,7 +224,7 @@ class Shard {
 
   // ---- Durability ----
   //
-  // With a WAL attached every Insert/Remove is logged and committed before
+  // With a WAL attached every write batch is logged and committed before
   // it is acknowledged; without one the shard is the original in-memory
   // store. Recovery = last intact checkpoint + WAL replay to the commit
   // horizon (see DESIGN.md §5i).
@@ -280,13 +267,6 @@ class Shard {
   /// location histogram observes (it must match what the index keys store).
   const geo::GeoHash* StatsGeoHash() const;
 
-  /// Commits the records staged in the WAL as one batch.
-  Status CommitWalLocked();
-  /// RemoveBatchLocked's undo: puts copies[i] back at rids[i] (re-indexed,
-  /// re-observed) and returns `status`.
-  Status RestoreRemovedLocked(const std::vector<storage::RecordId>& rids,
-                              std::vector<bson::Document> copies,
-                              Status status);
   /// Auto-checkpoint trigger; failures don't fail the triggering write (it
   /// is already durable) — a failed checkpoint kills the WAL instead.
   void MaybeCheckpointLocked();

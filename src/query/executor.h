@@ -72,11 +72,11 @@ struct ExecutorOptions {
 ///
 /// Matched documents are returned as borrowed pointers into the shard's
 /// RecordStore — the executor copies nothing. Pointers stay valid until the
-/// collection is next mutated; callers that outlive that window (the router
-/// merge, deletes) materialize what they need exactly once.
+/// collection is next mutated; callers that outlive that window materialize
+/// what they need exactly once (MaterializeDocs).
 struct ExecutionResult {
   std::vector<const bson::Document*> docs;
-  /// RecordIds parallel to `docs` (consumed by deletes and diagnostics).
+  /// RecordIds parallel to `docs` (diagnostics).
   /// Bucket-unpacked points share their bucket's record id, so ids can
   /// repeat.
   std::vector<storage::RecordId> rids;

@@ -105,18 +105,10 @@ Status StStore::Insert(bson::Document doc) {
     }
     ++inserted_;
   }
-  // During a reshard the document must fit both layouts: the live approach
-  // keys today's routing, the target approach keys the table it will land
-  // in after the copy (EnrichDocument is a no-op for baselines).
-  std::shared_ptr<const Approach> live, target;
-  {
-    const std::lock_guard<std::mutex> lock(approach_mu_);
-    live = approach_;
-    target = reshard_target_;
-  }
-  Status s = live->EnrichDocument(&doc);
-  if (s.ok() && target != nullptr) s = target->EnrichDocument(&doc);
-  if (!s.ok()) return s;
+  // The live approach's enrichment (a no-op for baselines). During a
+  // reshard the cluster adds what the target layout needs (its
+  // reshard_enrich_), so a document fits both layouts.
+  if (Status s = approach().EnrichDocument(&doc); !s.ok()) return s;
   if (catalog_ != nullptr) {
     if (journal_ == nullptr) return catalog_->Add(std::move(doc));
     // Durable bucketed path: the point must be on disk (catalog journal)
@@ -144,16 +136,19 @@ Status StStore::FlushBuckets() const {
   if (catalog_ == nullptr) return Status::OK();
   if (journal_ == nullptr) return catalog_->FlushAll();
   const std::lock_guard<std::mutex> lock(journal_mu_);
+  return FlushJournaledLocked().status();
+}
+
+Result<bool> StStore::FlushJournaledLocked() const {
   if (Status s = catalog_->FlushAll(); !s.ok()) return s;
   // Every journaled point now lives in a flushed bucket, durable in some
   // shard's own WAL — once those are synced the catalog journal is
   // redundant and can be dropped. A dead journal (simulated crash) is left
   // alone so query paths keep working on the in-memory state.
-  if (catalog_->points_buffered() != 0 || journal_->dead()) {
-    return Status::OK();
-  }
+  if (catalog_->points_buffered() != 0 || journal_->dead()) return false;
   if (Status s = cluster_->SyncWals(); !s.ok()) return s;
-  return journal_->Truncate();
+  if (Status s = journal_->Truncate(); !s.ok()) return s;
+  return true;
 }
 
 Status StStore::Checkpoint() {
@@ -313,10 +308,10 @@ StCursor StStore::OpenQuery(const geo::Rect& rect, int64_t t_begin_ms,
   // Best effort: a failed flush (injected fault) leaves its points
   // buffered for a later retry; the query still sees everything flushed.
   (void)FlushBuckets();
-  const std::shared_ptr<const Approach> ap = TranslationApproach();
-  TranslatedQuery translated = ap->TranslateQuery(
+  const Approach& ap = approach();
+  TranslatedQuery translated = ap.TranslateQuery(
       rect, t_begin_ms, t_end_ms,
-      CoverBudgetFor(*ap, rect, t_begin_ms, t_end_ms));
+      CoverBudgetFor(ap, rect, t_begin_ms, t_end_ms));
   std::unique_ptr<cluster::ClusterCursor> cursor = cluster_->OpenCursor(
       translated.expr, ToClusterCursorOptions(cursor_options));
   return StCursor(std::move(translated), std::move(cursor));
@@ -326,13 +321,13 @@ StExplain StStore::Explain(const geo::Rect& rect, int64_t t_begin_ms,
                            int64_t t_end_ms,
                            query::ExplainVerbosity verbosity) const {
   (void)FlushBuckets();
-  const std::shared_ptr<const Approach> ap = TranslationApproach();
-  const TranslatedQuery translated = ap->TranslateQuery(
+  const Approach& ap = approach();
+  const TranslatedQuery translated = ap.TranslateQuery(
       rect, t_begin_ms, t_end_ms,
-      CoverBudgetFor(*ap, rect, t_begin_ms, t_end_ms));
+      CoverBudgetFor(ap, rect, t_begin_ms, t_end_ms));
   StExplain explain;
-  explain.approach = ap->name();
-  if (const auto curve = ap->curve()) explain.curve = curve->name();
+  explain.approach = ap.name();
+  if (const auto curve = ap.curve()) explain.curve = curve->name();
   explain.cover_millis = translated.cover_millis;
   explain.num_ranges = translated.num_ranges;
   explain.num_singletons = translated.num_singletons;
@@ -344,12 +339,26 @@ StExplain StStore::Explain(const geo::Rect& rect, int64_t t_begin_ms,
 
 Result<uint64_t> StStore::Delete(const geo::Rect& rect, int64_t t_begin_ms,
                                  int64_t t_end_ms) {
-  const Status s = FlushBuckets();
-  if (!s.ok()) return s;
-  const std::shared_ptr<const Approach> ap = TranslationApproach();
-  const TranslatedQuery translated = ap->TranslateQuery(
+  // A durable bucketed delete runs with the catalog journal empty and held:
+  // a removed or rewritten bucket drops the `wlsns` coverage of its points,
+  // so a journal still holding them would replay the deleted points (and
+  // duplicate the survivors) at recovery.
+  std::unique_lock<std::mutex> journal_lock;
+  if (journal_ != nullptr) {
+    journal_lock = std::unique_lock<std::mutex>(journal_mu_);
+    const Result<bool> emptied = FlushJournaledLocked();
+    if (!emptied.ok()) return emptied.status();
+    if (!*emptied) {
+      return Status::Internal(
+          "catalog journal cannot be emptied; nothing deleted");
+    }
+  } else if (Status s = FlushBuckets(); !s.ok()) {
+    return s;
+  }
+  const Approach& ap = approach();
+  const TranslatedQuery translated = ap.TranslateQuery(
       rect, t_begin_ms, t_end_ms,
-      CoverBudgetFor(*ap, rect, t_begin_ms, t_end_ms));
+      CoverBudgetFor(ap, rect, t_begin_ms, t_end_ms));
   return cluster_->Delete(translated.expr);
 }
 
@@ -367,8 +376,7 @@ StCursor StStore::OpenPolygonQuery(const geo::Polygon& polygon,
                                    const StCursorOptions& cursor_options) const {
   (void)FlushBuckets();
   TranslatedQuery translated =
-      TranslationApproach()->TranslatePolygonQuery(polygon, t_begin_ms,
-                                                   t_end_ms);
+      approach().TranslatePolygonQuery(polygon, t_begin_ms, t_end_ms);
   std::unique_ptr<cluster::ClusterCursor> cursor = cluster_->OpenCursor(
       translated.expr, ToClusterCursorOptions(cursor_options));
   return StCursor(std::move(translated), std::move(cursor));
@@ -382,18 +390,15 @@ Status StStore::Reshard(ApproachKind to_kind) {
     return Status::NotSupported("resharding a durable store");
   }
 
-  // Build the target approach (and the transition translator) outside the
-  // lock — Approach construction builds a Hilbert curve for hil*.
+  // Build the target approach outside the lock — Approach construction
+  // builds a Hilbert curve for hil*.
   ApproachConfig next_config = options_.approach;
   next_config.kind = to_kind;
   const auto next = std::make_shared<const Approach>(next_config);
-  ApproachConfig bridge_config = options_.approach;
-  bridge_config.kind = ApproachKind::kBslTS;
-  const auto bridge = std::make_shared<const Approach>(bridge_config);
 
   {
     const std::lock_guard<std::mutex> lock(approach_mu_);
-    if (reshard_target_ != nullptr) {
+    if (resharding_) {
       return Status::AlreadyExists("a reshard is already in progress");
     }
     if (approach_->kind() == to_kind) {
@@ -403,11 +408,11 @@ Status StStore::Reshard(ApproachKind to_kind) {
       return Status::InvalidArgument(
           "new approach shares the current shard key");
     }
-    // Install the transition state before the cluster starts migrating:
-    // from here every insert is enriched for both layouts and every query
-    // translates through the layout-agnostic bridge.
-    reshard_target_ = next;
-    reshard_translate_ = bridge;
+    // Queries keep translating through the live approach throughout: a
+    // bsl translation reads only location and date, and a hil translation
+    // reads hilbertIndex, which every document of a hil-keyed store
+    // carries until the swap.
+    resharding_ = true;
   }
 
   // The cluster-side enrichment pass only needs to add what the target
@@ -430,18 +435,12 @@ Status StStore::Reshard(ApproachKind to_kind) {
     retired_approaches_.push_back(approach_);
     approach_ = next;
     options_.approach.kind = to_kind;
-    reshard_target_ = nullptr;
-    reshard_translate_ = nullptr;
-    return s;
   }
   // A failure after the routing flip leaves the cluster permanently
-  // broadcasting with documents under either layout — keep the dual
-  // enrichment and the bridge translator, which stay correct there. A
-  // pre-flip failure unwound cleanly, so drop the transition state.
-  if (!cluster_->resharding()) {
-    reshard_target_ = nullptr;
-    reshard_translate_ = nullptr;
-  }
+  // broadcasting with documents under either layout (the live approach
+  // still answers exactly there), and a retry is refused. A pre-flip
+  // failure unwound cleanly.
+  resharding_ = !s.ok() && cluster_->resharding();
   return s;
 }
 

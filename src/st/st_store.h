@@ -188,28 +188,33 @@ class StStore {
                             int64_t t_end_ms,
                             const StCursorOptions& cursor_options = {}) const;
 
-  /// Deletes every document in the rectangle/time window (data retention:
+  /// Deletes every point in the rectangle/time window (data retention:
   /// the motivating fleet operators age out old positions). Returns the
-  /// number of documents removed.
+  /// number of points removed. Each shard's part commits as one write
+  /// batch. A durable bucketed store first empties its catalog journal and
+  /// holds it empty for the delete; when it cannot (a dead journal) the
+  /// call fails and deletes nothing.
   Result<uint64_t> Delete(const geo::Rect& rect, int64_t t_begin_ms,
                           int64_t t_end_ms);
 
   /// Live approach migration: reshards the populated cluster onto
   /// `to_kind`'s shard key (Cluster::Reshard — enrichment, new indexes,
   /// chunk-by-chunk copy) while queries and writers keep running, then
-  /// swaps the store's approach. During the transition, inserts are
-  /// enriched for both layouts and queries translate baseline-style
-  /// (spatial + time predicates only — correct on either layout, at
-  /// broadcast cost). The target must use a different shard key than the
-  /// current approach (bsl* <-> hil*); same-key migrations return
-  /// InvalidArgument, bucketed/durable stores NotSupported, and a second
-  /// concurrent call AlreadyExists.
+  /// swaps the store's approach. During the transition the cluster
+  /// enriches every insert for the target layout too, and queries
+  /// translate through the live approach, whose predicates every stored
+  /// document answers (at broadcast cost). The target must use a different
+  /// shard key than the current approach (bsl* <-> hil*); same-key
+  /// migrations return InvalidArgument, bucketed/durable stores
+  /// NotSupported, and a second concurrent call AlreadyExists.
   Status Reshard(ApproachKind to_kind);
 
-  /// True while a Reshard() is migrating data (queries broadcast).
+  /// True for the duration of a Reshard() call, and for good after one
+  /// that failed past its routing flip (the cluster broadcasts and a retry
+  /// is refused).
   bool resharding() const {
     const std::lock_guard<std::mutex> lock(approach_mu_);
-    return reshard_target_ != nullptr;
+    return resharding_;
   }
 
   /// True when the store uses the bucketed collection layout.
@@ -241,6 +246,13 @@ class StStore {
   /// no-op for row layouts or non-durable stores.
   Status OpenCatalogJournal(bool fresh);
 
+  /// Durable bucketed stores, journal_mu_ held: flushes every buffered
+  /// bucket and, once every journaled point sits in a flushed bucket,
+  /// syncs the shard WALs and empties the catalog journal. True when the
+  /// journal is empty; false when it cannot be (points still buffered, or
+  /// the journal died in a simulated crash).
+  Result<bool> FlushJournaledLocked() const;
+
   /// Covering budget for one rect/time query (0 = exact covering): combines
   /// the cluster's histogram estimate of the time window's selectivity with
   /// the rect's area share of the curve domain (uniformity assumption —
@@ -250,25 +262,14 @@ class StStore {
   size_t CoverBudgetFor(const Approach& ap, const geo::Rect& rect,
                         int64_t t_begin_ms, int64_t t_end_ms) const;
 
-  /// The approach that should translate queries right now: the transition
-  /// translator while a reshard is in flight, the live approach otherwise.
-  std::shared_ptr<const Approach> TranslationApproach() const {
-    const std::lock_guard<std::mutex> lock(approach_mu_);
-    return reshard_translate_ != nullptr ? reshard_translate_ : approach_;
-  }
-
   StStoreOptions options_;
-  /// The live approach plus the reshard transition state, all under
-  /// approach_mu_. Superseded approaches move to retired_approaches_ so
-  /// references handed out by approach() never dangle.
+  /// The live approach and the reshard flag, under approach_mu_.
+  /// Superseded approaches move to retired_approaches_ so references
+  /// handed out by approach() never dangle.
   mutable std::mutex approach_mu_;
   std::shared_ptr<const Approach> approach_;
-  /// Non-null while a Reshard() runs: the approach being migrated to
-  /// (inserts enrich for it in addition to the live approach).
-  std::shared_ptr<const Approach> reshard_target_;
-  /// Non-null while a Reshard() runs: a baseline-config translator whose
-  /// predicates (spatial + time only) are correct on either layout.
-  std::shared_ptr<const Approach> reshard_translate_;
+  /// See resharding().
+  bool resharding_ = false;
   std::vector<std::shared_ptr<const Approach>> retired_approaches_;
   /// Owned pointer (not a value) so Recover can hand over a cluster rebuilt
   /// by cluster::RecoverCluster — Cluster itself is not movable.
@@ -284,8 +285,9 @@ class StStore {
   std::unique_ptr<storage::WriteAheadLog> journal_;
   /// Orders (journal append+commit, catalog add) pairs against the
   /// flush-then-truncate sequence in FlushBuckets — without it a point
-  /// could be journaled, buffered, and lost to a concurrent truncate.
-  /// Nests outside the catalog mutex (and therefore outside shard locks).
+  /// could be journaled, buffered, and lost to a concurrent truncate — and
+  /// keeps the journal empty across a Delete. Nests outside the catalog
+  /// mutex (and therefore outside the cluster's and the shards' locks).
   mutable std::mutex journal_mu_;
   // Guards the driver-side _id clock (id_generator_ + inserted_) so
   // concurrent writers draw unique ObjectIds; the cluster handles its own

@@ -16,15 +16,16 @@ const bson::Document* RecordStore::Get(RecordId id) const {
   return slot.has_value() ? &*slot : nullptr;
 }
 
-bool RecordStore::Remove(RecordId id) {
-  if (id == kInvalidRecordId || id > records_.size()) return false;
+std::optional<bson::Document> RecordStore::Remove(RecordId id) {
+  if (id == kInvalidRecordId || id > records_.size()) return std::nullopt;
   auto& slot = records_[id - 1];
-  if (!slot.has_value()) return false;
+  if (!slot.has_value()) return std::nullopt;
   logical_size_bytes_ -= slot->ApproxBsonSize();
   --num_records_;
   generation_.fetch_add(1, std::memory_order_release);
+  std::optional<bson::Document> removed = std::move(slot);
   slot.reset();
-  return true;
+  return removed;
 }
 
 Status RecordStore::RestoreAt(RecordId id, bson::Document doc) {

@@ -52,8 +52,9 @@ class RecordStore {
   /// router merge) relies on this window.
   const bson::Document* Get(RecordId id) const;
 
-  /// Removes a record (used by chunk migration); false if already gone.
-  bool Remove(RecordId id);
+  /// Removes a record and hands its document back (a shard write batch
+  /// keeps it as its undo copy); nullopt if already gone.
+  std::optional<bson::Document> Remove(RecordId id);
 
   /// Re-creates a record at a specific id — checkpoint load and WAL replay
   /// must reproduce the exact RecordIds the indexes point at. Grows the
@@ -75,11 +76,11 @@ class RecordStore {
   /// Mutation generation: bumped on every Insert and Remove. Borrowed
   /// `const Document*` handed out by the query pipeline are only guaranteed
   /// valid while the generation is unchanged (Insert may reallocate the slot
-  /// vector; Remove kills the removed slot). Debug-mode borrow checks in
-  /// `query::ExecutionResult` and the shard/cluster cursors compare a
-  /// snapshot of this counter before dereferencing. Atomic so a guard check
-  /// racing a writer (which holds the shard's exclusive lock the checker
-  /// does not) is still a defined read.
+  /// vector; Remove kills the removed slot). Cursors copy their documents
+  /// out before the shard lock drops and never read this counter; only the
+  /// debug-mode borrow check of `query::ExecutionResult` (the executor
+  /// tests' run-to-completion harness) compares a snapshot of it. Atomic so
+  /// that check stays a defined read.
   uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }

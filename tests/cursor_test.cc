@@ -304,7 +304,10 @@ TEST_F(ShardCursorTest, GetMoreBatchesReassembleTheFullResult) {
   const ExprPtr q =
       query::MakeRange("date", Value::DateTime(60000LL * 100),
                        Value::DateTime(60000LL * 400));
-  const query::ExecutionResult reference = shard_.RunQuery(q, {});
+  // Reference: the same query drained in one unbounded getMore.
+  const auto full = shard_.OpenCursor(q, {});
+  const ShardCursor::Batch reference = full->GetMore(0);
+  ASSERT_TRUE(full->exhausted());
   const std::set<int> expected = NaiveIds(q);
   ASSERT_EQ(expected.size(), 301u);
 
@@ -326,8 +329,8 @@ TEST_F(ShardCursorTest, GetMoreBatchesReassembleTheFullResult) {
   EXPECT_EQ(streamed, expected);
   EXPECT_GT(batches, 1u);
   EXPECT_EQ(cursor->n_returned(), reference.docs.size());
-  EXPECT_EQ(cursor->winning_index(), reference.winning_index);
-  EXPECT_EQ(cursor->stats().n_returned, reference.stats.n_returned);
+  EXPECT_EQ(cursor->winning_index(), full->winning_index());
+  EXPECT_EQ(cursor->stats().n_returned, full->stats().n_returned);
   EXPECT_GT(cursor->exec_millis(), 0.0);
 }
 
@@ -340,8 +343,9 @@ TEST_F(ShardCursorTest, ReplansMidStreamWhenCachedPlanBlowsBudget) {
       {query::MakeGeoWithinBox("location", {{2.0, 2.0}, {2.3, 2.3}}),
        query::MakeRange("date", Value::DateTime(0),
                         Value::DateTime(60000LL * kDocs))});
-  const query::ExecutionResult small_r = shard_.RunQuery(small_q, {});
-  ASSERT_EQ(small_r.winning_index, "loc_2dsphere_date_1");
+  const auto small = shard_.OpenCursor(small_q, {});
+  (void)small->GetMore(0);
+  ASSERT_EQ(small->winning_index(), "loc_2dsphere_date_1");
 
   const ExprPtr big_q = query::MakeAnd(
       {query::MakeGeoWithinBox("location", {{-1, -1}, {11, 11}}),

@@ -281,6 +281,147 @@ TEST_F(RecoveryScenarioTest, DeleteReplayRemovesDocuments) {
   }
 }
 
+/// Every `_id` a full-window query returns, sorted (duplicates kept).
+std::vector<int64_t> QueriedIds(const StStore& store) {
+  std::vector<int64_t> ids;
+  for (const bson::Document& doc :
+       store.Query(kEverywhere, 0, 30000LL * 1000000).cluster.docs) {
+    ids.push_back(doc.Get("_id")->AsInt64());
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST_F(RecoveryScenarioTest, BucketDeleteCrashKeepsSurvivors) {
+  const StStoreOptions options = DurableOptions(dir_.path(), true);
+  {
+    StStore store(options);
+    ASSERT_TRUE(store.Setup().ok());
+    for (int64_t id = 0; id < 60; ++id) {
+      const double lon = (id % 2 == 0) ? 2.0 : 8.0;
+      ASSERT_TRUE(store.Insert(ScenarioDoc(id, lon, 5.0)).ok());
+    }
+    ASSERT_TRUE(store.FlushBuckets().ok());
+    // The delete rewrites buckets that hold ids on both sides of 29. Let
+    // its first WAL commit through and crash the next one: a bucket's
+    // removal and its survivors' re-encoding must never land apart.
+    FailPoint* crash = FailPointRegistry::Instance().Find("walBeforeCommit");
+    ASSERT_NE(crash, nullptr);
+    FailPoint::Config after_first;
+    after_first.mode = FailPoint::Mode::kSkip;
+    after_first.count = 1;
+    after_first.error_code = StatusCode::kInternal;
+    crash->Enable(after_first);
+    (void)store.Delete(kEverywhere, 0, 30000LL * 29);
+    crash->Disable();
+  }
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const std::vector<int64_t> ids = QueriedIds(**recovered);
+  for (int64_t id = 30; id < 60; ++id) {
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), id), 1)
+        << "survivor " << id << " lost or duplicated";
+  }
+}
+
+TEST_F(RecoveryScenarioTest, FailedBucketDeleteBatchUndoesItself) {
+  const StStoreOptions options = DurableOptions(dir_.path(), true);
+  std::vector<int64_t> all(60);
+  for (int64_t id = 0; id < 60; ++id) all[static_cast<size_t>(id)] = id;
+  {
+    StStore store(options);
+    ASSERT_TRUE(store.Setup().ok());
+    for (int64_t id = 0; id < 60; ++id) {
+      const double lon = (id % 2 == 0) ? 2.0 : 8.0;
+      ASSERT_TRUE(store.Insert(ScenarioDoc(id, lon, 5.0)).ok());
+    }
+    ASSERT_TRUE(store.FlushBuckets().ok());
+    // Crash the first batch, which removes buckets and inserts their
+    // re-encoded survivors: both halves come back out of memory.
+    FailPoint* crash = FailPointRegistry::Instance().Find("walBeforeCommit");
+    ASSERT_NE(crash, nullptr);
+    FailPoint::Config once;
+    once.mode = FailPoint::Mode::kTimes;
+    once.count = 1;
+    once.error_code = StatusCode::kInternal;
+    crash->Enable(once);
+    EXPECT_FALSE(store.Delete(kEverywhere, 0, 30000LL * 29).ok());
+    crash->Disable();
+    EXPECT_EQ(crash->times_fired(), 1u);
+    EXPECT_EQ(QueriedIds(store), all);
+  }
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(QueriedIds(**recovered), all);
+}
+
+TEST_F(RecoveryScenarioTest, DeleteAfterJournalCrashDoesNotResurrect) {
+  const StStoreOptions options = DurableOptions(dir_.path(), true);
+  std::vector<int64_t> before_close;
+  {
+    StStore store(options);
+    ASSERT_TRUE(store.Setup().ok());
+    // One vehicle, one cell: ids 0-15 and 16-31 seal into flushed buckets,
+    // 32-39 stay buffered behind the catalog journal.
+    const auto point = [](int64_t id) {
+      bson::Document doc = ScenarioDoc(id, 2.0, 5.0);
+      doc.Set("vehicleId", Value::Int32(0));
+      return doc;
+    };
+    for (int64_t id = 0; id < 40; ++id) {
+      ASSERT_TRUE(store.Insert(point(id)).ok());
+    }
+    // The next insert dies committing its catalog journal record: the
+    // journal can no longer be truncated.
+    FailPoint* crash = FailPointRegistry::Instance().Find("walBeforeCommit");
+    ASSERT_NE(crash, nullptr);
+    FailPoint::Config once;
+    once.mode = FailPoint::Mode::kTimes;
+    once.count = 1;
+    once.error_code = StatusCode::kInternal;
+    crash->Enable(once);
+    EXPECT_FALSE(store.Insert(point(40)).ok());
+    crash->Disable();
+    // Rewriting the first bucket would drop the wlsns coverage of its
+    // points while the journal still holds them.
+    const Result<uint64_t> removed =
+        store.Delete(kEverywhere, 0, 30000LL * 7);
+    EXPECT_FALSE(removed.ok());
+    before_close = QueriedIds(store);
+    EXPECT_EQ(before_close.size(), 40u) << "a failed delete removed points";
+  }
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(QueriedIds(**recovered), before_close);
+}
+
+TEST_F(RecoveryScenarioTest, DeleteCommitsOneWalBatchPerShard) {
+  const StStoreOptions options = DurableOptions(dir_.path(), false);
+  Counter& commits = MetricsRegistry::Instance().GetCounter("wal.commits");
+  StStore store(options);
+  ASSERT_TRUE(store.Setup().ok());
+  for (int64_t id = 0; id < 600; ++id) {
+    const double lon = (id % 2 == 0) ? 2.0 : 8.0;
+    ASSERT_TRUE(store.Insert(ScenarioDoc(id, lon, 5.0)).ok());
+  }
+  ASSERT_TRUE(store.FinishLoad().ok());
+  std::vector<uint64_t> docs_before;
+  for (const auto& shard : store.cluster().shards()) {
+    docs_before.push_back(shard->num_documents());
+  }
+  const uint64_t commits_before = commits.value();
+  const Result<uint64_t> removed =
+      store.Delete({{0, 0}, {4, 10}}, 0, 30000LL * 1000000);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(*removed, 300u);
+  uint64_t touched = 0;
+  for (const auto& shard : store.cluster().shards()) {
+    touched += shard->num_documents() != docs_before[shard->id()];
+  }
+  EXPECT_GE(touched, 2u);
+  EXPECT_LE(commits.value() - commits_before, touched);
+}
+
 TEST_F(RecoveryScenarioTest, RecoverTwiceIsIdenticalToRecoverOnce) {
   const StStoreOptions options = DurableOptions(dir_.path(), true);
   {

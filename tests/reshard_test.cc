@@ -242,8 +242,8 @@ TEST(ReshardTest, AbortedMigrationLeavesBroadcastButExact) {
   fp->Disable();
   ASSERT_FALSE(aborted.ok());
 
-  // The transition state stays: the store keeps translating layout-
-  // agnostically and enriching for both layouts.
+  // The store stays resharding: the cluster keeps broadcasting reads and
+  // enriching inserts for the target layout.
   EXPECT_TRUE(store->resharding());
   EXPECT_TRUE(store->cluster().resharding());
 
@@ -266,10 +266,10 @@ TEST(ReshardTest, AbortedMigrationLeavesBroadcastButExact) {
 }
 
 TEST(ReshardTest, RacingUnenrichedInsertIsEnrichedByTheCluster) {
-  // Models the writer that read the store's approach state before the
-  // reshard installed its dual-enrichment: the document reaches
-  // Cluster::Insert without a hilbertIndex while the migration runs. The
-  // cluster-held enrichment callback must add the field before keying, or
+  // Models a writer that bypasses the store's own enrichment: the
+  // document reaches Cluster::Insert without a hilbertIndex while the
+  // migration runs. The cluster-held enrichment callback (the one target-
+  // layout enrichment) must add the field before keying, or
   // the doc routes into the null-key chunk and vanishes from post-swap
   // Hilbert queries.
   const std::vector<TestDoc> docs = MakeDocs(800, 55, 0);

@@ -28,6 +28,11 @@
 // exact oracle equality must hold again. Run it under TSAN and the phase
 // doubles as a data-race hunt.
 //
+// Every non-crash seed ends with a delete phase: one generated window is
+// deleted from every store, each must report the oracle's count, and the
+// query battery runs again over the survivors (under --layout=both this
+// cross-checks row and bucketed deletes byte-for-byte).
+//
 // Any divergence prints a one-line REPRO command carrying the failing seed.
 // Exit status: 0 = all seeds clean, 1 = at least one divergence.
 
@@ -677,7 +682,7 @@ bool CheckFailPoints(const std::vector<StStore*>& stores,
 // battery must pass against the combined document set — the storm must
 // leave no lasting damage.
 bool CheckConcurrent(const std::vector<StStore*>& stores,
-                     const std::vector<FuzzDoc>& base, const geo::Rect& mbr,
+                     std::vector<FuzzDoc>* docs, const geo::Rect& mbr,
                      int64_t t0, int64_t span, const FuzzConfig& config,
                      Rng* rng, SeedContext* ctx) {
   const int num_writers = config.threads;
@@ -686,8 +691,10 @@ bool CheckConcurrent(const std::vector<StStore*>& stores,
 
   // Pre-generate the writers' documents deterministically on the main
   // thread; fids continue past the base range so every fid stays unique.
+  // `docs` grows to the combined set, the oracle of every later phase.
   std::vector<std::vector<FuzzDoc>> extra(static_cast<size_t>(num_writers));
-  std::vector<FuzzDoc> all = base;
+  const std::vector<FuzzDoc> base = *docs;
+  std::vector<FuzzDoc>& all = *docs;
   int32_t next_fid = static_cast<int32_t>(base.size());
   for (std::vector<FuzzDoc>& bucket : extra) {
     bucket.reserve(static_cast<size_t>(extra_per_writer));
@@ -796,7 +803,7 @@ bool CheckConcurrent(const std::vector<StStore*>& stores,
 // lost, duplicated and misrouted nothing.
 bool CheckReshardPhase(const std::vector<StStore*>& stores,
                        const std::vector<StStore*>& row_stores,
-                       const std::vector<FuzzDoc>& base, const geo::Rect& mbr,
+                       std::vector<FuzzDoc>* docs, const geo::Rect& mbr,
                        int64_t t0, int64_t span, const FuzzConfig& config,
                        Rng* rng, SeedContext* ctx) {
   // Victims: the first baseline-keyed and the first hilbert-keyed row
@@ -821,8 +828,10 @@ bool CheckReshardPhase(const std::vector<StStore*>& stores,
   const int num_writers = std::max(2, config.threads);
   const int extra_per_writer =
       std::max(1, config.docs / (4 * num_writers));
+  // As in CheckConcurrent, `docs` grows to the combined set.
   std::vector<std::vector<FuzzDoc>> extra(static_cast<size_t>(num_writers));
-  std::vector<FuzzDoc> all = base;
+  const std::vector<FuzzDoc> base = *docs;
+  std::vector<FuzzDoc>& all = *docs;
   int32_t next_fid = static_cast<int32_t>(base.size());
   for (std::vector<FuzzDoc>& bucket : extra) {
     bucket.reserve(static_cast<size_t>(extra_per_writer));
@@ -944,6 +953,32 @@ bool CheckReshardPhase(const std::vector<StStore*>& stores,
     const FuzzQuery q = GenerateQuery(rng, mbr, t0, span);
     if (!CheckQuery(stores, all, q, rng, ctx)) return false;
   }
+  return true;
+}
+
+// Delete phase: every store deletes the same rect/time window and must
+// report the oracle's count (points on a bucketed store, documents on a
+// row store — one per point either way). The deleted documents then leave
+// the oracle.
+bool CheckDelete(const std::vector<StStore*>& stores,
+                 std::vector<FuzzDoc>* docs, const FuzzQuery& q,
+                 SeedContext* ctx) {
+  const std::vector<int32_t> doomed = OracleFids(*docs, q);
+  for (StStore* const store : stores) {
+    const Result<uint64_t> removed =
+        store->Delete(q.rect, q.t_begin_ms, q.t_end_ms);
+    if (!removed.ok() || *removed != doomed.size()) {
+      ctx->Report(store->approach().name(), "delete-count", q, doomed.size(),
+                  removed.ok() ? *removed : 0);
+      return false;
+    }
+  }
+  docs->erase(std::remove_if(docs->begin(), docs->end(),
+                             [&doomed](const FuzzDoc& d) {
+                               return std::binary_search(
+                                   doomed.begin(), doomed.end(), d.fid);
+                             }),
+              docs->end());
   return true;
 }
 
@@ -1230,7 +1265,9 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
 
   geo::Rect mbr;
   int64_t t0 = 0, span = 0;
-  const std::vector<FuzzDoc> docs =
+  // The oracle: grows with the concurrent/reshard phases' inserts and
+  // shrinks with the delete phase.
+  std::vector<FuzzDoc> docs =
       GenerateDocs(&data_rng, config.docs, &mbr, &t0, &span);
 
   // Random deployment knobs, shared by all four stores so only the approach
@@ -1336,6 +1373,18 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
     }
   }
 
+  // The query battery: the oracle checks plus the layout and planner
+  // pair parity.
+  const auto battery = [&](const FuzzQuery& q, Rng* battery_rng) {
+    if (!CheckQuery(stores, docs, q, battery_rng, &ctx)) return false;
+    if (!row_stores.empty() && !bucket_stores.empty() &&
+        !CheckPairParity(row_stores, bucket_stores, "layout", q, &ctx)) {
+      return false;
+    }
+    return race_stores.empty() || cost_stores.empty() ||
+           CheckPairParity(race_stores, cost_stores, "planner", q, &ctx);
+  };
+
   FuzzQuery last_query{};
   for (int i = 0; i < config.queries; ++i) {
     if (mid_run_zones && i == config.queries / 2) {
@@ -1347,15 +1396,7 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
     }
     const FuzzQuery q = GenerateQuery(&query_rng, mbr, t0, span);
     last_query = q;
-    if (!CheckQuery(stores, docs, q, &query_rng, &ctx)) return false;
-    if (!row_stores.empty() && !bucket_stores.empty() &&
-        !CheckPairParity(row_stores, bucket_stores, "layout", q, &ctx)) {
-      return false;
-    }
-    if (!race_stores.empty() && !cost_stores.empty() &&
-        !CheckPairParity(race_stores, cost_stores, "planner", q, &ctx)) {
-      return false;
-    }
+    if (!battery(q, &query_rng)) return false;
   }
 
   if (config.failpoints &&
@@ -1370,14 +1411,32 @@ bool RunSeed(uint64_t seed, const FuzzConfig& config,
 
   if (config.reshard) {
     Rng reshard_rng = rng.Fork();
-    if (!CheckReshardPhase(stores, row_stores, docs, mbr, t0, span, config,
+    if (!CheckReshardPhase(stores, row_stores, &docs, mbr, t0, span, config,
                            &reshard_rng, &ctx)) {
       return false;
     }
   } else if (config.threads > 0) {
     Rng concurrent_rng = rng.Fork();
-    if (!CheckConcurrent(stores, docs, mbr, t0, span, config, &concurrent_rng,
+    if (!CheckConcurrent(stores, &docs, mbr, t0, span, config, &concurrent_rng,
                          &ctx)) {
+      return false;
+    }
+  }
+
+  // Delete phase: one generated window leaves every store and the oracle,
+  // then the battery runs again over the survivors — the deleted window
+  // itself first, which must now be empty everywhere. Most generated
+  // windows are small, so the first of up to 16 draws that holds a
+  // document is deleted.
+  Rng delete_rng = rng.Fork();
+  FuzzQuery doomed = GenerateQuery(&delete_rng, mbr, t0, span);
+  for (int i = 0; i < 16 && OracleFids(docs, doomed).empty(); ++i) {
+    doomed = GenerateQuery(&delete_rng, mbr, t0, span);
+  }
+  if (!CheckDelete(stores, &docs, doomed, &ctx)) return false;
+  if (!battery(doomed, &delete_rng)) return false;
+  for (int i = 0; i < config.queries; ++i) {
+    if (!battery(GenerateQuery(&delete_rng, mbr, t0, span), &delete_rng)) {
       return false;
     }
   }
