@@ -884,27 +884,24 @@ std::string Cluster::DistributionJson() const {
   return out.str();
 }
 
+// No topology lock: shards_ is fixed at construction and each shard's
+// statistics lock themselves. Shards are read one after another, so the sum
+// is not a cross-shard cut — it only picks a covering budget.
 double Cluster::EstimateFraction(const std::string& path, int64_t lo,
                                  int64_t hi) const {
-  const std::shared_lock<std::shared_mutex> topo(topology_mu_);
   double in_range = 0.0;
   double total = 0.0;
-  bool any = false;
   for (const auto& shard : shards_) {
-    const query::stats::ShardStatistics& stats = shard->statistics();
-    const uint64_t docs = stats.total_docs();
-    if (docs == 0) continue;
     // Unbuilt or drifted histograms still answer (Observe keeps feeding
-    // them), but their answers shouldn't steer anything: skip until the
-    // shard's next rebuild.
-    if (!stats.ReliableForEstimation()) continue;
-    const double est = stats.EstimateRange(path, lo, hi);
-    if (est < 0.0) continue;  // shard has no histogram for the path
-    any = true;
-    in_range += est;
-    total += static_cast<double>(docs);
+    // them), but their answers shouldn't steer anything: they report
+    // unknown, and the shard is skipped until its next rebuild.
+    const query::stats::ShardStatistics::RangeEstimate est =
+        shard->statistics().ReliableRangeEstimate(path, lo, hi);
+    if (est.in_range < 0.0) continue;
+    in_range += est.in_range;
+    total += static_cast<double>(est.docs);
   }
-  if (!any || total <= 0.0) return -1.0;
+  if (total <= 0.0) return -1.0;
   return std::min(1.0, in_range / total);
 }
 

@@ -286,8 +286,9 @@ class Cluster {
   /// value lies in the closed range [lo, hi], aggregated over every shard's
   /// histograms. Negative when no shard can estimate the path (never built,
   /// or the path has no histogram) — callers must treat that as unknown.
-  /// Stale histograms still answer: a cover-budget decision (st::Approach)
-  /// prefers a slightly-drifted answer over none.
+  /// Shards whose histograms are unbuilt or drifted are skipped. Takes no
+  /// topology lock: each shard's count and estimate are read together under
+  /// that shard's statistics lock, shard after shard.
   double EstimateFraction(const std::string& path, int64_t lo,
                           int64_t hi) const;
 

@@ -1,5 +1,6 @@
 #include "common/lz.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -133,12 +134,17 @@ Status LzDecompressInto(std::string_view compressed, size_t max_size,
           offset == 0 || offset > pos || total - pos < len) {
         return Status::Corruption("lz: bad copy");
       }
+      // A copy longer than its offset overlaps its own output (RLE-style):
+      // the output repeats with period `offset`. Each memcpy takes a whole
+      // number of periods from src, at most as many bytes as lie between
+      // src and the write point, so no memcpy overlaps; the distance
+      // doubles each round.
       const char* src = dst + pos - offset;
-      if (offset >= len) {
-        std::memcpy(dst + pos, src, len);
-      } else {
-        // The copy overlaps its own output (RLE-style): byte by byte.
-        for (uint64_t i = 0; i < len; ++i) dst[pos + i] = src[i];
+      uint64_t copied = 0;
+      while (copied < len) {
+        const uint64_t n = std::min(len - copied, offset + copied);
+        std::memcpy(dst + pos + copied, src, n);
+        copied += n;
       }
       pos += len;
     } else {

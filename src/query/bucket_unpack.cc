@@ -258,7 +258,8 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
   if (child_state != State::kAdvanced) return child_state;
   if (doc == nullptr) return State::kNeedTime;
 
-  if (!storage::IsBucketDocument(*doc)) {
+  const std::string* blob = storage::BucketBlob(*doc);
+  if (blob == nullptr) {
     // A plain (row-layout) document in the stream: filter and pass it
     // through, copied into the arena so that every document this stage
     // emits is arena-owned — the executor moves transient results out of
@@ -273,7 +274,7 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
     return State::kAdvanced;
   }
 
-  Status s = reader_.Reset(*doc);
+  Status s = reader_.Reset(blob);
   if (s.ok()) s = reader_.Select(prune_, &selection_);
   if (!s.ok()) {
     ++decode_errors_;

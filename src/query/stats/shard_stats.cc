@@ -143,6 +143,17 @@ double ShardStatistics::EstimateRange(const std::string& path, int64_t lo,
   return it->second.EstimateRange(lo, hi);
 }
 
+ShardStatistics::RangeEstimate ShardStatistics::ReliableRangeEstimate(
+    const std::string& path, int64_t lo, int64_t hi) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  RangeEstimate out;
+  out.docs = docs_;
+  if (docs_ == 0 || !built_ || NeedsRebuildLocked()) return out;
+  const auto it = histograms_.find(path);
+  if (it != histograms_.end()) out.in_range = it->second.EstimateRange(lo, hi);
+  return out;
+}
+
 double ShardStatistics::EstimateIntervalSum(
     const std::string& path,
     const std::vector<std::pair<int64_t, int64_t>>& ranges) const {

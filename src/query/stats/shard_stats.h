@@ -112,6 +112,19 @@ class ShardStatistics {
       const std::string& path,
       const std::vector<std::pair<int64_t, int64_t>>& ranges) const;
 
+  /// One shard's part of a cluster-wide fraction estimate, read under one
+  /// lock so the count and the estimate belong to one moment.
+  struct RangeEstimate {
+    uint64_t docs = 0;     ///< Stored documents.
+    double in_range = -1;  ///< EstimateRange; negative when unknown.
+  };
+
+  /// EstimateRange with the document count it is a share of. `in_range` is
+  /// negative (unknown) for an empty shard, for histograms that are not
+  /// ReliableForEstimation, and for a path without a histogram.
+  RangeEstimate ReliableRangeEstimate(const std::string& path, int64_t lo,
+                                      int64_t hi) const;
+
   uint64_t total_docs() const;
   uint64_t total_points() const;
 

@@ -1,15 +1,11 @@
 #include "st/approach.h"
 
+#include <algorithm>
+
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 
 namespace stix::st {
-namespace {
-
-// Selectivity above which the adaptive cover budget goes coarse.
-constexpr double kCoarseCoverFraction = 0.02;
-
-}  // namespace
 
 size_t Approach::CacheKeyHash::operator()(const CacheKey& k) const {
   // FNV-1a over the raw bytes: the key is a POD of doubles/int64s compared
@@ -258,6 +254,17 @@ size_t Approach::PickCoverBudget(double est_fraction) const {
   STIX_METRIC_COUNTER(coarse, "planner.cover_coarse");
   coarse.Increment();
   return config_.coarse_cover_max_ranges;
+}
+
+double Approach::SpatialFraction(const geo::Rect& rect) const {
+  const geo::Rect domain = curve_->grid().domain();
+  geo::Rect clipped;
+  clipped.lo.lon = std::max(rect.lo.lon, domain.lo.lon);
+  clipped.lo.lat = std::max(rect.lo.lat, domain.lo.lat);
+  clipped.hi.lon = std::min(rect.hi.lon, domain.hi.lon);
+  clipped.hi.lat = std::min(rect.hi.lat, domain.hi.lat);
+  const double domain_area = domain.AreaDeg2();
+  return domain_area > 0.0 ? clipped.AreaDeg2() / domain_area : 1.0;
 }
 
 std::string Approach::zone_path() const {

@@ -139,11 +139,31 @@ class Approach {
                                  int64_t t_end_ms,
                                  size_t max_ranges = 0) const;
 
+  /// Selectivity above which the adaptive cover budget goes coarse.
+  static constexpr double kCoarseCoverFraction = 0.02;
+
   /// The covering budget for a query expected to select `est_fraction`
   /// (0..1) of the stored documents: coarse_cover_max_ranges when the
-  /// adaptive budget is on and the fraction crosses 2%,
+  /// adaptive budget is on and the fraction crosses kCoarseCoverFraction,
   /// else 0 (exact). A negative fraction means unknown — exact covering.
   size_t PickCoverBudget(double est_fraction) const;
+
+  /// The covering budget for a query over `rect`, deciding from the rect
+  /// first: a rect covering at most kCoarseCoverFraction of the curve
+  /// domain selects at most that share whatever the time window, so it
+  /// covers exactly without calling `time_fraction`. Only a larger rect
+  /// asks `time_fraction()` for the time window's share of the stored
+  /// documents (negative: unknown, stay exact) and picks the budget for
+  /// the product.
+  template <typename TimeFraction>
+  size_t CoverBudget(const geo::Rect& rect,
+                     TimeFraction&& time_fraction) const {
+    if (!uses_hilbert() || !config_.adaptive_cover_budget) return 0;
+    const double spatial = SpatialFraction(rect);
+    if (spatial <= kCoarseCoverFraction) return PickCoverBudget(spatial);
+    const double time = time_fraction();
+    return PickCoverBudget(time < 0.0 ? -1.0 : time * spatial);
+  }
 
   /// Polygon variant (the paper's complex-geometry future-work item): same
   /// covering machinery, exact point-in-polygon refinement.
@@ -185,6 +205,10 @@ class Approach {
   struct CacheKeyHash {
     size_t operator()(const CacheKey& k) const;
   };
+
+  /// Share of the curve domain that `rect`, clipped to it, covers (1 for a
+  /// degenerate domain). Curve approaches only.
+  double SpatialFraction(const geo::Rect& rect) const;
 
   TranslatedQuery TranslateRegionQuery(query::ExprPtr geo_predicate,
                                        const geo::Region& region,

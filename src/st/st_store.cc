@@ -286,20 +286,9 @@ StQueryResult StStore::Query(const geo::Rect& rect, int64_t t_begin_ms,
 
 size_t StStore::CoverBudgetFor(const Approach& ap, const geo::Rect& rect,
                                int64_t t_begin_ms, int64_t t_end_ms) const {
-  if (!ap.uses_hilbert()) return 0;
-  const double time_fraction =
-      cluster_->EstimateFraction(kDateField, t_begin_ms, t_end_ms);
-  if (time_fraction < 0.0) return ap.PickCoverBudget(-1.0);
-  const geo::Rect domain = ap.curve()->grid().domain();
-  geo::Rect clipped;
-  clipped.lo.lon = std::max(rect.lo.lon, domain.lo.lon);
-  clipped.lo.lat = std::max(rect.lo.lat, domain.lo.lat);
-  clipped.hi.lon = std::min(rect.hi.lon, domain.hi.lon);
-  clipped.hi.lat = std::min(rect.hi.lat, domain.hi.lat);
-  const double domain_area = domain.AreaDeg2();
-  const double spatial_fraction =
-      domain_area > 0.0 ? clipped.AreaDeg2() / domain_area : 1.0;
-  return ap.PickCoverBudget(time_fraction * spatial_fraction);
+  return ap.CoverBudget(rect, [&] {
+    return cluster_->EstimateFraction(kDateField, t_begin_ms, t_end_ms);
+  });
 }
 
 StCursor StStore::OpenQuery(const geo::Rect& rect, int64_t t_begin_ms,

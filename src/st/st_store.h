@@ -253,12 +253,13 @@ class StStore {
   /// the journal died in a simulated crash).
   Result<bool> FlushJournaledLocked() const;
 
-  /// Covering budget for one rect/time query (0 = exact covering): combines
-  /// the cluster's histogram estimate of the time window's selectivity with
-  /// the rect's area share of the curve domain (uniformity assumption —
-  /// only steers coarse-vs-exact covering, never correctness) and lets the
-  /// approach pick. Unknown selectivity (no histograms yet) stays exact.
-  /// `ap` is the approach about to translate the query.
+  /// Covering budget for one rect/time query (0 = exact covering):
+  /// Approach::CoverBudget, which decides from the rect's area share of the
+  /// curve domain alone when that share is small and otherwise multiplies
+  /// it by the cluster's histogram estimate of the time window's
+  /// selectivity (uniformity assumption — only steers coarse-vs-exact
+  /// covering, never correctness). Unknown selectivity (no histograms yet)
+  /// stays exact. `ap` is the approach about to translate the query.
   size_t CoverBudgetFor(const Approach& ap, const geo::Rect& rect,
                         int64_t t_begin_ms, int64_t t_end_ms) const;
 

@@ -640,8 +640,11 @@ bool BucketPruneSpec::Covers(const BucketMeta& meta) const {
 }
 
 Status BucketReader::Reset(const bson::Document& bucket) {
-  ts_loaded_ = hil_loaded_ = false;
-  const std::string* blob = BucketBlob(bucket);
+  return Reset(BucketBlob(bucket));
+}
+
+Status BucketReader::Reset(const std::string* blob) {
+  loaded_ = 0;
   Status s = blob != nullptr
                  ? ParseHeader(*blob, &meta_, &flags_, columns_)
                  : Status::Corruption("not a bucket document");
@@ -657,30 +660,20 @@ bool BucketReader::uniform_residuals() const {
   return (flags_ & kFlagUniform) != 0;
 }
 
-Status BucketReader::LoadColumns(bool hil) {
-  const size_t n = meta_.num_points;
-  // An absent column (the flag is clear) leaves its buffer empty.
-  const auto load = [this, n](uint8_t flag, BucketColumn c, auto* out) {
-    if ((flags_ & flag) != flag) {
-      out->clear();
-      return Status::OK();
-    }
-    return DecodeColumn(column(c), n, out);
-  };
-  if (!ts_loaded_) {
-    Status s = load(0, BucketColumn::kTs, &ts_);
-    if (s.ok()) s = load(kFlagLoc, BucketColumn::kLon, &lon_);
-    if (s.ok()) s = load(kFlagLoc, BucketColumn::kLat, &lat_);
-    if (!s.ok()) return s;
-    ts_loaded_ = true;
+template <typename T>
+Status BucketReader::LoadColumn(BucketColumn c, std::vector<T>* out) {
+  const uint8_t bit = uint8_t{1} << static_cast<uint8_t>(c);
+  if ((loaded_ & bit) != 0) return Status::OK();
+  // ParseHeader checked the column table against the flags, so an absent
+  // column is exactly an empty one; its buffer stays empty.
+  Status s;
+  if (column(c).empty()) {
+    out->clear();
+  } else {
+    s = DecodeColumn(column(c), meta_.num_points, out);
   }
-  if (hil && !hil_loaded_) {
-    if (Status s = load(kFlagHil, BucketColumn::kHil, &hil_); !s.ok()) {
-      return s;
-    }
-    hil_loaded_ = true;
-  }
-  return Status::OK();
+  if (s.ok()) loaded_ |= bit;
+  return s;
 }
 
 Status BucketReader::Select(const BucketPruneSpec& spec, BucketSelection* out) {
@@ -696,46 +689,59 @@ Status BucketReader::Select(const BucketPruneSpec& spec, BucketSelection* out) {
     sel.exact = true;
     return Status::OK();
   }
-  if (Status s = LoadColumns(false); !s.ok()) return s;
-  const bool use_rect = spec.rect.has_value() && !lon_.empty();
+  // One column at a time, each over the previous column's survivors; a
+  // column decodes only while a row survives. The compaction is
+  // branch-free: every row is written, and the cursor advances on a match.
+  const auto keep_rows = [&rows = sel.rows](auto keep) {
+    size_t k = 0;
+    for (const uint32_t i : rows) {
+      rows[k] = i;
+      k += keep(i);
+    }
+    rows.resize(k);
+  };
+  if (Status s = LoadColumn(BucketColumn::kTs, &ts_); !s.ok()) return s;
   const int64_t t_lo =
       spec.min_ts.value_or(std::numeric_limits<int64_t>::min());
   const int64_t t_hi =
       spec.max_ts.value_or(std::numeric_limits<int64_t>::max());
-  const geo::Rect box = use_rect ? *spec.rect : geo::Rect{};
   sel.rows.resize(n);
   size_t k = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    // Non-short-circuit &: the time and rect tests compile branch-free.
-    bool keep = (ts_[i] >= t_lo) & (ts_[i] <= t_hi);
-    if (use_rect) {
-      keep &= (lon_[i] >= box.lo.lon) & (lon_[i] <= box.hi.lon) &
-              (lat_[i] >= box.lo.lat) & (lat_[i] <= box.hi.lat);
-    }
     sel.rows[k] = i;
-    k += keep;
+    k += (ts_[i] >= t_lo) & (ts_[i] <= t_hi);
   }
   sel.rows.resize(k);
   sel.scanned = n;
 
-  // The hil ranges refine the survivors, so a bucket with none never
-  // decodes its hil column.
+  const bool use_rect = spec.rect.has_value() && meta_.has_mbr;
+  if (use_rect && !sel.rows.empty()) {
+    if (Status s = LoadColumn(BucketColumn::kLon, &lon_); !s.ok()) return s;
+    keep_rows([&, lo = spec.rect->lo.lon, hi = spec.rect->hi.lon](uint32_t i) {
+      return (lon_[i] >= lo) & (lon_[i] <= hi);
+    });
+  }
+  if (use_rect && !sel.rows.empty()) {
+    if (Status s = LoadColumn(BucketColumn::kLat, &lat_); !s.ok()) return s;
+    keep_rows([&, lo = spec.rect->lo.lat, hi = spec.rect->hi.lat](uint32_t i) {
+      return (lat_[i] >= lo) & (lat_[i] <= hi);
+    });
+  }
+
   bool use_hil = false;
-  if (!spec.hil_ranges.empty() && k > 0) {
-    if (Status s = LoadColumns(true); !s.ok()) return s;
+  if (!spec.hil_ranges.empty() && !sel.rows.empty()) {
+    if (Status s = LoadColumn(BucketColumn::kHil, &hil_); !s.ok()) return s;
     use_hil = !hil_.empty();
   }
   if (use_hil) {
     // RangeSetExpr's test: v is inside iff the first range with hi >= v
     // starts at or below v.
-    const auto outside = [&ranges = spec.hil_ranges, this](uint32_t i) {
+    keep_rows([&ranges = spec.hil_ranges, this](uint32_t i) {
       const auto it = std::partition_point(
           ranges.begin(), ranges.end(),
           [v = hil_[i]](const auto& r) { return r.second < v; });
-      return it == ranges.end() || it->first > hil_[i];
-    };
-    sel.rows.erase(std::remove_if(sel.rows.begin(), sel.rows.end(), outside),
-                   sel.rows.end());
+      return it != ranges.end() && it->first <= hil_[i];
+    });
   }
   // No row can match when none passed the bounds, whatever was checked.
   sel.exact = sel.rows.empty() ||
@@ -745,8 +751,8 @@ Status BucketReader::Select(const BucketPruneSpec& spec, BucketSelection* out) {
 }
 
 Status BucketReader::VerifyHeader() const {
-  if (*std::min_element(ts_.begin(), ts_.end()) != meta_.min_ts ||
-      *std::max_element(ts_.begin(), ts_.end()) != meta_.max_ts) {
+  const auto [ts_lo, ts_hi] = std::minmax_element(ts_.begin(), ts_.end());
+  if (*ts_lo != meta_.min_ts || *ts_hi != meta_.max_ts) {
     return Status::Corruption("bucket time extent disagrees with its points");
   }
   if (!lon_.empty()) {
@@ -763,18 +769,21 @@ Status BucketReader::VerifyHeader() const {
   if (!hil_.empty()) {
     // Every value lies in a range and every range endpoint is a value: the
     // ranges BuildHilRanges makes, with no decode-side sort.
-    const auto& ranges = meta_.hil_ranges;
+    const auto& ranges = meta_.hil_ranges;  // 1..kMaxBucketHilRanges
+    // The range holding v is the first whose end is >= v, so its index is
+    // the count of ends below v: a fixed, branch-free count over the ends,
+    // padded with ends no value exceeds.
+    int64_t ends[kMaxBucketHilRanges];
+    for (size_t j = 0; j < kMaxBucketHilRanges; ++j) {
+      ends[j] = j < ranges.size() ? ranges[j].second
+                                  : std::numeric_limits<int64_t>::max();
+    }
     uint64_t endpoints = 0;
-    size_t r = 0;  // Consecutive points mostly share a range: try it first.
     for (const int64_t v : hil_) {
-      if (v < ranges[r].first || v > ranges[r].second) {
-        const auto it = std::partition_point(
-            ranges.begin(), ranges.end(),
-            [v](const auto& range) { return range.second < v; });
-        if (it == ranges.end() || it->first > v) {
-          return Status::Corruption("bucket hil ranges miss a point");
-        }
-        r = static_cast<size_t>(it - ranges.begin());
+      size_t r = 0;
+      for (const int64_t end : ends) r += end < v;
+      if (r == ranges.size() || ranges[r].first > v) {
+        return Status::Corruption("bucket hil ranges miss a point");
       }
       endpoints |= uint64_t{v == ranges[r].first} << (2 * r);
       endpoints |= uint64_t{v == ranges[r].second} << (2 * r + 1);
@@ -936,6 +945,8 @@ Status BucketReader::LoadRowColumns() {
                                         !hil_.empty()};
   for (size_t i = 0; i < n; ++i) {
     const int64_t* pos = &pos_[i * kNumSlots];
+    // A row positioned like the previous one passes the same checks.
+    if (i > 0 && std::equal(pos, pos + kNumSlots, pos - kNumSlots)) continue;
     size_t fields = num_res_fields_;
     for (int slot = 0; slot < kNumSlots; ++slot) fields += pos[slot] >= 0;
     for (int slot = 0; slot < kNumSlots; ++slot) {
@@ -958,9 +969,13 @@ Status BucketReader::Build(const BucketLayout& layout,
   out->clear();
   const size_t n = meta_.num_points;
   if (n == 0) return Status::Corruption("bucket reader holds no bucket");
-  if (Status s = LoadColumns(true); !s.ok()) return s;
-  if (Status s = VerifyHeader(); !s.ok()) return s;
-  if (Status s = LoadRowColumns(); !s.ok()) return s;
+  Status s = LoadColumn(BucketColumn::kTs, &ts_);
+  if (s.ok()) s = LoadColumn(BucketColumn::kLon, &lon_);
+  if (s.ok()) s = LoadColumn(BucketColumn::kLat, &lat_);
+  if (s.ok()) s = LoadColumn(BucketColumn::kHil, &hil_);
+  if (s.ok()) s = VerifyHeader();
+  if (s.ok()) s = LoadRowColumns();
+  if (!s.ok()) return s;
 
   const size_t count = rows != nullptr ? rows->size() : n;
   out->reserve(count);

@@ -196,6 +196,9 @@ class BucketReader {
   /// Corruption for anything else, after which the reader holds no bucket
   /// and Select and Build fail until the next successful Reset.
   Status Reset(const bson::Document& bucket);
+  /// Reset for the blob BucketBlob returned (nullptr: not a bucket), for a
+  /// caller that has already looked it up.
+  Status Reset(const std::string* blob);
 
   const BucketMeta& meta() const { return meta_; }
 
@@ -208,10 +211,10 @@ class BucketReader {
   bool uniform_residuals() const;
 
   /// The predicate kernel. Prunes on the metadata, selects every row of a
-  /// bucket the spec covers, and otherwise decodes ts and lon/lat and
-  /// checks the time bounds and the rect over those arrays in one loop; the
-  /// hil ranges (binary search) then refine the survivors, so a bucket
-  /// with none never decodes its hil column. A
+  /// bucket the spec covers, and otherwise checks one column at a time —
+  /// the time bounds on ts, the rect on lon, then on lat, then the hil
+  /// ranges (binary search) — each over the previous column's survivors,
+  /// so a column decodes only while some row survives. A
   /// bound whose column the bucket lacks (non-canonical locations, no hil
   /// column) is skipped and the selection marked inexact. The columns are
   /// bit-exact with the built points, so an exact selection equals
@@ -248,11 +251,12 @@ class BucketReader {
     bson::Value ValueAt(size_t i) const;
   };
 
-  /// Decodes ts and lon/lat, and hil when asked for (each at most once;
-  /// an absent column stays empty).
-  Status LoadColumns(bool hil);
+  /// Decodes predicate column `c` (ts, lon, lat or hil) into *out, its
+  /// buffer, at most once per bucket; an absent column leaves *out empty.
+  template <typename T>
+  Status LoadColumn(BucketColumn c, std::vector<T>* out);
   /// Checks the header's time extent, MBR and hil ranges against the
-  /// decoded columns (LoadColumns(true) must have run).
+  /// decoded columns (all four LoadColumn calls must have run).
   Status VerifyHeader() const;
   /// Decodes the pos, ids and residual columns and checks every row's
   /// field positions.
@@ -265,7 +269,7 @@ class BucketReader {
   std::vector<int64_t> ts_;
   std::vector<double> lon_, lat_;
   std::vector<int64_t> hil_;
-  bool ts_loaded_ = false, hil_loaded_ = false;
+  uint8_t loaded_ = 0;  ///< Bit BucketColumn: that column is decoded.
 
   /// Build's working buffers.
   std::vector<int64_t> pos_;

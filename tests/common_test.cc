@@ -218,6 +218,59 @@ TEST(LzTest, OverlappingCopyRoundTrips) {
   EXPECT_EQ(*d, input);
 }
 
+// LEB128, the stream format's varint, for hand-built streams.
+void PutTestVarint(uint64_t v, std::string* out) {
+  for (; v >= 0x80; v >>= 7) out->push_back(static_cast<char>(v | 0x80));
+  out->push_back(static_cast<char>(v));
+}
+
+// One literal of `offset` bytes, then one copy of `len` bytes reaching
+// `offset` back: a copy longer than its offset overlaps its own output.
+TEST(LzTest, OverlappingCopyAtEveryOffsetRoundTrips) {
+  Rng rng(37);
+  for (uint64_t offset = 1; offset <= 300; ++offset) {
+    std::string period;
+    for (uint64_t i = 0; i < offset; ++i) {
+      period.push_back(static_cast<char>(rng.NextBounded(256)));
+    }
+    std::string want = period;
+    for (uint64_t len = 1; len <= 4 * offset + 7; ++len) {
+      want.push_back(period[(len - 1) % offset]);
+      std::string stream;
+      PutTestVarint(want.size(), &stream);
+      stream.push_back(0x00);
+      PutTestVarint(offset, &stream);
+      stream += period;
+      stream.push_back(0x01);
+      PutTestVarint(offset, &stream);
+      PutTestVarint(len, &stream);
+      const Result<std::string> d = LzDecompress(stream);
+      ASSERT_TRUE(d.ok()) << "offset " << offset << " len " << len;
+      ASSERT_EQ(*d, want) << "offset " << offset << " len " << len;
+    }
+    // The compressor's own periodic matches decode the same way.
+    const Result<std::string> round = LzDecompress(LzCompress(want));
+    ASSERT_TRUE(round.ok()) << "offset " << offset;
+    ASSERT_EQ(*round, want) << "offset " << offset;
+  }
+}
+
+TEST(LzTest, RejectsCopyReachingBeforeTheOutput) {
+  for (const uint64_t offset : {uint64_t{4}, uint64_t{5}, uint64_t{1000}}) {
+    std::string stream;
+    PutTestVarint(5, &stream);
+    stream.push_back(0x00);  // 3 literal bytes: a copy may reach back 3
+    PutTestVarint(3, &stream);
+    stream += "abc";
+    stream.push_back(0x01);
+    PutTestVarint(offset, &stream);
+    PutTestVarint(2, &stream);
+    const Result<std::string> d = LzDecompress(stream);
+    ASSERT_FALSE(d.ok()) << "offset " << offset;
+    EXPECT_EQ(d.status().code(), StatusCode::kCorruption) << "offset " << offset;
+  }
+}
+
 TEST(LzTest, RandomBinaryRoundTrips) {
   Rng rng(31);
   for (int trial = 0; trial < 20; ++trial) {

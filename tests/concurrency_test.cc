@@ -343,6 +343,104 @@ TEST_F(ConcurrencyTest, ReaderDoesNotWaitForTopologyWriter) {
   EXPECT_EQ(cluster.total_documents(), 201u);
 }
 
+// The StStore twin: a small-rectangle query decides its cover budget from
+// the rectangle and reads no shard statistics and no topology lock before
+// its cursor opens, so it completes on one shard while an insert into the
+// other sits inside its exclusive topology hold.
+TEST_F(ConcurrencyTest, StoreQueryDoesNotWaitForTopologyWriter) {
+  const stix::testing::TempDir dir;
+  st::StStoreOptions options;
+  options.approach.kind = st::ApproachKind::kHil;
+  options.cluster.num_shards = 2;
+  options.cluster.balance_every_inserts = 0;  // the writer below only writes
+  options.cluster.durability.data_dir = dir.path();
+  st::StStore store(options);
+  ASSERT_TRUE(store.Setup().ok());
+  // Two fleets in opposite quadrants of the globe, so on opposite sides of
+  // a hilbertIndex zone boundary: each fleet gets a shard of its own.
+  const geo::Rect west{{-100.0, -40.0}, {-90.0, -30.0}};
+  const geo::Rect east{{90.0, 30.0}, {100.0, 40.0}};
+  constexpr int64_t kMinute = 60000;
+  constexpr int kPerFleet = 150;
+  const st::Approach& ap = store.approach();
+  const auto hilbert_of = [&ap](double lon, double lat) {
+    bson::Document doc;
+    doc.Append(st::kLocationField,
+               Value::MakeDocument(bson::GeoJsonPoint(lon, lat)));
+    EXPECT_TRUE(ap.EnrichDocument(&doc).ok());
+    return doc.Get(st::kHilbertField)->AsInt64();
+  };
+  const int64_t west_hil = hilbert_of(west.hi.lon, west.hi.lat);
+  const int64_t east_hil = hilbert_of(east.lo.lon, east.lo.lat);
+  bson::Document probe;
+  probe.Append(st::kHilbertField, Value::Int64((west_hil + east_hil) / 2));
+  probe.Append(st::kDateField, Value::DateTime(0));
+  const std::string split = store.cluster().shard_key().KeyOf(probe);
+  ASSERT_TRUE(store.cluster()
+                  .SetZones({cluster::ZoneRange{keystring::MinKey(), split, 0},
+                             cluster::ZoneRange{split, keystring::MaxKey(), 1}})
+                  .ok());
+  Rng rng(83);
+  for (int i = 0; i < 2 * kPerFleet; ++i) {
+    const geo::Rect& fleet = i % 2 == 0 ? west : east;
+    bson::Document doc;
+    doc.Append(st::kLocationField,
+               Value::MakeDocument(bson::GeoJsonPoint(
+                   rng.NextDouble(fleet.lo.lon, fleet.hi.lon),
+                   rng.NextDouble(fleet.lo.lat, fleet.hi.lat))));
+    doc.Append(st::kDateField, Value::DateTime(kMinute * i));
+    ASSERT_TRUE(store.Insert(std::move(doc)).ok());
+  }
+  const int64_t t_end = kMinute * 2 * kPerFleet;
+  const std::vector<int> east_shards = store.cluster().TargetShards(
+      ap.TranslateQuery(east, 0, t_end).expr);
+  const std::vector<int> west_shards = store.cluster().TargetShards(
+      ap.TranslateQuery(west, 0, t_end).expr);
+  ASSERT_EQ(east_shards.size(), 1u);
+  ASSERT_EQ(west_shards.size(), 1u);
+  ASSERT_NE(east_shards, west_shards);
+  const size_t east_docs = store.Query(east, 0, t_end).cluster.docs.size();
+  ASSERT_EQ(east_docs, static_cast<size_t>(kPerFleet));
+
+  constexpr double kStallMs = 400.0;
+  FailPoint* stall = FailPointRegistry::Instance().Find("walBeforeCommit");
+  ASSERT_NE(stall, nullptr);
+  FailPoint::Config delay_only;
+  delay_only.mode = FailPoint::Mode::kTimes;
+  delay_only.count = 1;
+  delay_only.delay_ms = kStallMs;
+  stall->Enable(delay_only);
+
+  std::atomic<bool> writer_done{false};
+  Status write_status;
+  std::thread writer([&] {
+    // A west point: its commit stalls under the exclusive topology hold
+    // and the west shard's data lock.
+    bson::Document doc;
+    doc.Append(st::kLocationField,
+               Value::MakeDocument(bson::GeoJsonPoint(-95.0, -35.0)));
+    doc.Append(st::kDateField, Value::DateTime(kMinute));
+    write_status = store.Insert(std::move(doc));
+    writer_done.store(true);
+  });
+  while (stall->times_entered() == 0) std::this_thread::yield();
+
+  Stopwatch timer;
+  const st::StQueryResult res = store.Query(east, 0, t_end);
+  const double reader_ms = timer.ElapsedMillis();
+  const bool writer_finished_first = writer_done.load();
+  writer.join();
+  stall->Disable();
+
+  EXPECT_TRUE(res.cluster.status.ok());
+  EXPECT_EQ(res.cluster.docs.size(), east_docs);
+  EXPECT_FALSE(writer_finished_first)
+      << "the query waited for the stalled insert";
+  EXPECT_LT(reader_ms, kStallMs / 2);
+  EXPECT_TRUE(write_status.ok()) << write_status.ToString();
+  EXPECT_EQ(store.cluster().total_documents(), 2u * kPerFleet + 1);
+}
+
 TEST_F(ConcurrencyTest, IntrospectionDuringReshardIsRaceFree) {
   // A reshard's prepare phase rewrites stored documents (Remove, then
   // RestoreAt) and creates indexes under each shard's data lock alone, so

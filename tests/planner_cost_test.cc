@@ -3,9 +3,11 @@
 // (the balancer-move regression), explain's estimated-vs-actual reporting,
 // the ServerStatus planner section, and adaptive covering budgets.
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -358,6 +360,113 @@ TEST(AdaptiveCoverBudgetTest, BroadQueriesCoverCoarselyAfterStatsBuild) {
     if (broad.Contains({lon, lat})) ++oracle;
   }
   EXPECT_EQ(res.cluster.docs.size(), oracle);
+}
+
+// The rect decides first: a rect at most 2% of the curve domain covers
+// exactly without asking for the time window's selectivity; a larger one
+// asks, and a broad window then makes it coarse.
+TEST(AdaptiveCoverBudgetTest, SmallRectDecidesWithoutStatistics) {
+  ApproachConfig config;
+  config.kind = ApproachKind::kHilStar;
+  config.hilbert_order = 6;
+  config.dataset_mbr = geo::Rect{{0.0, 0.0}, {10.0, 10.0}};
+  const Approach hil_star(config);
+  const geo::Rect domain = hil_star.curve()->grid().domain();
+  // Share 0.1 of the width times `height` of the height.
+  const auto rect_of_share = [&domain](double height) {
+    return geo::Rect{domain.lo,
+                     {domain.lo.lon + 0.1 * domain.width(),
+                      domain.lo.lat + height * domain.height()}};
+  };
+  const geo::Rect under = rect_of_share(0.199);  // 1.99% of the domain
+  const geo::Rect over = rect_of_share(0.201);   // 2.01%
+
+  int reads = 0;
+  const auto broad_window = [&reads] {
+    ++reads;
+    return 1.0;
+  };
+  EXPECT_EQ(hil_star.CoverBudget(under, broad_window), 0u);
+  EXPECT_EQ(reads, 0) << "a small rect must not read statistics";
+  EXPECT_EQ(hil_star.CoverBudget(over, broad_window),
+            config.coarse_cover_max_ranges);
+  EXPECT_EQ(reads, 1);
+  // Unknown selectivity stays exact; so does a narrow window.
+  EXPECT_EQ(hil_star.CoverBudget(over, [] { return -1.0; }), 0u);
+  EXPECT_EQ(hil_star.CoverBudget(over, [] { return 0.5; }), 0u);
+
+  // A rect reaching outside the domain counts only its clipped part.
+  geo::Rect spilling = under;
+  spilling.lo.lon -= 100.0;
+  EXPECT_EQ(hil_star.CoverBudget(spilling, broad_window), 0u);
+  EXPECT_EQ(reads, 1);
+
+  config.kind = ApproachKind::kBslST;
+  const Approach baseline(config);
+  EXPECT_EQ(baseline.CoverBudget(over, broad_window), 0u);
+  EXPECT_EQ(reads, 1) << "a baseline has no covering to budget";
+}
+
+// Through the store: with histograms built and a window over every stored
+// date, a rect just over 2% of hil*'s domain covers coarsely and one just
+// under covers exactly.
+TEST(AdaptiveCoverBudgetTest, StoreBudgetFollowsTheRectShare) {
+  StStore store(BaseOptions(ApproachKind::kHilStar));
+  ASSERT_TRUE(store.Setup().ok());
+  LoadUniform(&store, 1200, 53);
+  const int64_t t_lo = kT0 - kDayMs;
+  const int64_t t_hi = kT0 + 2 * kDayMs;
+  const geo::Rect domain = store.approach().curve()->grid().domain();
+  const auto rect_of_share = [&domain](double height) {
+    return geo::Rect{domain.lo,
+                     {domain.lo.lon + 0.1 * domain.width(),
+                      domain.lo.lat + height * domain.height()}};
+  };
+  (void)store.Query(rect_of_share(1.0), t_lo, t_hi);  // builds histograms
+
+  EXPECT_EQ(store.Explain(rect_of_share(0.199), t_lo, t_hi).cover_budget, 0u);
+  EXPECT_EQ(store.Explain(rect_of_share(0.22), t_lo, t_hi).cover_budget,
+            store.approach().config().coarse_cover_max_ranges);
+}
+
+// Broad hil* queries estimate their time selectivity from every shard's
+// statistics, with no topology lock, while another thread inserts (and so
+// updates those statistics): the thread sanitizer checks the locking, and
+// every query still answers exactly for the points present throughout.
+TEST(AdaptiveCoverBudgetTest, BroadQueriesEstimateBesideInserts) {
+  constexpr int kBase = 900;
+  constexpr int kExtra = 300;
+  StStore store(BaseOptions(ApproachKind::kHilStar));
+  ASSERT_TRUE(store.Setup().ok());
+  LoadUniform(&store, kBase, 59);
+  const geo::Rect broad{{0.5, 0.5}, {9.5, 9.5}};
+  const StQueryResult before = store.Query(broad, kT0, kT0 + kDayMs);
+  ASSERT_TRUE(before.cluster.status.ok());
+
+  std::atomic<bool> insert_failed{false};
+  std::thread writer([&] {
+    Rng rng(61);
+    for (int i = 0; i < kExtra; ++i) {
+      // Later than the query window: the answer must not change.
+      const double lon = rng.NextDouble(0.0, 10.0);
+      const double lat = rng.NextDouble(0.0, 10.0);
+      if (!store.Insert(PointDoc(lon, lat, kT0 + 2 * kDayMs + i, kBase + i))
+               .ok()) {
+        insert_failed.store(true);
+      }
+    }
+  });
+  size_t coarse = 0;
+  for (int q = 0; q < 20; ++q) {
+    const StExplain explain = store.Explain(broad, kT0, kT0 + kDayMs);
+    coarse += explain.cover_budget > 0;
+    const StQueryResult res = store.Query(broad, kT0, kT0 + kDayMs);
+    ASSERT_TRUE(res.cluster.status.ok());
+    EXPECT_EQ(res.cluster.docs.size(), before.cluster.docs.size());
+  }
+  writer.join();
+  EXPECT_FALSE(insert_failed.load());
+  EXPECT_GT(coarse, 0u) << "the broad queries never reached the estimate";
 }
 
 }  // namespace
