@@ -482,6 +482,15 @@ ShardCursor::Batch ShardCursor::GetMore(size_t batch_size) {
   }
   exec_millis_ += timer.ElapsedMillis();
   batch.exhausted = done_;
+  if (done_) {
+    // A plan that ended on a fault (a bucket that fails to decode) fails
+    // the stream like a dead shard: no documents, the cursor exhausted.
+    if (Status s = exec_.status(); !s.ok()) {
+      batch.rids.clear();
+      batch.error = std::move(s);
+      return batch;
+    }
+  }
   // Detach before the lock drops: the executor collapses to KeyString
   // positions and the batch takes ownership of its documents, so writers
   // and migrations may run freely until the next GetMore.

@@ -73,8 +73,9 @@ class ShardCursor {
     std::vector<storage::RecordId> rids;
     /// True when the stream ended at or before the end of this batch.
     bool exhausted = false;
-    /// Non-OK when the shard died mid-stream (e.g. an injected fault): the
-    /// batch carries no documents and the cursor is permanently exhausted.
+    /// Non-OK when the shard died mid-stream (an injected fault, or a
+    /// stored bucket that fails to decode): the batch carries no documents
+    /// and the cursor is permanently exhausted.
     Status error;
   };
 

@@ -277,16 +277,17 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
   Status s = reader_.Reset(blob);
   if (s.ok()) s = reader_.Select(prune_, &selection_);
   if (!s.ok()) {
-    ++decode_errors_;
-    return State::kNeedTime;
+    status_ = std::move(s);
+    return State::kEof;
   }
   buckets_pruned_ += selection_.pruned;
   points_scanned_ += selection_.scanned;
   if (selection_.rows.empty()) return State::kNeedTime;
 
-  if (!reader_.Build(*layout_, &selection_.rows, &built_).ok()) {
-    ++decode_errors_;
-    return State::kNeedTime;
+  if (Status b = reader_.Build(*layout_, &selection_.rows, &built_);
+      !b.ok()) {
+    status_ = std::move(b);
+    return State::kEof;
   }
   points_unpacked_ += built_.size();
 

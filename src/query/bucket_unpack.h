@@ -59,6 +59,10 @@ BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
 /// executor: plans containing this stage are marked transient_docs and the
 /// executor materializes their results (see CandidatePlan).
 ///
+/// A bucket that fails to decode ends the stream: Work() returns kEof and
+/// status() carries the Corruption, so the query fails instead of silently
+/// missing the bucket's points.
+///
 /// Counter semantics: docs_examined stays 0 here (the child's FETCH/
 /// COLLSCAN already counted each bucket load, keeping the explain
 /// sum-over-tree invariant); buckets_pruned (skipped on metadata),
@@ -77,6 +81,7 @@ class BucketUnpackStage : public PlanStage {
   void AccumulateStats(ExecStats* stats) const override;
   std::string Summary() const override;
   ExplainNode Explain() const override;
+  Status status() const override { return status_; }
 
   uint64_t buckets_pruned() const { return buckets_pruned_; }
   uint64_t points_scanned() const { return points_scanned_; }
@@ -106,7 +111,7 @@ class BucketUnpackStage : public PlanStage {
   uint64_t buckets_pruned_ = 0;
   uint64_t points_scanned_ = 0;
   uint64_t points_unpacked_ = 0;
-  uint64_t decode_errors_ = 0;
+  Status status_;
 };
 
 }  // namespace stix::query

@@ -66,11 +66,19 @@ PlanExecutor::PlanExecutor(const storage::RecordStore& records,
       cache_(cache),
       limit_(limit) {}
 
-// Replays a cached plan under the replanning works cap, buffering results.
-// Returns true when the result set is complete (EOF, or the pushed-down
-// limit satisfied) — false means the budget blew and the shape must be
-// re-raced.
-bool PlanExecutor::DrainCachedWithCap(Racer* racer, uint64_t cap) {
+void PlanExecutor::PlanCandidates() {
+  PlanningContext ctx;
+  if (!options_.raw_buckets) ctx.bucket_layout = options_.bucket_layout;
+  candidates_ = Planner::Plan(records_, catalog_, expr_, ctx);
+  if (options_.stage_timing) {
+    for (CandidatePlan& plan : candidates_) plan.root->EnableTiming();
+  }
+}
+
+// Runs a trusted pick under its works cap, buffering results. Returns true
+// when the result set is complete (EOF, or the pushed-down limit
+// satisfied) — false means the cap blew and the shape must be re-raced.
+bool PlanExecutor::DrainWithCap(Racer* racer, uint64_t cap) {
   WorkItem item;
   for (;;) {
     if (limit_ != 0 && racer->docs.size() >= limit_) return true;
@@ -130,111 +138,95 @@ PlanExecutor::Racer* PlanExecutor::RunTrial() {
 }
 
 void PlanExecutor::Prepare() {
-  const auto apply_stage_timing = [this] {
-    if (!options_.stage_timing) return;
-    for (CandidatePlan& plan : candidates_) plan.root->EnableTiming();
-  };
-  PlanningContext ctx;
-  if (!options_.raw_buckets) ctx.bucket_layout = options_.bucket_layout;
-  candidates_ = Planner::Plan(records_, catalog_, expr_, ctx);
-  apply_stage_timing();
+  PlanCandidates();
   num_candidates_ = static_cast<int>(candidates_.size());
   STIX_METRIC_COUNTER(plans_total, "planner.plans_total");
   plans_total.Increment();
+  STIX_METRIC_COUNTER(fallbacks, "planner.estimate_fallbacks");
 
-  // Fast path: a cached plan for this query shape, bounded by the
-  // replanning budget.
+  // A trusted pick skips the race: the plan cached for this query shape,
+  // else — with fresh statistics — a decisive cost-model choice. `expected`
+  // is the works figure its cap derives from.
+  CandidatePlan* pick = nullptr;
+  PlannedBy pick_kind = PlannedBy::kNone;
+  double expected = 0.0;
   if (cache_ != nullptr && candidates_.size() > 1) {
     shape_ = MakeShape();
     if (const std::optional<PlanCacheEntry> entry = cache_->Lookup(shape_)) {
-      CandidatePlan* cached_plan = nullptr;
       for (CandidatePlan& plan : candidates_) {
         if (plan.index_name == entry->index_name) {
-          cached_plan = &plan;
+          pick = &plan;
+          pick_kind = PlannedBy::kCache;
+          expected = static_cast<double>(entry->works);
           break;
         }
       }
-      if (cached_plan != nullptr) {
-        const uint64_t cap = std::max<uint64_t>(
-            options_.replan_min_works,
-            static_cast<uint64_t>(kReplanFactor *
-                                  static_cast<double>(entry->works)));
-        const bool forced_replan =
-            planExecutorReplan.Evaluate().has_value();
-        if (!forced_replan) {
-          racers_.push_back(Racer{cached_plan, {}, {}, 0, false});
-          if (DrainCachedWithCap(&racers_.back(), cap)) {
-            winner_ = &racers_.back();
-            from_plan_cache_ = true;
-            planned_by_ = PlannedBy::kCache;
-            phase_ = Phase::kBuffer;
-            return;
-          }
-        }
-        // Budget blown: evict and replan from scratch with fresh plan
-        // stages (MongoDB's replanning). The racer and its plan pointer
-        // must die before the candidate vector is replaced.
-        cache_->Evict(shape_);
-        STIX_METRIC_COUNTER(replans, "executor.replans");
-        replans.Increment();
-        replanned_ = true;
-        racers_.clear();
-        candidates_ = Planner::Plan(records_, catalog_, expr_, ctx);
-        apply_stage_timing();
-      }
     }
   }
-
-  // Cost-based selection: estimate every candidate from the shard's
-  // histograms and pick outright when decisive, skipping the trial race.
-  // Skipped after a cache replan — a shape whose cached plan just blew its
-  // budget is exactly where the estimates have been misleading; let the
-  // race re-measure reality. A cost-picked plan still runs under a works
-  // cap derived from its own estimate, so a bad estimate costs at most
-  // kReplanFactor x the predicted work before the race takes over.
-  if (candidates_.size() > 1 && !replanned_ &&
+  // Cost-based selection estimates every candidate from the shard's
+  // histograms. It never second-guesses a cached plan: a shape whose cached
+  // plan blows its cap is exactly where estimates have been misleading, so
+  // the race re-measures reality.
+  if (pick == nullptr && candidates_.size() > 1 &&
       options_.plan_selection == PlanSelectionMode::kCost &&
       options_.shard_stats != nullptr) {
     if (!options_.shard_stats->ReliableForEstimation()) {
       STIX_METRIC_COUNTER(stale_stats, "planner.stale_stats");
       stale_stats.Increment();
-      STIX_METRIC_COUNTER(fallbacks, "planner.estimate_fallbacks");
       fallbacks.Increment();
     } else {
       PlanChoice choice = ChoosePlan(candidates_, *options_.shard_stats,
                                      options_.cost_confidence_margin);
       estimates_ = std::move(choice.estimates);
       if (choice.winner >= 0) {
-        CandidatePlan* pick = &candidates_[static_cast<size_t>(choice.winner)];
-        const double est_cost = estimates_[choice.winner].cost;
-        const uint64_t cap = std::max<uint64_t>(
-            options_.replan_min_works,
-            static_cast<uint64_t>(kReplanFactor * est_cost));
-        racers_.push_back(Racer{pick, {}, {}, 0, false});
-        if (DrainCachedWithCap(&racers_.back(), cap)) {
-          winner_ = &racers_.back();
-          planned_by_ = PlannedBy::kCost;
-          STIX_METRIC_COUNTER(estimated, "planner.plans_estimated");
-          estimated.Increment();
-          phase_ = Phase::kBuffer;
-          return;
-        }
-        // The pick blew its cap: the estimate missed badly. Record the
-        // miss and fall back to a fresh race (the partially-run stages
-        // cannot be reused — rebuild the candidates).
-        STIX_METRIC_COUNTER(misses, "planner.estimate_misses");
-        misses.Increment();
-        STIX_METRIC_COUNTER(fallbacks, "planner.estimate_fallbacks");
-        fallbacks.Increment();
-        estimates_.clear();
-        racers_.clear();
-        candidates_ = Planner::Plan(records_, catalog_, expr_, ctx);
-        apply_stage_timing();
+        pick = &candidates_[static_cast<size_t>(choice.winner)];
+        pick_kind = PlannedBy::kCost;
+        expected = estimates_[static_cast<size_t>(choice.winner)].cost;
       } else {
-        STIX_METRIC_COUNTER(fallbacks, "planner.estimate_fallbacks");
         fallbacks.Increment();
       }
     }
+  }
+
+  if (pick != nullptr) {
+    // The pick may spend kReplanFactor x its expected works, so a bad
+    // cache entry or estimate costs a bounded amount before the race takes
+    // over.
+    const uint64_t cap = std::max<uint64_t>(
+        options_.replan_min_works,
+        static_cast<uint64_t>(kReplanFactor * expected));
+    const bool forced_replan = pick_kind == PlannedBy::kCache &&
+                               planExecutorReplan.Evaluate().has_value();
+    if (!forced_replan) {
+      racers_.push_back(Racer{pick, {}, {}, 0, false});
+      if (DrainWithCap(&racers_.back(), cap)) {
+        winner_ = &racers_.back();
+        planned_by_ = pick_kind;
+        if (pick_kind == PlannedBy::kCost) {
+          STIX_METRIC_COUNTER(estimated, "planner.plans_estimated");
+          estimated.Increment();
+        }
+        phase_ = Phase::kBuffer;
+        return;
+      }
+    }
+    // The cap blew: a cached plan is evicted (MongoDB's replanning), a
+    // cost pick records an estimate miss. Either way the partially-run
+    // stages cannot be reused — the racer and its plan pointer die before
+    // the candidates are rebuilt for a fresh race.
+    if (pick_kind == PlannedBy::kCache) {
+      cache_->Evict(shape_);
+      STIX_METRIC_COUNTER(replans, "executor.replans");
+      replans.Increment();
+      replanned_ = true;
+    } else {
+      STIX_METRIC_COUNTER(misses, "planner.estimate_misses");
+      misses.Increment();
+      fallbacks.Increment();
+      estimates_.clear();
+    }
+    racers_.clear();
+    PlanCandidates();
   }
 
   racers_.reserve(candidates_.size());
@@ -242,8 +234,7 @@ void PlanExecutor::Prepare() {
     racers_.push_back(Racer{&plan, {}, {}, 0, false});
   }
   winner_ = &racers_[0];
-  raced_ = racers_.size() > 1;
-  if (raced_) {
+  if (racers_.size() > 1) {
     winner_ = RunTrial();
     planned_by_ = PlannedBy::kRace;
     STIX_METRIC_COUNTER(raced, "planner.plans_raced");
@@ -317,12 +308,13 @@ void PlanExecutor::RestoreState() {
 void PlanExecutor::Finish() {
   phase_ = Phase::kDone;
   // A raced or cost-picked winner that ran to EOF is remembered with its
-  // full works figure — the number later replanning budgets derive from,
-  // and exactly what the batch executor stored after its full drain. A
-  // stream abandoned early (limit) stores nothing: a partial works count
-  // would poison those budgets.
-  const bool selected = raced_ || planned_by_ == PlannedBy::kCost;
-  if (selected && winner_ != nullptr && winner_->eof && cache_ != nullptr) {
+  // full works figure — the number later replanning caps derive from. A
+  // stream abandoned early (limit) or ended by a fault stores nothing: a
+  // partial works count would poison those caps.
+  const bool selected =
+      planned_by_ == PlannedBy::kRace || planned_by_ == PlannedBy::kCost;
+  if (selected && winner_ != nullptr && winner_->eof && cache_ != nullptr &&
+      status().ok()) {
     if (shape_.empty()) shape_ = MakeShape();
     cache_->Store(shape_, winner_->plan->index_name, winner_->works);
   }
@@ -378,6 +370,10 @@ ExecStats PlanExecutor::CurrentStats() const {
   return stats;
 }
 
+Status PlanExecutor::status() const {
+  return winner_ == nullptr ? Status::OK() : winner_->plan->root->status();
+}
+
 ExplainNode PlanExecutor::ExplainWinner() const {
   if (winner_ == nullptr) {
     ExplainNode none;
@@ -408,52 +404,6 @@ std::vector<ExplainNode> PlanExecutor::ExplainRejected() const {
 const std::string& PlanExecutor::winning_index() const {
   static const std::string kNoWinner;
   return winner_ == nullptr ? kNoWinner : winner_->plan->index_name;
-}
-
-ExecutionResult ExecuteQuery(const storage::RecordStore& records,
-                             const index::IndexCatalog& catalog,
-                             const ExprPtr& expr,
-                             const ExecutorOptions& options,
-                             PlanCache* cache) {
-  Stopwatch timer;
-  PlanExecutor exec(records, catalog, expr, options, cache);
-  ExecutionResult result;
-  storage::RecordId rid;
-  const bson::Document* doc;
-  while (exec.Next(&rid, &doc)) {
-    result.docs.push_back(doc);
-    result.rids.push_back(rid);
-  }
-  result.stats = exec.CurrentStats();
-  result.winning_index = exec.winning_index();
-  result.num_candidates = exec.num_candidates();
-  result.from_plan_cache = exec.from_plan_cache();
-  result.replanned = exec.replanned();
-  result.planned_by = exec.planned_by();
-  if (const PlanEstimate* est = exec.winner_estimate()) {
-    result.estimated_keys = est->keys;
-    result.estimated_docs = est->docs;
-  }
-  if (exec.winner_transient()) {
-    // The documents live in the winning plan's unpack arena, which dies
-    // with `exec` at return: materialize into the result itself. Transient
-    // documents are always arena-owned (BucketUnpackStage copies even
-    // pass-through rows into its arena) and each arena slot is emitted
-    // exactly once, so moving them out is safe and skips a deep copy of
-    // every unpacked point.
-    result.owned.reserve(result.docs.size());
-    for (const bson::Document* d : result.docs) {
-      result.owned.push_back(std::move(*const_cast<bson::Document*>(d)));
-    }
-    for (size_t i = 0; i < result.docs.size(); ++i) {
-      result.docs[i] = &result.owned[i];
-    }
-  } else {
-    result.borrow_source = &records;
-    result.borrow_generation = records.generation();
-  }
-  result.exec_millis = timer.ElapsedMillis();
-  return result;
 }
 
 }  // namespace stix::query

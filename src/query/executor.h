@@ -1,12 +1,10 @@
 #ifndef STIX_QUERY_EXECUTOR_H_
 #define STIX_QUERY_EXECUTOR_H_
 
-#include <cassert>
 #include <deque>
 #include <string>
 #include <vector>
 
-#include "common/stopwatch.h"
 #include "query/cost.h"
 #include "query/plan_cache.h"
 #include "query/planner.h"
@@ -68,81 +66,32 @@ struct ExecutorOptions {
   const stats::ShardStatistics* shard_stats = nullptr;
 };
 
-/// Result of running one query on one shard-local collection.
-///
-/// Matched documents are returned as borrowed pointers into the shard's
-/// RecordStore — the executor copies nothing. Pointers stay valid until the
-/// collection is next mutated; callers that outlive that window materialize
-/// what they need exactly once (MaterializeDocs).
-struct ExecutionResult {
-  std::vector<const bson::Document*> docs;
-  /// RecordIds parallel to `docs` (diagnostics).
-  /// Bucket-unpacked points share their bucket's record id, so ids can
-  /// repeat.
-  std::vector<storage::RecordId> rids;
-
-  /// Bucket-unpacked executions only: the decoded points, owned by the
-  /// result itself (`docs` points into this vector; moving the result
-  /// moves the buffer, so the pointers survive). Empty for row-layout
-  /// executions, whose docs borrow from the record store instead.
-  std::vector<bson::Document> owned;
-
-  /// Borrow guard: the store the pointers borrow from and its generation at
-  /// production time (see RecordStore::generation()). Reading `docs` after
-  /// the store mutated is a use-after-mutate bug — debug builds abort via
-  /// CheckBorrows(), release builds can test BorrowsValid().
-  const storage::RecordStore* borrow_source = nullptr;
-  uint64_t borrow_generation = 0;
-
-  bool BorrowsValid() const {
-    return borrow_source == nullptr ||
-           borrow_source->generation() == borrow_generation;
-  }
-  void CheckBorrows() const { assert(BorrowsValid()); }
-
-  /// Copies the matched documents out of the record store (the one
-  /// materialization point for callers that need owned documents).
-  std::vector<bson::Document> MaterializeDocs() const {
-    CheckBorrows();
-    std::vector<bson::Document> out;
-    out.reserve(docs.size());
-    for (const bson::Document* d : docs) out.push_back(*d);
-    return out;
-  }
-
-  ExecStats stats;
-  double exec_millis = 0.0;
-  std::string winning_index;  ///< Index the (multi-)planner settled on.
-  int num_candidates = 0;
-  bool from_plan_cache = false;
-  /// True when a cached plan blew its works budget and the shape was
-  /// re-raced during this execution.
-  bool replanned = false;
-  /// How the winner was selected (see PlannedBy).
-  PlannedBy planned_by = PlannedBy::kNone;
-  /// Winning plan's histogram estimate when one was computed (negative
-  /// when estimation did not run or was invalid for the winner).
-  double estimated_keys = -1.0;
-  double estimated_docs = -1.0;
-};
-
-/// Resumable, demand-driven query executor — the shard half of the
-/// streaming pipeline. Construction is cheap; the first Next() call plans
-/// the query and settles on a winner (replaying a cached plan under the
-/// replanning budget, re-racing mid-stream when the budget blows, or
-/// running the full multi-plan trial race), and every Next() after that
+/// Resumable, demand-driven query executor — the one way a query runs on
+/// a shard-local collection. Construction is cheap; the first Next() call
+/// plans the query and settles on a winner, and every Next() after that
 /// pulls a single result from the winning plan on demand.
+///
+/// Settling: a *trusted pick* — the plan cached for the query shape, or a
+/// decisive cost-model choice — runs alone under a works cap of 10x its
+/// expected works (at least replan_min_works). Without one, or when the cap
+/// blows, the candidates race for a trial period and the most productive
+/// one continues: the mechanism behind the paper's Table 7 (bslST sometimes
+/// running on the {date} shard-key index instead of the compound index). A
+/// raced or cost-picked winner that reaches EOF is remembered by query
+/// shape (MongoDB's plan cache).
 ///
 /// A non-zero `limit` is pushed down: the stream ends after `limit`
 /// documents and the trial race's result target is capped to it, so a
 /// limit-k execution examines strictly fewer keys/docs than a full drain.
-/// An unlimited drain performs the exact Work()-call sequence of the old
-/// batch executor, so stats, winner and cache state come out identical.
+/// An unlimited drain makes the same Work() calls however the caller
+/// batches its pulls, so stats, winner and cache state do not depend on
+/// the batching.
 ///
 /// Lifetime: borrows `records`, `catalog` and `cache` and yields document
-/// pointers into `records`; consume results before the collection next
-/// mutates (see ExecutionResult's borrow guard) and do not outlive the
-/// shard.
+/// pointers into `records` (or, for bucket-unpacked plans, into the plan's
+/// own arena); consume results before the collection next mutates —
+/// ShardCursor copies them out before the shard lock drops — and do not
+/// outlive the shard.
 class PlanExecutor {
  public:
   PlanExecutor(const storage::RecordStore& records,
@@ -175,9 +124,13 @@ class PlanExecutor {
   /// entries inserted behind the scan position are not revisited.
   void RestoreState();
 
-  /// Counters accumulated so far; after an unlimited drain they match the
-  /// batch executor's ExecStats exactly.
+  /// Counters accumulated so far by the winning plan.
   ExecStats CurrentStats() const;
+
+  /// Non-OK when the winning plan ended its stream on a fault (a stored
+  /// bucket that fails to decode): the results returned are then not the
+  /// query's answer. OK before the first Next().
+  Status status() const;
 
   uint64_t n_returned() const { return returned_; }
   const std::string& winning_index() const;
@@ -188,7 +141,7 @@ class PlanExecutor {
     return winner_ != nullptr && winner_->plan->transient_docs;
   }
   int num_candidates() const { return num_candidates_; }
-  bool from_plan_cache() const { return from_plan_cache_; }
+  bool from_plan_cache() const { return planned_by_ == PlannedBy::kCache; }
   bool replanned() const { return replanned_; }
   PlannedBy planned_by() const { return planned_by_; }
   /// The winner's histogram estimate, or null when estimation did not run
@@ -203,9 +156,9 @@ class PlanExecutor {
   /// "NONE" node.
   ExplainNode ExplainWinner() const;
 
-  /// Explain trees of every candidate that did not win (trial losers, and
-  /// the abandoned cached plan's fresh re-race losers), with the partial
-  /// counters they accumulated.
+  /// Explain trees of every candidate that did not win (trial losers,
+  /// including those of the race that follows an abandoned trusted pick),
+  /// with the partial counters they accumulated.
   std::vector<ExplainNode> ExplainRejected() const;
 
  private:
@@ -224,7 +177,9 @@ class PlanExecutor {
 
   void Prepare();
   std::string MakeShape() const;
-  bool DrainCachedWithCap(Racer* racer, uint64_t cap);
+  /// Rebuilds candidates_ from scratch (fresh, unrun stages).
+  void PlanCandidates();
+  bool DrainWithCap(Racer* racer, uint64_t cap);
   Racer* RunTrial();
   void Finish();
   /// Estimate recorded for `plan` by the last ChoosePlan call, if any.
@@ -249,30 +204,15 @@ class PlanExecutor {
   size_t buffer_pos_ = 0;
   uint64_t returned_ = 0;
   std::string shape_;
-  bool raced_ = false;
   int num_candidates_ = 0;
-  bool from_plan_cache_ = false;
+  /// True when a cached plan blew its works cap and the shape was re-raced.
   bool replanned_ = false;
   PlannedBy planned_by_ = PlannedBy::kNone;
-  /// Parallel to candidates_ when cost selection ran (cleared on replan —
-  /// indexes would go stale against a rebuilt candidate vector).
+  /// Parallel to candidates_ when cost selection ran (cleared when a cost
+  /// pick blows its cap — indexes would go stale against the rebuilt
+  /// candidate vector).
   std::vector<PlanEstimate> estimates_;
 };
-
-/// Plans and runs a query to completion (open + drain over PlanExecutor).
-/// With multiple candidate plans the candidates race for a trial period and
-/// the most productive one continues — this is the mechanism behind the
-/// paper's Table 7 (bslST sometimes running on the {date} shard-key index
-/// instead of the compound index).
-///
-/// When `cache` is non-null, a winning multi-plan race is remembered by
-/// query shape and later executions of the same shape skip the race
-/// (MongoDB's plan cache; its warm-state measurements depend on it).
-ExecutionResult ExecuteQuery(const storage::RecordStore& records,
-                             const index::IndexCatalog& catalog,
-                             const ExprPtr& expr,
-                             const ExecutorOptions& options = {},
-                             PlanCache* cache = nullptr);
 
 }  // namespace stix::query
 

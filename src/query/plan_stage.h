@@ -27,8 +27,8 @@ struct ExecStats {
 };
 
 /// One unit of output from a plan stage: a record id plus a document pointer
-/// borrowed from the shard's RecordStore (valid until the store mutates —
-/// see RecordStore::generation()).
+/// borrowed from the shard's RecordStore (valid until the store next
+/// mutates: Insert may reallocate the slot vector, Remove kills the slot).
 struct WorkItem {
   storage::RecordId rid = storage::kInvalidRecordId;
   const bson::Document* doc = nullptr;
@@ -91,13 +91,18 @@ class PlanStage {
   /// works_budget is non-zero the pull also stops (kBudget) once *works
   /// reaches the budget, so a caller can drain a cached plan under the
   /// replanning cap without overshooting. The budget is checked before each
-  /// unit, matching the batch executor's accounting: the Work() call that
-  /// returns kEof is itself counted as a unit.
+  /// unit, and the Work() call that returns kEof is itself counted as a
+  /// unit.
   NextResult Next(WorkItem* item, uint64_t* works, uint64_t works_budget = 0);
 
   virtual void AccumulateStats(ExecStats* stats) const = 0;
 
   virtual std::string Summary() const = 0;
+
+  /// Non-OK when the stage ended its stream on a fault instead of at the
+  /// true end (a stored bucket that fails to decode). Callers never work a
+  /// stage past kEof, so the fault needs no check on the hot path.
+  virtual Status status() const { return Status::OK(); }
 
  protected:
   /// Copies the base counters (works/advanced/time) into an explain node.

@@ -32,7 +32,8 @@ struct CandidatePlan {
   std::string index_name;  ///< Empty for COLLSCAN.
   /// True when the plan emits documents owned by its own stages (a
   /// BUCKET_UNPACK arena) rather than by the record store: results must be
-  /// materialized before the executor dies (see ExecutionResult::owned).
+  /// materialized before the executor dies (ShardCursor::GetMore moves
+  /// them into its batch).
   bool transient_docs = false;
   PlanAccess access;
 };

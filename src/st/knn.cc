@@ -63,7 +63,12 @@ KnnResult KnnQuery(const StStore& store, geo::Point center,
             options.k, &best);
       }
     }
-    result.total_keys_examined += cursor.Summary().cluster.total_keys_examined;
+    const StQueryResult probe = cursor.Summary();
+    result.total_keys_examined += probe.cluster.total_keys_examined;
+    if (!probe.cluster.status.ok()) {
+      result.status = probe.cluster.status;
+      return result;
+    }
 
     // Final iff the k-th candidate is certainly closer than anything the
     // square might have missed (i.e. within the inscribed radius), or the

@@ -29,6 +29,10 @@ struct Neighbor {
 
 /// kNN outcome plus the cost of the expanding search.
 struct KnnResult {
+  /// OK, or the status of the first ring probe that failed: the search
+  /// stops there and `neighbors` stays empty (a partial ring is not an
+  /// answer).
+  Status status;
   std::vector<Neighbor> neighbors;  ///< Ascending distance, `<= k` entries.
   int expansions = 0;               ///< Radius doublings performed.
   int queries_issued = 0;

@@ -5,7 +5,6 @@ namespace stix::storage {
 RecordId RecordStore::Insert(bson::Document doc) {
   logical_size_bytes_ += doc.ApproxBsonSize();
   ++num_records_;
-  generation_.fetch_add(1, std::memory_order_release);
   records_.emplace_back(std::move(doc));
   return static_cast<RecordId>(records_.size());  // ids are 1-based
 }
@@ -22,7 +21,6 @@ std::optional<bson::Document> RecordStore::Remove(RecordId id) {
   if (!slot.has_value()) return std::nullopt;
   logical_size_bytes_ -= slot->ApproxBsonSize();
   --num_records_;
-  generation_.fetch_add(1, std::memory_order_release);
   std::optional<bson::Document> removed = std::move(slot);
   slot.reset();
   return removed;
@@ -39,16 +37,12 @@ Status RecordStore::RestoreAt(RecordId id, bson::Document doc) {
   }
   logical_size_bytes_ += doc.ApproxBsonSize();
   ++num_records_;
-  generation_.fetch_add(1, std::memory_order_release);
   slot.emplace(std::move(doc));
   return Status::OK();
 }
 
 void RecordStore::PadToRecordId(RecordId id) {
-  if (id > records_.size()) {
-    records_.resize(id);
-    generation_.fetch_add(1, std::memory_order_release);
-  }
+  if (id > records_.size()) records_.resize(id);
 }
 
 void RecordStore::ForEach(

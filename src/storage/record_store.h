@@ -1,7 +1,6 @@
 #ifndef STIX_STORAGE_RECORD_STORE_H_
 #define STIX_STORAGE_RECORD_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -25,22 +24,8 @@ class RecordStore {
 
   RecordStore(const RecordStore&) = delete;
   RecordStore& operator=(const RecordStore&) = delete;
-  // Moves are hand-written because the generation counter is atomic (moving
-  // a store is a single-threaded setup-time operation; borrows never span
-  // it).
-  RecordStore(RecordStore&& other) noexcept
-      : records_(std::move(other.records_)),
-        num_records_(other.num_records_),
-        logical_size_bytes_(other.logical_size_bytes_),
-        generation_(other.generation_.load(std::memory_order_relaxed)) {}
-  RecordStore& operator=(RecordStore&& other) noexcept {
-    records_ = std::move(other.records_);
-    num_records_ = other.num_records_;
-    logical_size_bytes_ = other.logical_size_bytes_;
-    generation_.store(other.generation_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    return *this;
-  }
+  RecordStore(RecordStore&&) = default;
+  RecordStore& operator=(RecordStore&&) = default;
 
   /// Stores a document, returning its id.
   RecordId Insert(bson::Document doc);
@@ -48,8 +33,9 @@ class RecordStore {
   /// Returns the live document or nullptr (removed / never existed).
   /// Pointer stability: the returned pointer survives Remove of *other*
   /// records (slots are tombstoned in place) but not Insert, which may
-  /// reallocate the slot vector. The zero-copy query pipeline (executor ->
-  /// router merge) relies on this window.
+  /// reallocate the slot vector. The query pipeline relies on this window:
+  /// plan stages pass borrowed pointers up to ShardCursor::GetMore, which
+  /// copies the documents out before the shard lock drops.
   const bson::Document* Get(RecordId id) const;
 
   /// Removes a record and hands its document back (a shard write batch
@@ -73,18 +59,6 @@ class RecordStore {
 
   uint64_t num_records() const { return num_records_; }
 
-  /// Mutation generation: bumped on every Insert and Remove. Borrowed
-  /// `const Document*` handed out by the query pipeline are only guaranteed
-  /// valid while the generation is unchanged (Insert may reallocate the slot
-  /// vector; Remove kills the removed slot). Cursors copy their documents
-  /// out before the shard lock drops and never read this counter; only the
-  /// debug-mode borrow check of `query::ExecutionResult` (the executor
-  /// tests' run-to-completion harness) compares a snapshot of it. Atomic so
-  /// that check stays a defined read.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
   /// Highest RecordId ever issued (ids are dense from 1; removed slots stay
   /// addressable and return nullptr).
   RecordId max_record_id() const {
@@ -98,7 +72,6 @@ class RecordStore {
   std::vector<std::optional<bson::Document>> records_;
   uint64_t num_records_ = 0;
   uint64_t logical_size_bytes_ = 0;
-  std::atomic<uint64_t> generation_{0};
 };
 
 }  // namespace stix::storage

@@ -365,8 +365,8 @@ bool ExecuteOp(st::StStore* store, const TrafficOp& op) {
       kopts.k = op.k;
       const geo::Point center{(op.rect.lo.lon + op.rect.hi.lon) / 2.0,
                               (op.rect.lo.lat + op.rect.hi.lat) / 2.0};
-      (void)st::KnnQuery(*store, center, op.t_begin_ms, op.t_end_ms, kopts);
-      return true;
+      return st::KnnQuery(*store, center, op.t_begin_ms, op.t_end_ms, kopts)
+          .status.ok();
     }
     case TrafficOpClass::kInsert:
       return store->Insert(MakeTrafficDoc(op.lon, op.lat, op.doc_t_ms, op.fid))

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -440,6 +441,39 @@ TEST(BucketQueryTest, RegistryCountersMoveAfterBucketedQuery) {
             pruned_before);
   EXPECT_GE(registry.GetCounter("bucket.points_unpacked").value(),
             unpacked_before + r.cluster.docs.size());
+}
+
+TEST(BucketQueryTest, DamagedBucketFailsQueryWithCorruption) {
+  // A stored bucket whose blob no longer decodes must fail the query — the
+  // same Corruption a delete over it reports — not silently drop its
+  // points from an OK result.
+  const workload::TrajectoryOptions traj;
+  const geo::Rect everything{{19.0, 34.0}, {29.0, 42.0}};
+  for (const ApproachKind kind : {ApproachKind::kBslTS, ApproachKind::kHil}) {
+    SCOPED_TRACE(ApproachName(kind));
+    const auto store = LoadedStore(kind, true, 1000);
+    ASSERT_TRUE(store->FlushBuckets().ok());
+    std::optional<bson::Document> damaged;
+    store->cluster().shards().front()->collection().records().ForEach(
+        [&](storage::RecordId, const bson::Document& doc) {
+          if (!damaged && storage::BucketBlob(doc) != nullptr) damaged = doc;
+        });
+    ASSERT_TRUE(damaged.has_value());
+    const std::string blob = *storage::BucketBlob(*damaged);
+    storage::ReplaceBucketBlob(&*damaged, blob.substr(0, blob.size() / 2));
+    ASSERT_TRUE(store->cluster().Insert(std::move(*damaged)).ok());
+
+    const StQueryResult r =
+        store->Query(everything, traj.t_begin_ms, traj.t_end_ms);
+    EXPECT_EQ(r.cluster.status.code(), StatusCode::kCorruption)
+        << r.cluster.status.ToString();
+    EXPECT_TRUE(r.cluster.docs.empty());
+
+    const Result<uint64_t> removed = store->cluster().Delete(
+        query::MakeCmp("date", query::CmpOp::kGte,
+                       bson::Value::DateTime(traj.t_begin_ms)));
+    EXPECT_EQ(removed.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(BucketQueryTest, AggregateWithoutMatchSeesPoints) {

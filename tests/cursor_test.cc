@@ -1,6 +1,6 @@
 // Tests for the streaming execution path: the pull-based PlanExecutor, the
 // shard getMore protocol, the batched scatter-gather merge, limit pushdown,
-// and the borrow guards that police zero-copy document lifetimes. The
+// and the yields that keep borrowed documents valid across writes. The
 // anchor invariant throughout: an unlimited cursor drain reproduces the
 // classic run-to-completion Query() results and metrics exactly, at every
 // batch size.
@@ -25,6 +25,7 @@
 #include "st/knn.h"
 #include "st/st_store.h"
 #include "storage/record_store.h"
+#include "plan_drain.h"
 
 // ---------- PlanExecutor: pull-based shard-local execution ----------
 
@@ -32,6 +33,7 @@ namespace stix::query {
 namespace {
 
 using bson::Value;
+using testing::DrainIds;
 
 bson::Document PointDoc(int id, double lon, double lat, int64_t date_ms,
                         int64_t hilbert) {
@@ -96,53 +98,39 @@ class PlanExecutorTest : public ::testing::Test {
     return ids;
   }
 
-  // Ids in production order (order parity matters for the cursor path).
-  static std::vector<int> OrderedIds(
-      const std::vector<const bson::Document*>& docs) {
-    std::vector<int> ids;
-    ids.reserve(docs.size());
-    for (const bson::Document* d : docs) ids.push_back(d->Get("id")->AsInt32());
-    return ids;
-  }
-
-  // Drains a PlanExecutor pull by pull, collecting ids in stream order.
-  static std::vector<int> DrainIds(PlanExecutor* exec) {
-    std::vector<int> ids;
-    storage::RecordId rid;
-    const bson::Document* doc = nullptr;
-    while (exec->Next(&rid, &doc)) ids.push_back(doc->Get("id")->AsInt32());
-    return ids;
-  }
-
   storage::RecordStore records_;
   index::IndexCatalog catalog_;
 };
 
 TEST_F(PlanExecutorTest, StreamMatchesBatchExecution) {
+  // Pull-by-pull or in one go, the stream is the naive answer and the
+  // counters add up: every returned document was examined, and the winner
+  // is one of the candidates.
   const ExprPtr q = SpatioTemporalQuery();
-  const ExecutionResult batch = ExecuteQuery(records_, catalog_, q);
-
   PlanExecutor exec(records_, catalog_, q);
   const std::vector<int> streamed = DrainIds(&exec);
 
   EXPECT_TRUE(exec.exhausted());
-  EXPECT_EQ(streamed, OrderedIds(batch.docs));
-  EXPECT_EQ(exec.winning_index(), batch.winning_index);
-  EXPECT_EQ(exec.num_candidates(), batch.num_candidates);
+  EXPECT_EQ(std::set<int>(streamed.begin(), streamed.end()), NaiveIds(q));
+  EXPECT_EQ(streamed.size(),
+            std::set<int>(streamed.begin(), streamed.end()).size());
+  EXPECT_EQ(exec.num_candidates(), 2);  // date_1 and the 2dsphere index
+  EXPECT_EQ(exec.planned_by(), PlannedBy::kRace);
+  EXPECT_FALSE(exec.winning_index().empty());
 
   const ExecStats s = exec.CurrentStats();
-  EXPECT_EQ(s.keys_examined, batch.stats.keys_examined);
-  EXPECT_EQ(s.docs_examined, batch.stats.docs_examined);
-  EXPECT_EQ(s.works, batch.stats.works);
-  EXPECT_EQ(s.n_returned, batch.stats.n_returned);
-  EXPECT_EQ(s.plan_summary, batch.stats.plan_summary);
-  EXPECT_EQ(exec.n_returned(), batch.docs.size());
+  EXPECT_EQ(s.n_returned, streamed.size());
+  EXPECT_EQ(exec.n_returned(), streamed.size());
+  EXPECT_GE(s.docs_examined, s.n_returned);
+  EXPECT_GE(s.works, s.keys_examined);
+  EXPECT_FALSE(s.plan_summary.empty());
 }
 
 TEST_F(PlanExecutorTest, LimitStopsStreamAndExaminesStrictlyLess) {
   const ExprPtr q = SpatioTemporalQuery();
-  const ExecutionResult full = ExecuteQuery(records_, catalog_, q);
-  ASSERT_GT(full.docs.size(), 5u);
+  PlanExecutor full(records_, catalog_, q);
+  const std::vector<int> full_ids = DrainIds(&full);
+  ASSERT_GT(full_ids.size(), 5u);
 
   PlanExecutor limited(records_, catalog_, q, {}, nullptr, /*limit=*/5);
   const std::vector<int> ids = DrainIds(&limited);
@@ -150,28 +138,29 @@ TEST_F(PlanExecutorTest, LimitStopsStreamAndExaminesStrictlyLess) {
   EXPECT_EQ(ids.size(), 5u);
   EXPECT_TRUE(limited.exhausted());
   // The first five of the full stream, in order.
-  const std::vector<int> full_ids = OrderedIds(full.docs);
   EXPECT_TRUE(std::equal(ids.begin(), ids.end(), full_ids.begin()));
   // Early termination is real: strictly less examined and worked.
   const ExecStats s = limited.CurrentStats();
-  EXPECT_LT(s.docs_examined, full.stats.docs_examined);
-  EXPECT_LT(s.works, full.stats.works);
+  EXPECT_LT(s.docs_examined, full.CurrentStats().docs_examined);
+  EXPECT_LT(s.works, full.CurrentStats().works);
 }
 
 TEST_F(PlanExecutorTest, CachedPlanStreamsWithoutRerace) {
   const ExprPtr q = SpatioTemporalQuery();
   PlanCache cache;
-  const ExecutionResult first = ExecuteQuery(records_, catalog_, q, {}, &cache);
+  PlanExecutor first(records_, catalog_, q, {}, &cache);
+  const std::vector<int> first_ids = DrainIds(&first);
   ASSERT_EQ(cache.size(), 1u);
 
   PlanExecutor exec(records_, catalog_, q, {}, &cache);
   const std::vector<int> streamed = DrainIds(&exec);
   EXPECT_TRUE(exec.from_plan_cache());
+  EXPECT_EQ(exec.planned_by(), PlannedBy::kCache);
   EXPECT_FALSE(exec.replanned());
-  EXPECT_EQ(streamed, OrderedIds(first.docs));
-  EXPECT_EQ(exec.winning_index(), first.winning_index);
+  EXPECT_EQ(streamed, first_ids);
+  EXPECT_EQ(exec.winning_index(), first.winning_index());
   // The cached stream does not pay the losing plans' trial work.
-  EXPECT_LE(exec.CurrentStats().works, first.stats.works);
+  EXPECT_LE(exec.CurrentStats().works, first.CurrentStats().works);
 }
 
 TEST_F(PlanExecutorTest, LimitAbandonedStreamDoesNotPoisonCache) {
@@ -186,8 +175,9 @@ TEST_F(PlanExecutorTest, LimitAbandonedStreamDoesNotPoisonCache) {
 
   // A full drain afterwards races and stores as if the limit run never
   // happened.
-  const ExecutionResult full = ExecuteQuery(records_, catalog_, q, {}, &cache);
-  EXPECT_FALSE(full.from_plan_cache);
+  PlanExecutor full(records_, catalog_, q, {}, &cache);
+  DrainIds(&full);
+  EXPECT_FALSE(full.from_plan_cache());
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -206,39 +196,67 @@ TEST_F(PlanExecutorTest, MidStreamReplanRecoversFromPoisonedCache) {
 
   EXPECT_TRUE(exec.replanned());
   EXPECT_FALSE(exec.from_plan_cache());
+  EXPECT_EQ(exec.planned_by(), PlannedBy::kRace);
   EXPECT_EQ(exec.winning_index(), "loc_2dsphere_date_1");
   EXPECT_EQ(std::set<int>(streamed.begin(), streamed.end()), NaiveIds(q));
 
   // The re-race refreshed the cache entry.
-  const ExecutionResult again = ExecuteQuery(records_, catalog_, q, {}, &cache);
-  EXPECT_TRUE(again.from_plan_cache);
-  EXPECT_FALSE(again.replanned);
+  PlanExecutor again(records_, catalog_, q, {}, &cache);
+  DrainIds(&again);
+  EXPECT_TRUE(again.from_plan_cache());
+  EXPECT_FALSE(again.replanned());
 }
 
-TEST_F(PlanExecutorTest, GenerationCounterTracksMutations) {
-  storage::RecordStore store;
-  const uint64_t g0 = store.generation();
-  const storage::RecordId rid = store.Insert(PointDoc(1, 0, 0, 0, 0));
-  EXPECT_EQ(store.generation(), g0 + 1);
-  store.Insert(PointDoc(2, 0, 0, 0, 0));
-  EXPECT_EQ(store.generation(), g0 + 2);
-  ASSERT_TRUE(store.Remove(rid));
-  EXPECT_EQ(store.generation(), g0 + 3);
-}
+TEST_F(PlanExecutorTest, CostPickBlowingItsCapFallsBackToRace) {
+  // Statistics that put every document in the queried cells but none near
+  // the queried dates make the date index look free, so the cost model
+  // picks it decisively; in truth it scans all 2000 keys, blows its works
+  // cap and must hand over to a fresh race that returns exactly what a
+  // race-only run returns.
+  const ExprPtr q = MakeAnd(
+      {MakeOr({MakeRange("hilbertIndex", Value::Int64(4), Value::Int64(5))}),
+       MakeRange("date", Value::DateTime(0),
+                 Value::DateTime(60000LL * 2000))});
+  stats::ShardStatistics misleading;
+  stats::RebuildSample sample;
+  for (int i = 0; i < 2000; ++i) {
+    sample.dates.push_back(60000LL * (1000000 + i));  // far past the query
+    sample.hilberts.push_back(4 + i % 2);
+  }
+  sample.num_docs = sample.num_points = 2000;
+  misleading.Rebuild(std::move(sample), misleading.rebuild_generation());
+  ASSERT_TRUE(misleading.ReliableForEstimation());
 
-TEST_F(PlanExecutorTest, BorrowGuardFlipsWhenStoreMutates) {
-  const ExprPtr q =
-      MakeRange("date", Value::DateTime(60000LL * 10),
-                Value::DateTime(60000LL * 20));
-  ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  ASSERT_GT(r.docs.size(), 0u);
-  EXPECT_EQ(r.borrow_source, &records_);
-  EXPECT_TRUE(r.BorrowsValid());
-  // Materializing while valid is fine.
-  EXPECT_EQ(r.MaterializeDocs().size(), r.docs.size());
+  ExecutorOptions race_only;
+  race_only.plan_selection = PlanSelectionMode::kRace;
+  PlanExecutor race(records_, catalog_, q, race_only);
+  const std::vector<int> race_ids = DrainIds(&race);
+  ASSERT_EQ(race.planned_by(), PlannedBy::kRace);
+  ASSERT_EQ(race.winning_index(), "h_1_date_1");
 
-  records_.Insert(PointDoc(9999, 1, 1, 1, 1));
-  EXPECT_FALSE(r.BorrowsValid());
+  MetricsRegistry& reg = MetricsRegistry::Instance();
+  const uint64_t misses = reg.GetCounter("planner.estimate_misses").value();
+  const uint64_t fallbacks =
+      reg.GetCounter("planner.estimate_fallbacks").value();
+  const uint64_t estimated = reg.GetCounter("planner.plans_estimated").value();
+  ExecutorOptions cost;
+  cost.shard_stats = &misleading;
+  PlanCache cache;
+  PlanExecutor exec(records_, catalog_, q, cost, &cache);
+  const std::vector<int> ids = DrainIds(&exec);
+
+  EXPECT_EQ(ids, race_ids);
+  EXPECT_EQ(exec.planned_by(), PlannedBy::kRace);
+  EXPECT_EQ(exec.winning_index(), "h_1_date_1");
+  EXPECT_FALSE(exec.replanned());  // a cost miss is not a cache replan
+  EXPECT_EQ(exec.winner_estimate(), nullptr);  // estimates were dropped
+  EXPECT_EQ(reg.GetCounter("planner.estimate_misses").value(), misses + 1);
+  EXPECT_EQ(reg.GetCounter("planner.estimate_fallbacks").value(),
+            fallbacks + 1);
+  EXPECT_EQ(reg.GetCounter("planner.plans_estimated").value(), estimated);
+  // The race's winner is what the cache remembers.
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Lookup(QueryShape(*q))->index_name, "h_1_date_1");
 }
 
 }  // namespace
@@ -429,7 +447,7 @@ TEST_F(ClusterCursorTest, DrainMatchesExecuteAtEveryBatchSize) {
     copts.batch_size = batch;
     auto cursor = cluster.OpenCursor(q, copts);
     const ClusterQueryResult r = cursor->Drain();
-    SCOPED_TRACE(testing::Message() << "batch_size=" << batch);
+    SCOPED_TRACE(::testing::Message() << "batch_size=" << batch);
 
     EXPECT_EQ(Ids(r.docs), Ids(reference.docs));
     EXPECT_EQ(r.n_returned, reference.n_returned);
@@ -837,7 +855,7 @@ TEST_P(StCursorParityTest, CursorDrainReproducesQueryAtEveryBatchSize) {
   ASSERT_GT(reference.cluster.docs.size(), 0u);
 
   for (const size_t batch : {size_t{1}, size_t{101}, size_t{0}}) {
-    SCOPED_TRACE(testing::Message() << "approach=" << store.approach().name()
+    SCOPED_TRACE(::testing::Message() << "approach=" << store.approach().name()
                                     << " batch_size=" << batch);
     StCursorOptions copts;
     copts.batch_size = batch;
@@ -940,6 +958,29 @@ TEST_P(StCursorParityTest, KnnCandidateBudgetBoundsProbeWork) {
   for (size_t i = 1; i < r.neighbors.size(); ++i) {
     EXPECT_GE(r.neighbors[i].distance_m, r.neighbors[i - 1].distance_m);
   }
+}
+
+TEST_P(StCursorParityTest, KnnProbeFaultSurfacesInStatus) {
+  StStore store(Options());
+  ASSERT_TRUE(store.Setup().ok());
+  Load(&store);
+
+  // A probe whose getMore dies is not a complete ring: the search stops
+  // there and reports the fault instead of returning partial neighbours.
+  FailPoint* fp = FailPointRegistry::Instance().Find("shardGetMore");
+  ASSERT_NE(fp, nullptr);
+  FailPoint::Config config;
+  config.error_code = StatusCode::kInternal;
+  config.error_message = "injected shard death";
+  fp->Enable(config);
+  KnnOptions options;
+  options.k = 8;
+  const KnnResult r = KnnQuery(store, {24.0, 38.0}, kSpanBegin,
+                               kSpanBegin + kDocs * kStepMs, options);
+  fp->Disable();
+  EXPECT_EQ(r.status.code(), StatusCode::kInternal);
+  EXPECT_TRUE(r.neighbors.empty());
+  EXPECT_EQ(r.queries_issued, 1);
 }
 
 TEST_P(StCursorParityTest, YieldingCursorSurvivesInterleavedInsertsAndSplits) {

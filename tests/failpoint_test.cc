@@ -18,6 +18,7 @@
 #include "query/plan_cache.h"
 #include "storage/btree.h"
 #include "storage/record_store.h"
+#include "plan_drain.h"
 
 namespace stix {
 namespace {
@@ -398,33 +399,30 @@ TEST_F(FailPointTest, PlanExecutorReplanForcedWithIdenticalResults) {
                       Value::DateTime(60000LL * 300))});
 
   query::PlanCache cache;
-  const query::ExecutionResult first =
-      query::ExecuteQuery(records, catalog, q, {}, &cache);
+  query::PlanExecutor first(records, catalog, q, {}, &cache);
+  const std::vector<int> first_ids = testing::DrainIds(&first);
   ASSERT_EQ(cache.size(), 1u);
-  const query::ExecutionResult cached =
-      query::ExecuteQuery(records, catalog, q, {}, &cache);
-  ASSERT_TRUE(cached.from_plan_cache);
+  query::PlanExecutor cached(records, catalog, q, {}, &cache);
+  testing::DrainIds(&cached);
+  ASSERT_TRUE(cached.from_plan_cache());
 
   FailPoint* fp = FailPointRegistry::Instance().Find("planExecutorReplan");
   ASSERT_NE(fp, nullptr);
   fp->Enable({});
-  const query::ExecutionResult forced =
-      query::ExecuteQuery(records, catalog, q, {}, &cache);
+  query::PlanExecutor forced(records, catalog, q, {}, &cache);
+  const std::vector<int> forced_ids = testing::DrainIds(&forced);
   fp->Disable();
 
   EXPECT_EQ(fp->times_fired(), 1u);
-  EXPECT_TRUE(forced.replanned);
-  EXPECT_FALSE(forced.from_plan_cache);
-  ASSERT_EQ(forced.docs.size(), first.docs.size());
-  for (size_t i = 0; i < forced.docs.size(); ++i) {
-    EXPECT_EQ(forced.docs[i]->Get("id")->AsInt32(),
-              first.docs[i]->Get("id")->AsInt32());
-  }
+  EXPECT_TRUE(forced.replanned());
+  EXPECT_FALSE(forced.from_plan_cache());
+  EXPECT_EQ(forced.planned_by(), query::PlannedBy::kRace);
+  EXPECT_EQ(forced_ids, first_ids);
 
   // The forced re-race refreshed the cache: the next run replays cleanly.
-  const query::ExecutionResult after =
-      query::ExecuteQuery(records, catalog, q, {}, &cache);
-  EXPECT_TRUE(after.from_plan_cache);
+  query::PlanExecutor after(records, catalog, q, {}, &cache);
+  testing::DrainIds(&after);
+  EXPECT_TRUE(after.from_plan_cache());
 }
 
 }  // namespace

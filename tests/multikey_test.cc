@@ -12,11 +12,13 @@
 #include "query/executor.h"
 #include "query/expression.h"
 #include "storage/record_store.h"
+#include "plan_drain.h"
 
 namespace stix::query {
 namespace {
 
 using bson::Value;
+using testing::DrainIds;
 
 bson::Document LineDoc(int id, std::vector<std::pair<double, double>> pts,
                        int64_t date_ms) {
@@ -198,24 +200,21 @@ class MixedGeometryTest : public ::testing::Test {
 
 TEST_F(MixedGeometryTest, GeoIntersectsMatchesNaiveViaIndex) {
   const ExprPtr q = MakeGeoIntersectsBox("location", {{10, 10}, {14, 14}});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(r.winning_index, "geo_date");
-  std::set<int> got;
-  for (const bson::Document* doc : r.docs) {
-    got.insert(doc->Get("id")->AsInt32());
-  }
-  EXPECT_EQ(got, NaiveIds(q));
-  EXPECT_GT(r.docs.size(), 0u);
+  PlanExecutor exec(records_, catalog_, q);
+  const std::vector<int> ids = DrainIds(&exec);
+  EXPECT_EQ(exec.winning_index(), "geo_date");
+  EXPECT_EQ(std::set<int>(ids.begin(), ids.end()), NaiveIds(q));
+  EXPECT_GT(ids.size(), 0u);
 }
 
 TEST_F(MixedGeometryTest, MultikeyScanReturnsEachDocumentOnce) {
   // A box crossing many cells: a polyline inside it has several matching
   // index entries but must be returned exactly once.
   const ExprPtr q = MakeGeoIntersectsBox("location", {{0, 0}, {30, 30}});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
+  PlanExecutor exec(records_, catalog_, q);
   std::set<int> unique_ids;
-  for (const bson::Document* doc : r.docs) {
-    EXPECT_TRUE(unique_ids.insert(doc->Get("id")->AsInt32()).second)
+  for (const int id : DrainIds(&exec)) {
+    EXPECT_TRUE(unique_ids.insert(id).second)
         << "duplicate document in result set";
   }
   EXPECT_EQ(unique_ids.size(), 450u);
@@ -272,13 +271,17 @@ TEST_F(MixedGeometryTest, GeoWithinStillWorksOnPointsOnly) {
   // $geoWithin over the mixed collection: lines never match (a line is not
   // "within" unless all of it is; we implement point-within only), points do.
   const ExprPtr q = MakeGeoWithinBox("location", {{5, 5}, {25, 25}});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(r.docs.size(), NaiveIds(q).size());
-  for (const bson::Document* doc : r.docs) {
+  PlanExecutor exec(records_, catalog_, q);
+  storage::RecordId rid;
+  const bson::Document* doc = nullptr;
+  size_t returned = 0;
+  while (exec.Next(&rid, &doc)) {
+    ++returned;
     double lon, lat;
     EXPECT_TRUE(bson::ExtractGeoJsonPoint(*doc->Get("location"), &lon, &lat))
         << "a LineString leaked into $geoWithin results";
   }
+  EXPECT_EQ(returned, NaiveIds(q).size());
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 #include "query/planner.h"
 #include "query/query_analysis.h"
 #include "storage/record_store.h"
+#include "plan_drain.h"
 
 namespace stix::query {
 namespace {
 
 using bson::Value;
+using testing::DrainIds;
 
 bson::Document PointDoc(int id, double lon, double lat, int64_t date_ms,
                         int64_t hilbert) {
@@ -317,12 +319,10 @@ class QueryExecTest : public ::testing::Test {
     return ids;
   }
 
-  std::set<int> ResultIds(const ExecutionResult& r) const {
-    std::set<int> ids;
-    for (const bson::Document* doc : r.docs) {
-      ids.insert(doc->Get("id")->AsInt32());
-    }
-    return ids;
+  // Drains `exec` and returns the result ids as a set.
+  static std::set<int> DrainIdSet(PlanExecutor* exec) {
+    const std::vector<int> ids = DrainIds(exec);
+    return {ids.begin(), ids.end()};
   }
 
   storage::RecordStore records_;
@@ -334,9 +334,9 @@ TEST_F(QueryExecTest, DateRangeMatchesNaive) {
   const ExprPtr q =
       MakeRange("date", Value::DateTime(60000LL * 500),
                 Value::DateTime(60000LL * 700));
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
-  EXPECT_EQ(r.stats.n_returned, 201u);
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_EQ(DrainIdSet(&exec), NaiveIds(q));
+  EXPECT_EQ(exec.CurrentStats().n_returned, 201u);
 }
 
 TEST_F(QueryExecTest, SpatioTemporalMatchesNaive) {
@@ -345,9 +345,9 @@ TEST_F(QueryExecTest, SpatioTemporalMatchesNaive) {
       {MakeGeoWithinBox("location", box),
        MakeRange("date", Value::DateTime(0),
                  Value::DateTime(60000LL * 1500))});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
-  EXPECT_GT(r.stats.n_returned, 0u);
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_EQ(DrainIdSet(&exec), NaiveIds(q));
+  EXPECT_GT(exec.CurrentStats().n_returned, 0u);
 }
 
 TEST_F(QueryExecTest, HilbertOrQueryMatchesNaive) {
@@ -357,27 +357,28 @@ TEST_F(QueryExecTest, HilbertOrQueryMatchesNaive) {
        MakeRange("date", Value::DateTime(0),
                  Value::DateTime(60000LL * 2000)),
        MakeOr({MakeRange("hilbertIndex", Value::Int64(3), Value::Int64(5))})});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_EQ(DrainIdSet(&exec), NaiveIds(q));
 }
 
 TEST_F(QueryExecTest, CollScanWhenNoIndexUsable) {
   const ExprPtr q = MakeCmp("id", CmpOp::kEq, Value::Int32(77));
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(r.stats.plan_summary, "COLLSCAN");
-  EXPECT_EQ(r.stats.docs_examined, 2000u);
-  ASSERT_EQ(r.docs.size(), 1u);
-  EXPECT_EQ(r.docs[0]->Get("id")->AsInt32(), 77);
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_EQ(DrainIds(&exec), std::vector<int>{77});
+  EXPECT_EQ(exec.CurrentStats().plan_summary, "COLLSCAN");
+  EXPECT_EQ(exec.CurrentStats().docs_examined, 2000u);
 }
 
 TEST_F(QueryExecTest, IndexScanExaminesFarFewerDocsThanCollScan) {
   const ExprPtr q =
       MakeRange("date", Value::DateTime(60000LL * 100),
                 Value::DateTime(60000LL * 110));
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_NE(r.stats.plan_summary, "COLLSCAN");
-  EXPECT_LE(r.stats.docs_examined, 12u);
-  EXPECT_LE(r.stats.keys_examined, 20u);
+  PlanExecutor exec(records_, catalog_, q);
+  DrainIds(&exec);
+  const ExecStats stats = exec.CurrentStats();
+  EXPECT_NE(stats.plan_summary, "COLLSCAN");
+  EXPECT_LE(stats.docs_examined, 12u);
+  EXPECT_LE(stats.keys_examined, 20u);
 }
 
 TEST_F(QueryExecTest, CompoundPointPrefixUsesTightBounds) {
@@ -387,10 +388,10 @@ TEST_F(QueryExecTest, CompoundPointPrefixUsesTightBounds) {
       {MakeOr({MakeRange("hilbertIndex", Value::Int64(4), Value::Int64(4))}),
        MakeRange("date", Value::DateTime(60000LL * 900),
                  Value::DateTime(60000LL * 1000))});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_EQ(DrainIdSet(&exec), NaiveIds(q));
   // About 10% lon band * 100 minutes of 2000 => ~10 docs.
-  EXPECT_LE(r.stats.keys_examined, 60u);
+  EXPECT_LE(exec.CurrentStats().keys_examined, 60u);
 }
 
 TEST_F(QueryExecTest, MultiPlannerPrefersSelectiveIndex) {
@@ -401,10 +402,10 @@ TEST_F(QueryExecTest, MultiPlannerPrefersSelectiveIndex) {
       {MakeGeoWithinBox("location", box),
        MakeRange("date", Value::DateTime(0),
                  Value::DateTime(60000LL * 2000))});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(r.winning_index, "loc_2dsphere_date_1");
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
-  EXPECT_GE(r.num_candidates, 2);
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_EQ(DrainIdSet(&exec), NaiveIds(q));
+  EXPECT_EQ(exec.winning_index(), "loc_2dsphere_date_1");
+  EXPECT_GE(exec.num_candidates(), 2);
 }
 
 TEST_F(QueryExecTest, MultiPlannerPrefersDateForTimeSelectiveHugeBox) {
@@ -416,9 +417,9 @@ TEST_F(QueryExecTest, MultiPlannerPrefersDateForTimeSelectiveHugeBox) {
       {MakeGeoWithinBox("location", box),
        MakeRange("date", Value::DateTime(60000LL * 1000),
                  Value::DateTime(60000LL * 1010))});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(r.winning_index, "date_1");
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_EQ(DrainIdSet(&exec), NaiveIds(q));
+  EXPECT_EQ(exec.winning_index(), "date_1");
 }
 
 TEST_F(QueryExecTest, GeoLeadingIndexIgnoresTrailingDateBounds) {
@@ -460,12 +461,13 @@ TEST_F(QueryExecTest, GeoLeadingIndexIgnoresTrailingDateBounds) {
 
 TEST_F(QueryExecTest, InOnLeadingFieldUsesPointBounds) {
   const ExprPtr q = MakeIn("hilbertIndex", {Value::Int64(2), Value::Int64(7)});
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(r.winning_index, "h_1_date_1");
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_EQ(DrainIdSet(&exec), NaiveIds(q));
+  EXPECT_EQ(exec.winning_index(), "h_1_date_1");
   // Roughly 2 of 10 lon bands -> ~400 docs; the scan must not visit other
   // bands' keys (plus a boundary key per band).
-  EXPECT_LE(r.stats.keys_examined, r.stats.n_returned + 8);
+  const ExecStats stats = exec.CurrentStats();
+  EXPECT_LE(stats.keys_examined, stats.n_returned + 8);
 }
 
 TEST_F(QueryExecTest, TrialResultsOptionShortensRace) {
@@ -476,16 +478,17 @@ TEST_F(QueryExecTest, TrialResultsOptionShortensRace) {
                  Value::DateTime(60000LL * 2000))});
   ExecutorOptions options;
   options.trial_results = 5;  // decide after 5 documents
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q, options);
-  EXPECT_EQ(r.docs.size(), 2000u);  // full results regardless of the trial
+  PlanExecutor exec(records_, catalog_, q, options);
+  EXPECT_EQ(DrainIds(&exec).size(), 2000u);  // full results regardless
 }
 
 TEST_F(QueryExecTest, EmptyResultStillTerminates) {
   const ExprPtr q =
       MakeRange("date", Value::DateTime(60000LL * 5000),
                 Value::DateTime(60000LL * 6000));
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(r.docs.size(), 0u);
+  PlanExecutor exec(records_, catalog_, q);
+  EXPECT_TRUE(DrainIds(&exec).empty());
+  EXPECT_TRUE(exec.exhausted());
 }
 
 TEST_F(QueryExecTest, PlanCacheSkipsTheRaceOnRepeat) {
@@ -495,17 +498,16 @@ TEST_F(QueryExecTest, PlanCacheSkipsTheRaceOnRepeat) {
        MakeRange("date", Value::DateTime(0),
                  Value::DateTime(60000LL * 2000))});
   PlanCache cache;
-  const ExecutionResult first =
-      ExecuteQuery(records_, catalog_, q, {}, &cache);
-  EXPECT_FALSE(first.from_plan_cache);
+  PlanExecutor first(records_, catalog_, q, {}, &cache);
+  const std::set<int> first_ids = DrainIdSet(&first);
+  EXPECT_FALSE(first.from_plan_cache());
   EXPECT_EQ(cache.size(), 1u);
-  const ExecutionResult second =
-      ExecuteQuery(records_, catalog_, q, {}, &cache);
-  EXPECT_TRUE(second.from_plan_cache);
-  EXPECT_EQ(second.winning_index, first.winning_index);
-  EXPECT_EQ(ResultIds(second), ResultIds(first));
+  PlanExecutor second(records_, catalog_, q, {}, &cache);
+  EXPECT_EQ(DrainIdSet(&second), first_ids);
+  EXPECT_TRUE(second.from_plan_cache());
+  EXPECT_EQ(second.winning_index(), first.winning_index());
   // The cached run does not pay the losing plan's trial work.
-  EXPECT_LE(second.stats.works, first.stats.works);
+  EXPECT_LE(second.CurrentStats().works, first.CurrentStats().works);
 }
 
 TEST_F(QueryExecTest, ReplanningRecoversFromPoisonedCache) {
@@ -518,9 +520,9 @@ TEST_F(QueryExecTest, ReplanningRecoversFromPoisonedCache) {
       {MakeGeoWithinBox("location", {{2.0, 2.0}, {2.3, 2.3}}),
        MakeRange("date", Value::DateTime(0),
                  Value::DateTime(60000LL * 2000))});
-  const ExecutionResult small_r =
-      ExecuteQuery(records_, catalog_, small_q, {}, &cache);
-  EXPECT_EQ(small_r.winning_index, "loc_2dsphere_date_1");
+  PlanExecutor small_exec(records_, catalog_, small_q, {}, &cache);
+  DrainIds(&small_exec);
+  EXPECT_EQ(small_exec.winning_index(), "loc_2dsphere_date_1");
 
   const ExprPtr big_q = MakeAnd(
       {MakeGeoWithinBox("location", {{-1, -1}, {11, 11}}),
@@ -528,11 +530,10 @@ TEST_F(QueryExecTest, ReplanningRecoversFromPoisonedCache) {
                  Value::DateTime(60000LL * 1010))});
   ExecutorOptions options;
   options.replan_min_works = 50;  // small enough to trigger at this scale
-  const ExecutionResult big_r =
-      ExecuteQuery(records_, catalog_, big_q, options, &cache);
-  EXPECT_TRUE(big_r.replanned);
-  EXPECT_EQ(big_r.winning_index, "date_1");
-  EXPECT_EQ(ResultIds(big_r), NaiveIds(big_q));
+  PlanExecutor big_exec(records_, catalog_, big_q, options, &cache);
+  EXPECT_EQ(DrainIdSet(&big_exec), NaiveIds(big_q));
+  EXPECT_TRUE(big_exec.replanned());
+  EXPECT_EQ(big_exec.winning_index(), "date_1");
   // The re-raced winner replaced the cache entry.
   ASSERT_EQ(cache.size(), 1u);
 }
@@ -553,18 +554,18 @@ TEST_F(QueryExecTest, ReplanRaceUsesFreshPlanStages) {
 
   ExecutorOptions options;
   options.replan_min_works = 1;  // budget = max(1, 10 * 1) = 10 works
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q, options, &cache);
-  EXPECT_TRUE(r.replanned);
-  EXPECT_FALSE(r.from_plan_cache);
-  EXPECT_EQ(r.winning_index, "loc_2dsphere_date_1");
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
+  PlanExecutor exec(records_, catalog_, q, options, &cache);
+  EXPECT_EQ(DrainIdSet(&exec), NaiveIds(q));
+  EXPECT_TRUE(exec.replanned());
+  EXPECT_FALSE(exec.from_plan_cache());
+  EXPECT_EQ(exec.winning_index(), "loc_2dsphere_date_1");
 
   // The re-race overwrote the poisoned entry; a rerun with the default
   // budget trusts the refreshed cache and returns the same documents.
-  const ExecutionResult again = ExecuteQuery(records_, catalog_, q, {}, &cache);
-  EXPECT_TRUE(again.from_plan_cache);
-  EXPECT_FALSE(again.replanned);
-  EXPECT_EQ(ResultIds(again), NaiveIds(q));
+  PlanExecutor again(records_, catalog_, q, {}, &cache);
+  EXPECT_EQ(DrainIdSet(&again), NaiveIds(q));
+  EXPECT_TRUE(again.from_plan_cache());
+  EXPECT_FALSE(again.replanned());
 }
 
 TEST_F(QueryExecTest, PlanCacheReusedAcrossDifferentConstants) {
@@ -575,10 +576,11 @@ TEST_F(QueryExecTest, PlanCacheReusedAcrossDifferentConstants) {
          MakeRange("date", Value::DateTime(60000LL * day),
                    Value::DateTime(60000LL * (day + 100)))});
   };
-  (void)ExecuteQuery(records_, catalog_, query_for(0), {}, &cache);
-  const ExecutionResult r =
-      ExecuteQuery(records_, catalog_, query_for(700), {}, &cache);
-  EXPECT_TRUE(r.from_plan_cache);
+  PlanExecutor first(records_, catalog_, query_for(0), {}, &cache);
+  DrainIds(&first);
+  PlanExecutor exec(records_, catalog_, query_for(700), {}, &cache);
+  DrainIds(&exec);
+  EXPECT_TRUE(exec.from_plan_cache());
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -592,9 +594,10 @@ TEST_F(QueryExecTest, RemovedDocsAreInvisible) {
     ASSERT_TRUE(catalog_.OnRemove(*doc, rids_[i]).ok());
     records_.Remove(rids_[i]);
   }
-  const ExecutionResult r = ExecuteQuery(records_, catalog_, q);
-  EXPECT_EQ(r.docs.size(), 10u);  // 121 - 111
-  EXPECT_EQ(ResultIds(r), NaiveIds(q));
+  PlanExecutor exec(records_, catalog_, q);
+  const std::set<int> ids = DrainIdSet(&exec);
+  EXPECT_EQ(ids.size(), 10u);  // 121 - 111
+  EXPECT_EQ(ids, NaiveIds(q));
 }
 
 }  // namespace
