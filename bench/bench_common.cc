@@ -339,7 +339,7 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
   std::string block;
   block.reserve(kBlockSize * 2);
   for (const auto& shard : store.cluster().shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           block += bson::EncodeBson(doc);
           if (block.size() >= kBlockSize) {

@@ -61,6 +61,14 @@ struct Chunk {
   /// chunk. Reported by Cluster::DistributionJson.
   uint64_t writes = 0;
   bool jumbo = false;
+
+  /// Counts one stored document of `doc_bytes` holding `doc_points`
+  /// logical points into the chunk's accounting.
+  void AddDocument(uint64_t doc_bytes, uint64_t doc_points) {
+    bytes += doc_bytes;
+    docs += 1;
+    points += doc_points;
+  }
 };
 
 /// Sampled split vector (MongoDB's autoSplitVector): given the ascending

@@ -171,9 +171,7 @@ Status Cluster::Insert(bson::Document doc) {
         shards_[static_cast<size_t>(chunk.shard_id)]->Insert(std::move(doc));
     if (!rid.ok()) return rid.status();
 
-    chunk.bytes += doc_bytes;
-    chunk.docs += 1;
-    chunk.points += doc_points;
+    chunk.AddDocument(doc_bytes, doc_points);
     chunk.writes += 1;
     // A reshard walks its table by chunk index until the last chunk lands,
     // so the table does not split meanwhile; the sampled split vector
@@ -924,7 +922,7 @@ storage::CollectionStats Cluster::ComputeDataStats() const {
   storage::CollectionStats total;
   for (const auto& shard : shards_) {
     const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
-    const storage::CollectionStats s = shard->collection().ComputeStats();
+    const storage::CollectionStats s = storage::ComputeStats(shard->records());
     total.num_documents += s.num_documents;
     total.logical_bytes += s.logical_bytes;
     total.compressed_bytes += s.compressed_bytes;

@@ -153,9 +153,9 @@ class Cluster {
   /// True between StartBalancer() and StopBalancer().
   bool balancer_running() const;
 
-  /// Checkpoints every shard (collection + indexes persisted, shard WAL
-  /// truncated) and compacts the config journal down to one current
-  /// metadata record. No-op for an in-memory cluster.
+  /// Checkpoints every shard (records persisted, shard WAL truncated) and
+  /// compacts the config journal down to one current metadata record.
+  /// No-op for an in-memory cluster.
   Status Checkpoint();
 
   /// Flushes every shard's buffered group-commit window to its log file.

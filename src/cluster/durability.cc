@@ -1,6 +1,7 @@
 #include "bson/codec.h"
 #include "cluster/cluster.h"
 #include "common/metrics.h"
+#include "storage/bucket.h"
 #include "storage/wal.h"
 
 namespace stix::cluster {
@@ -8,14 +9,14 @@ namespace {
 
 // ---- metadata codec: the payload of every config-journal record ----
 
+// A chunk journals its bounds, owner and jumbo mark only. Its byte, doc
+// and point accounting is derived from the stored documents at recovery;
+// `jumbo` is kept so recovery never repeats a failed split's O(chunk) scan.
 bson::Document ChunkToDoc(const Chunk& c) {
   return bson::DocBuilder()
       .Field("min", c.min)
       .Field("max", c.max)
       .Field("shard", static_cast<int32_t>(c.shard_id))
-      .Field("bytes", static_cast<int64_t>(c.bytes))
-      .Field("docs", static_cast<int64_t>(c.docs))
-      .Field("points", static_cast<int64_t>(c.points))
       .Field("jumbo", c.jumbo)
       .Build();
 }
@@ -31,17 +32,6 @@ Result<Chunk> ChunkFromDoc(const bson::Document& doc) {
   c.min = min->AsString();
   c.max = max->AsString();
   c.shard_id = shard->AsInt32();
-  if (const bson::Value* v = doc.Get("bytes")) {
-    c.bytes = static_cast<uint64_t>(v->AsInt64());
-  }
-  if (const bson::Value* v = doc.Get("docs")) {
-    c.docs = static_cast<uint64_t>(v->AsInt64());
-  }
-  if (const bson::Value* v = doc.Get("points")) {
-    c.points = static_cast<uint64_t>(v->AsInt64());
-  } else {
-    c.points = c.docs;  // written before chunks counted points
-  }
   if (const bson::Value* v = doc.Get("jumbo")) c.jumbo = v->AsBool();
   return c;
 }
@@ -159,12 +149,16 @@ Result<ClusterMeta> ParseClusterMetadata(const bson::Document& meta) {
 
 // Whole-cluster crash recovery. The config journal is the root of trust:
 // its last committed kConfigMeta record names the shard count, shard key,
-// chunk table, zones and index set. Shards then recover independently
-// (checkpoint + WAL replay), and a final orphan sweep reconciles the two:
-// any document sitting on a shard that the journaled chunk table does not
-// assign it to belongs to a migration that crashed before its topology
-// flip was journaled (dest copies) or after it (source leftovers) — either
-// way the journaled owner decides, making migrations atomic under crashes.
+// chunk bounds and owners, zones and index set. Shards then recover
+// independently (checkpoint records + WAL replay, each record indexed as
+// it lands), and a final pass over every stored document reconciles the
+// two. A document sitting on a shard that the journaled chunk table does
+// not assign it to belongs to a migration that crashed before its
+// topology flip was journaled (dest copies) or after it (source leftovers)
+// — either way the journaled owner decides, making migrations atomic
+// under crashes — and is swept. Every other document is counted into its
+// chunk, whose accounting the journal does not carry and so starts at
+// zero: recovered chunks account exactly what their owners store.
 Result<std::unique_ptr<Cluster>> RecoverCluster(const ClusterOptions& options) {
   const DurabilityOptions& d = options.durability;
   if (d.data_dir.empty()) {
@@ -210,19 +204,25 @@ Result<std::unique_ptr<Cluster>> RecoverCluster(const ClusterOptions& options) {
     if (!rs.ok()) return rs;
   }
 
-  // Orphan sweep (see above): one write batch per shard, through the normal
-  // durable path, so the sweep itself survives a crash-during-recovery.
+  // Orphan sweep and chunk accounting (see above): one write batch per
+  // shard, through the normal durable path, so the sweep itself survives a
+  // crash-during-recovery.
   {
     const std::unique_lock<std::shared_mutex> topo(cluster->topology_mu_);
     STIX_METRIC_COUNTER(orphans, "recovery.orphans_swept");
     for (auto& shard : cluster->shards_) {
       std::vector<storage::RecordId> doomed;
-      shard->collection().records().ForEach(
+      shard->records().ForEach(
           [&](storage::RecordId rid, const bson::Document& doc) {
             const std::string key = cluster->pattern_.KeyOf(doc);
-            const Chunk& chunk =
+            Chunk& chunk =
                 cluster->chunks_->chunk(cluster->chunks_->FindChunkIndex(key));
-            if (chunk.shard_id != shard->id()) doomed.push_back(rid);
+            if (chunk.shard_id != shard->id()) {
+              doomed.push_back(rid);
+            } else {
+              chunk.AddDocument(doc.ApproxBsonSize(),
+                                storage::StoredPointCount(doc));
+            }
           });
       if (doomed.empty()) continue;
       const std::unique_lock<std::shared_mutex> data(shard->data_mutex());

@@ -200,7 +200,7 @@ Status Cluster::ReshardPrepareShards(
       fresh.push_back(catalog.Get(desc.name()));
     }
 
-    storage::RecordStore& records = shard->collection().records();
+    storage::RecordStore& records = shard->records();
     std::vector<storage::RecordId> rids;
     rids.reserve(records.num_records());
     records.ForEach([&rids](storage::RecordId rid, const bson::Document&) {
@@ -259,7 +259,7 @@ Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
   uint64_t total_bytes = 0;
   for (const auto& shard : shards_) {
     const std::shared_lock<std::shared_mutex> data(shard->data_mutex());
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           const uint64_t bytes = doc.ApproxBsonSize();
           all.push_back({new_pattern.KeyOf(doc), bytes,
@@ -304,9 +304,7 @@ Result<std::unique_ptr<ChunkManager>> Cluster::ReshardBuildChunkTable(
   size_t ci = 0;
   for (const Keyed& k : all) {
     while (ci + 1 < table.size() && k.key >= table[ci].max) ++ci;
-    table[ci].bytes += k.bytes;
-    table[ci].docs += 1;
-    table[ci].points += k.points;
+    table[ci].AddDocument(k.bytes, k.points);
   }
   return ChunkManager::FromChunks(std::move(table));
 }

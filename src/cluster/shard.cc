@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "bson/codec.h"
@@ -118,7 +119,7 @@ Result<RangeDocs> Shard::CollectRangeLocked(const std::string& index_name,
     if (const auto it = reusable.find(c.rid()); it != reusable.end()) {
       out.docs.push_back(std::move(reuse->docs[it->second]));
     } else {
-      const bson::Document* doc = collection_.records().Get(c.rid());
+      const bson::Document* doc = records_.Get(c.rid());
       if (doc == nullptr) continue;
       out.docs.push_back(*doc);
     }
@@ -130,7 +131,6 @@ Result<RangeDocs> Shard::CollectRangeLocked(const std::string& index_name,
 Result<std::vector<storage::RecordId>> Shard::WriteBatchLocked(
     const std::vector<storage::RecordId>& removes,
     std::vector<bson::Document> inserts) {
-  storage::RecordStore& records = collection_.records();
   // The removed documents are the undo copies: a failure puts them back
   // and takes the inserts out again, so the caller's error means "nothing
   // happened" — the unacked-atomic half of the crash oracle.
@@ -140,27 +140,26 @@ Result<std::vector<storage::RecordId>> Shard::WriteBatchLocked(
   rids.reserve(inserts.size());
   const auto undo = [&](Status s) {
     for (const storage::RecordId rid : rids) {
-      (void)catalog_.OnRemove(*records.Get(rid), rid);
-      records.Remove(rid);
+      (void)catalog_.OnRemove(*records_.Get(rid), rid);
+      records_.Remove(rid);
     }
     for (size_t i = 0; i < removed.size(); ++i) {
-      (void)records.RestoreAt(removes[i], std::move(removed[i]));
-      (void)catalog_.OnInsert(*records.Get(removes[i]), removes[i]);
+      (void)RestoreRecordLocked(removes[i], std::move(removed[i]));
     }
     return s;
   };
   for (const storage::RecordId rid : removes) {
-    const bson::Document* doc = records.Get(rid);
+    const bson::Document* doc = records_.Get(rid);
     if (doc == nullptr) {
       return undo(Status::NotFound("record " + std::to_string(rid)));
     }
     if (Status s = catalog_.OnRemove(*doc, rid); !s.ok()) return undo(s);
-    removed.push_back(std::move(*records.Remove(rid)));
+    removed.push_back(std::move(*records_.Remove(rid)));
   }
   for (bson::Document& doc : inserts) {
-    const storage::RecordId rid = records.Insert(std::move(doc));
-    if (Status s = catalog_.OnInsert(*records.Get(rid), rid); !s.ok()) {
-      records.Remove(rid);
+    const storage::RecordId rid = records_.Insert(std::move(doc));
+    if (Status s = catalog_.OnInsert(*records_.Get(rid), rid); !s.ok()) {
+      records_.Remove(rid);
       return undo(s);
     }
     rids.push_back(rid);
@@ -178,7 +177,7 @@ Result<std::vector<storage::RecordId>> Shard::WriteBatchLocked(
     for (const storage::RecordId rid : rids) {
       if (Result<uint64_t> a =
               wal_->Append(storage::WalRecordType::kInsert, rid,
-                           bson::EncodeBson(*records.Get(rid)));
+                           bson::EncodeBson(*records_.Get(rid)));
           !a.ok()) {
         return undo(a.status());
       }
@@ -192,7 +191,7 @@ Result<std::vector<storage::RecordId>> Shard::WriteBatchLocked(
   }
   for (const storage::RecordId rid : rids) {
     stats_.Observe(
-        query::stats::ExtractStatsValues(*records.Get(rid), StatsGeoHash()),
+        query::stats::ExtractStatsValues(*records_.Get(rid), StatsGeoHash()),
         +1);
   }
   if (wal_ != nullptr) MaybeCheckpointLocked();
@@ -221,14 +220,7 @@ Status Shard::CheckpointLocked() {
   if (wal_ == nullptr) return Status::OK();
   if (Status s = wal_->Sync(); !s.ok()) return s;
   const uint64_t lsn = wal_->last_commit_lsn();
-  std::vector<storage::IndexDump> dumps;
-  dumps.reserve(catalog_.indexes().size());
-  for (const auto& idx : catalog_.indexes()) {
-    dumps.push_back(storage::IndexDump{idx->descriptor().name(),
-                                       idx->is_multikey(), &idx->btree()});
-  }
-  if (Status s = storage::WriteCheckpoint(collection_, dumps, lsn, dir_);
-      !s.ok()) {
+  if (Status s = storage::WriteCheckpoint(records_, lsn, dir_); !s.ok()) {
     // A failed checkpoint (crash point or IO error) leaves at worst a
     // `.tmp`; acked writes stay covered by the prior checkpoint + the
     // untruncated WAL. Kill the log so this process takes no more writes.
@@ -276,16 +268,16 @@ Status Shard::Recover(const std::string& dir, storage::WalOptions options,
       if (damaged == nullptr) damaged = &ref;
       continue;
     }
-    collection_ = std::move(image->collection);
-    for (storage::CheckpointIndexImage& idx : image->indexes) {
-      index::Index* index = catalog_.Get(idx.name);
-      if (index == nullptr) {
-        return Status::Corruption("checkpoint names unknown index: " +
-                                  idx.name);
+    storage::RecordStore& loaded = image->records;
+    const storage::RecordId max_rid = loaded.max_record_id();
+    for (storage::RecordId rid = 1; rid <= max_rid; ++rid) {
+      std::optional<bson::Document> doc = loaded.Remove(rid);
+      if (!doc.has_value()) continue;
+      if (Status s = RestoreRecordLocked(rid, std::move(*doc)); !s.ok()) {
+        return s;
       }
-      for (auto& [key, rid] : idx.entries) index->btree().Insert(key, rid);
-      index->set_multikey(idx.multikey);
     }
+    records_.PadToRecordId(max_rid);
     ckpt_lsn = image->lsn;
     break;
   }
@@ -308,22 +300,17 @@ Status Shard::Recover(const std::string& dir, storage::WalOptions options,
       case storage::WalRecordType::kInsert: {
         Result<bson::Document> doc = bson::DecodeBson(record.payload);
         if (!doc.ok()) return doc.status();
-        if (Status s =
-                collection_.records().RestoreAt(record.rid, std::move(*doc));
+        if (Status s = RestoreRecordLocked(record.rid, std::move(*doc));
             !s.ok()) {
-          return s;
-        }
-        const bson::Document* stored = collection_.records().Get(record.rid);
-        if (Status s = catalog_.OnInsert(*stored, record.rid); !s.ok()) {
           return s;
         }
         break;
       }
       case storage::WalRecordType::kRemove: {
-        const bson::Document* doc = collection_.records().Get(record.rid);
+        const bson::Document* doc = records_.Get(record.rid);
         if (doc == nullptr) break;  // removing an already-gone record is ok
         if (Status s = catalog_.OnRemove(*doc, record.rid); !s.ok()) return s;
-        collection_.records().Remove(record.rid);
+        records_.Remove(record.rid);
         break;
       }
       default:
@@ -354,6 +341,11 @@ Status Shard::Recover(const std::string& dir, storage::WalOptions options,
   return Status::OK();
 }
 
+Status Shard::RestoreRecordLocked(storage::RecordId rid, bson::Document doc) {
+  if (Status s = records_.RestoreAt(rid, std::move(doc)); !s.ok()) return s;
+  return catalog_.OnInsert(*records_.Get(rid), rid);
+}
+
 Status Shard::SyncWal() {
   if (wal_ == nullptr) return Status::OK();
   return wal_->Sync();
@@ -377,10 +369,10 @@ void Shard::RebuildStatsFromStorage() const {
   const uint64_t generation = stats_.rebuild_generation();
   const geo::GeoHash* geohash = StatsGeoHash();
   query::stats::RebuildSample sample;
-  const uint64_t n = collection_.records().num_records();
+  const uint64_t n = records_.num_records();
   sample.dates.reserve(n);
   sample.hilberts.reserve(n);
-  collection_.records().ForEach(
+  records_.ForEach(
       [&](storage::RecordId, const bson::Document& doc) {
         const query::stats::ObservedValues v =
             query::stats::ExtractStatsValues(doc, geohash);
@@ -415,7 +407,7 @@ ShardCursor::ShardCursor(const Shard& shard, query::ExprPtr expr,
                          const query::ExecutorOptions& options, uint64_t limit)
     : shard_(shard),
       options_(options),
-      exec_(shard.collection().records(), shard.catalog(), std::move(expr),
+      exec_(shard.records(), shard.catalog(), std::move(expr),
             options, &shard.plan_cache_, limit) {
   STIX_METRIC_GAUGE(open_cursors, "cluster.open_cursors");
   open_cursors.Add(1);

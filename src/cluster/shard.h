@@ -13,7 +13,7 @@
 #include "query/plan_cache.h"
 #include "query/stats/shard_stats.h"
 #include "storage/checkpoint.h"
-#include "storage/collection.h"
+#include "storage/record_store.h"
 #include "storage/wal.h"
 
 namespace stix::cluster {
@@ -126,11 +126,11 @@ struct RangeDocs {
   std::vector<bson::Document> docs;  ///< Parallel to rids.
 };
 
-/// One MongoDB shard server: a shard-local collection plus its index
+/// One MongoDB shard server: a shard-local record store plus its index
 /// catalog. Queries run against it through the same executor a standalone
 /// mongod would use; the router fans out and merges.
 ///
-/// Concurrency: a reader–writer lock over the shard's data (collection +
+/// Concurrency: a reader–writer lock over the shard's data (records +
 /// indexes). Readers (cursor GetMores) hold it shared; writers (Insert, and
 /// the deletes and migrations that call WriteBatchLocked) hold it
 /// exclusive. Acquired last in the cluster's lock order (migration latch <
@@ -146,8 +146,8 @@ class Shard {
 
   int id() const { return id_; }
 
-  storage::Collection& collection() { return collection_; }
-  const storage::Collection& collection() const { return collection_; }
+  storage::RecordStore& records() { return records_; }
+  const storage::RecordStore& records() const { return records_; }
   index::IndexCatalog& catalog() { return catalog_; }
   const index::IndexCatalog& catalog() const { return catalog_; }
 
@@ -163,9 +163,7 @@ class Shard {
                                           const query::ExecutorOptions& options,
                                           uint64_t limit = 0) const;
 
-  uint64_t num_documents() const {
-    return collection_.records().num_records();
-  }
+  uint64_t num_documents() const { return records_.num_records(); }
 
   const query::PlanCache& plan_cache() const { return plan_cache_; }
 
@@ -237,16 +235,19 @@ class Shard {
   Status AttachWal(const std::string& dir, storage::WalOptions options,
                    uint64_t checkpoint_wal_bytes, bool fresh);
 
-  /// Persists the collection + all indexes as a checkpoint at the WAL's
-  /// current commit horizon, then truncates the WAL and deletes older
-  /// checkpoints. No-op without a WAL.
+  /// Persists the records as a checkpoint at the WAL's current commit
+  /// horizon, then truncates the WAL and deletes older checkpoints. Indexes
+  /// are not persisted: recovery rebuilds them from the records. No-op
+  /// without a WAL.
   Status Checkpoint();
   /// Checkpoint body for callers already holding data_mutex() exclusively.
   Status CheckpointLocked();
 
-  /// Rebuilds this shard's state from `dir`: loads the newest intact
-  /// checkpoint, replays committed WAL records past the checkpoint's LSN,
-  /// discards the torn tail, and reattaches the WAL for new writes. A
+  /// Rebuilds this shard's state from `dir`: restores the newest intact
+  /// checkpoint's records, replays committed WAL records past the
+  /// checkpoint's LSN, discards the torn tail, and reattaches the WAL for
+  /// new writes. Every restored record is indexed as it lands, so the
+  /// indexes follow from the records alone. A
   /// damaged checkpoint is skipped only when the WAL covers everything up
   /// to its LSN; otherwise Corruption. Must run after the shard's indexes
   /// are declared (empty) and before any insert.
@@ -268,19 +269,23 @@ class Shard {
   /// location histogram observes (it must match what the index keys store).
   const geo::GeoHash* StatsGeoHash() const;
 
+  /// Stores `doc` at `rid` and indexes it: the one step recovery rebuilds
+  /// a shard with, for checkpoint records and replayed inserts alike.
+  Status RestoreRecordLocked(storage::RecordId rid, bson::Document doc);
+
   /// Auto-checkpoint trigger; failures don't fail the triggering write (it
   /// is already durable) — a failed checkpoint kills the WAL instead.
   void MaybeCheckpointLocked();
 
   int id_;
-  storage::Collection collection_;
+  storage::RecordStore records_;
   index::IndexCatalog catalog_;
   // Durability (null/empty when the shard runs in-memory only).
   std::unique_ptr<storage::WriteAheadLog> wal_;
   std::string dir_;
   uint64_t checkpoint_wal_bytes_ = 0;
   uint64_t ckpt_lsn_ = 0;
-  // Guards collection_ + catalog_ (see class comment). The plan cache and
+  // Guards records_ + catalog_ (see class comment). The plan cache and
   // metrics lock themselves.
   mutable std::shared_mutex data_mu_;
   // Logically execution-state, not collection-state; mongod's cache is

@@ -34,7 +34,7 @@ std::vector<bson::Value> BucketAutoBoundaries(
   // (the paper's recipe, Section 4.2.4) and read each bucket's lower bound.
   std::vector<bson::Document> value_docs;
   for (const auto& shard : shards) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           const bson::Value* v = doc.GetPath(path);
           if (v == nullptr) return;

@@ -20,18 +20,12 @@ class Index {
 
   const IndexDescriptor& descriptor() const { return descriptor_; }
   const KeyGenerator& keygen() const { return keygen_; }
-  storage::BTree& btree() { return btree_; }
   const storage::BTree& btree() const { return btree_; }
 
   /// True once any stored document produced more than one key (array value
   /// or LineString geometry) — scans must then deduplicate RecordIds, as
   /// MongoDB's multikey indexes do.
   bool is_multikey() const { return multikey_; }
-
-  /// Restores the persisted multikey flag when the tree is rebuilt from a
-  /// checkpoint image (entries alone cannot reveal it: a multikey doc's
-  /// keys look like any other duplicates).
-  void set_multikey(bool multikey) { multikey_ = multikey; }
 
   Status InsertDocument(const bson::Document& doc, storage::RecordId rid) {
     Result<std::vector<std::string>> keys = keygen_.MakeKeys(doc);

@@ -52,7 +52,7 @@ Result<std::vector<cluster::ZoneRange>> ComputeWorkloadAwareZones(
   std::vector<WeightedValue> samples;
   samples.reserve(std::min<uint64_t>(total_docs, options.sample_limit + 16));
   for (const auto& shard : store.cluster().shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           if (keep_probability < 1.0 && !rng.NextBool(keep_probability)) {
             return;

@@ -186,7 +186,7 @@ Result<std::unique_ptr<StStore>> StStore::Recover(
   std::unordered_set<uint64_t> covered;
   uint64_t max_covered_lsn = 0;
   for (const auto& shard : store->cluster_->shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           if (!storage::IsBucketDocument(doc)) {
             ++recovered_points;

@@ -15,7 +15,7 @@ namespace stix::storage {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'T', 'I', 'X', 'C', 'K', 'P', '1'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr size_t kBlockTarget = 256 * 1024;
 constexpr uint32_t kMaxBlockLen = 64u * 1024 * 1024;
 constexpr char kSuffix[] = ".ckpt";
@@ -181,8 +181,7 @@ std::string CheckpointPath(const std::string& dir, uint64_t lsn) {
   return dir + "/checkpoint-" + std::to_string(lsn) + kSuffix;
 }
 
-Status WriteCheckpoint(const Collection& collection,
-                       const std::vector<IndexDump>& indexes, uint64_t lsn,
+Status WriteCheckpoint(const RecordStore& records, uint64_t lsn,
                        const std::string& dir) {
   const std::string final_path = CheckpointPath(dir, lsn);
   const std::string tmp_path = final_path + ".tmp";
@@ -195,13 +194,13 @@ Status WriteCheckpoint(const Collection& collection,
   header.append(kMagic, sizeof(kMagic));
   PutU32(kVersion, &header);
   PutU64(lsn, &header);
-  PutU64(collection.records().max_record_id(), &header);
-  PutU64(collection.records().num_records(), &header);
+  PutU64(records.max_record_id(), &header);
+  PutU64(records.num_records(), &header);
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
 
   BlockWriter docs(&out);
   Status doc_status = Status::OK();
-  collection.records().ForEach(
+  records.ForEach(
       [&](RecordId rid, const bson::Document& doc) {
         if (!doc_status.ok()) return;
         std::string entry;
@@ -213,29 +212,6 @@ Status WriteCheckpoint(const Collection& collection,
       });
   if (doc_status.ok()) doc_status = docs.Finish();
   if (!doc_status.ok()) return doc_status;
-
-  std::string index_count;
-  PutU32(static_cast<uint32_t>(indexes.size()), &index_count);
-  out.write(index_count.data(),
-            static_cast<std::streamsize>(index_count.size()));
-  for (const IndexDump& dump : indexes) {
-    std::string index_header;
-    PutU32(static_cast<uint32_t>(dump.name.size()), &index_header);
-    index_header += dump.name;
-    index_header.push_back(dump.multikey ? 1 : 0);
-    PutU64(dump.btree->num_entries(), &index_header);
-    out.write(index_header.data(),
-              static_cast<std::streamsize>(index_header.size()));
-    BlockWriter entries(&out);
-    for (BTree::Cursor cur = dump.btree->First(); cur.Valid(); cur.Next()) {
-      std::string entry;
-      PutU32(static_cast<uint32_t>(cur.key().size()), &entry);
-      entry += cur.key();
-      PutU64(cur.rid(), &entry);
-      if (Status s = entries.Add(entry); !s.ok()) return s;
-    }
-    if (Status s = entries.Finish(); !s.ok()) return s;
-  }
 
   out.flush();
   if (!out.good()) {
@@ -265,8 +241,8 @@ Result<CheckpointImage> LoadCheckpoint(const std::string& path) {
     return Status::Corruption("unsupported checkpoint version");
   }
   CheckpointImage image;
-  uint64_t num_docs;
-  if (!GetU64(&in, &image.lsn) || !GetU64(&in, &image.max_record_id) ||
+  uint64_t max_record_id, num_docs;
+  if (!GetU64(&in, &image.lsn) || !GetU64(&in, &max_record_id) ||
       !GetU64(&in, &num_docs)) {
     return Status::Corruption("checkpoint: truncated header");
   }
@@ -289,8 +265,7 @@ Result<CheckpointImage> LoadCheckpoint(const std::string& path) {
         bson::DecodeBson(std::string_view(doc_stream->data() + offset, len));
     if (!doc.ok()) return doc.status();
     offset += len;
-    if (Status s = image.collection.records().RestoreAt(rid, std::move(*doc));
-        !s.ok()) {
+    if (Status s = image.records.RestoreAt(rid, std::move(*doc)); !s.ok()) {
       return s;
     }
     ++restored;
@@ -298,49 +273,11 @@ Result<CheckpointImage> LoadCheckpoint(const std::string& path) {
   if (restored != num_docs) {
     return Status::Corruption("checkpoint: document count mismatch");
   }
-  image.collection.records().PadToRecordId(image.max_record_id);
-
-  uint32_t num_indexes;
-  if (!GetU32(&in, &num_indexes)) {
-    return Status::Corruption("checkpoint: truncated index count");
-  }
-  for (uint32_t i = 0; i < num_indexes; ++i) {
-    CheckpointIndexImage index;
-    uint32_t name_len;
-    if (!GetU32(&in, &name_len) || name_len > 4096) {
-      return Status::Corruption("checkpoint: truncated index header");
-    }
-    index.name.resize(name_len);
-    char multikey;
-    uint64_t num_entries;
-    if (!in.read(index.name.data(), name_len) || !in.read(&multikey, 1) ||
-        !GetU64(&in, &num_entries)) {
-      return Status::Corruption("checkpoint: truncated index header");
-    }
-    index.multikey = multikey != 0;
-
-    Result<std::string> entry_stream = ReadBlocks(&in);
-    if (!entry_stream.ok()) return entry_stream.status();
-    size_t pos = 0;
-    while (pos < entry_stream->size()) {
-      if (pos + 4 > entry_stream->size()) {
-        return Status::Corruption("checkpoint: truncated index entry");
-      }
-      const uint32_t key_len = GetU32Mem(entry_stream->data() + pos);
-      pos += 4;
-      if (pos + key_len + 8 > entry_stream->size()) {
-        return Status::Corruption("checkpoint: truncated index entry");
-      }
-      std::string key(entry_stream->data() + pos, key_len);
-      pos += key_len;
-      const uint64_t rid = GetU64Mem(entry_stream->data() + pos);
-      pos += 8;
-      index.entries.emplace_back(std::move(key), rid);
-    }
-    if (index.entries.size() != num_entries) {
-      return Status::Corruption("checkpoint: index entry count mismatch");
-    }
-    image.indexes.push_back(std::move(index));
+  image.records.PadToRecordId(max_record_id);
+  // The document blocks end the file. A version 1 image kept its index
+  // section here; any tail is damage, not data.
+  if (in.peek() != std::ifstream::traits_type::eof()) {
+    return Status::Corruption("checkpoint: bytes after the document blocks");
   }
   return image;
 }

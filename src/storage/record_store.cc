@@ -1,5 +1,10 @@
 #include "storage/record_store.h"
 
+#include <string>
+
+#include "bson/codec.h"
+#include "common/lz.h"
+
 namespace stix::storage {
 
 RecordId RecordStore::Insert(bson::Document doc) {
@@ -52,6 +57,27 @@ void RecordStore::ForEach(
       fn(static_cast<RecordId>(i + 1), *records_[i]);
     }
   }
+}
+
+CollectionStats ComputeStats(const RecordStore& records) {
+  constexpr size_t kBlockSize = 32 * 1024;
+  CollectionStats stats;
+  stats.num_documents = records.num_records();
+  stats.logical_bytes = records.logical_size_bytes();
+
+  std::string block;
+  block.reserve(kBlockSize * 2);
+  uint64_t compressed = 0;
+  records.ForEach([&](RecordId, const bson::Document& doc) {
+    block += bson::EncodeBson(doc);
+    if (block.size() >= kBlockSize) {
+      compressed += LzCompress(block).size();
+      block.clear();
+    }
+  });
+  if (!block.empty()) compressed += LzCompress(block).size();
+  stats.compressed_bytes = compressed;
+  return stats;
 }
 
 }  // namespace stix::storage

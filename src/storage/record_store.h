@@ -74,6 +74,20 @@ class RecordStore {
   uint64_t logical_size_bytes_ = 0;
 };
 
+/// Storage statistics mirrored after MongoDB's collStats.
+struct CollectionStats {
+  uint64_t num_documents = 0;
+  uint64_t logical_bytes = 0;     ///< Uncompressed BSON bytes.
+  uint64_t compressed_bytes = 0;  ///< After block compression (storageSize).
+};
+
+/// WiredTiger-style storage accounting for one shard's records. Block
+/// compression is computed by actually serializing documents into 32 KB
+/// blocks and compressing them with the repo's LZ codec (snappy's role in
+/// the paper's deployment). O(data): call from benches and storage
+/// reports, not per query.
+CollectionStats ComputeStats(const RecordStore& records);
+
 }  // namespace stix::storage
 
 #endif  // STIX_STORAGE_RECORD_STORE_H_

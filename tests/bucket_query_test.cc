@@ -454,7 +454,7 @@ TEST(BucketQueryTest, DamagedBucketFailsQueryWithCorruption) {
     const auto store = LoadedStore(kind, true, 1000);
     ASSERT_TRUE(store->FlushBuckets().ok());
     std::optional<bson::Document> damaged;
-    store->cluster().shards().front()->collection().records().ForEach(
+    store->cluster().shards().front()->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           if (!damaged && storage::BucketBlob(doc) != nullptr) damaged = doc;
         });

@@ -362,7 +362,7 @@ TEST_F(ClusterTest, DocumentsLiveOnTheirChunksShard) {
 
   // Re-derive each document's chunk and confirm it is stored there.
   for (const auto& shard : cluster.shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           const std::string key = cluster.shard_key().KeyOf(doc);
           const Chunk& chunk =
@@ -439,7 +439,7 @@ TEST_F(ClusterTest, CompoundShardKeyTargetsByLeadingField) {
   // Verify against a cross-shard naive count.
   size_t naive = 0;
   for (const auto& shard : cluster.shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           const int64_t h = doc.Get("hilbertIndex")->AsInt64();
           if (h >= 10 && h <= 15) ++naive;
@@ -475,7 +475,7 @@ TEST_F(ClusterTest, ZonesEnforcePlacementAndPreserveData) {
   const ClusterQueryResult r = cluster.Query(q);
   size_t naive = 0;
   for (const auto& shard : cluster.shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           const int64_t h = doc.Get("hilbertIndex")->AsInt64();
           if (h >= 0 && h <= 30) ++naive;

@@ -308,7 +308,7 @@ class ShardCursorTest : public ::testing::Test {
 
   std::set<int> NaiveIds(const ExprPtr& expr) const {
     std::set<int> ids;
-    shard_.collection().records().ForEach(
+    shard_.records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           if (expr->Matches(doc)) ids.insert(doc.Get("id")->AsInt32());
         });

@@ -258,7 +258,7 @@ TEST(LineStringClusterTest, BaselineApproachStoresAndFindsTrajectorySegments) {
 
   size_t naive = 0;
   for (const auto& shard : cluster.shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           naive += q->Matches(doc);
         });

@@ -25,6 +25,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "st/st_store.h"
+#include "storage/bucket.h"
 #include "storage/checkpoint.h"
 #include "temp_dir.h"
 
@@ -582,7 +583,7 @@ TEST_F(RecoveryScenarioTest, RecoveredShardStatsAreRebuiltAndReliable) {
   // Before any query runs: every populated shard's statistics must already
   // agree with its record store and admit to being usable for estimation.
   for (const auto& shard : (*recovered)->cluster().shards()) {
-    const uint64_t stored = shard->collection().records().num_records();
+    const uint64_t stored = shard->records().num_records();
     const query::stats::ShardStatistics& stats = shard->statistics();
     EXPECT_EQ(stats.total_docs(), stored) << "shard " << shard->id();
     EXPECT_TRUE(stats.ReliableForEstimation()) << "shard " << shard->id();
@@ -615,6 +616,190 @@ TEST_F(RecoveryScenarioTest, RecoveredShardStatsAreRebuiltAndReliable) {
       << "no shard planned by cost with a positive estimate after recovery";
 }
 
+
+/// Recounts each chunk's documents on its owner and expects the chunk's
+/// byte/doc/point accounting to equal it, and no document to sit on a
+/// shard that does not own its chunk.
+void ExpectChunkAccountingMatchesStore(const cluster::Cluster& cluster) {
+  const cluster::ChunkManager& chunks = cluster.chunks();
+  std::vector<uint64_t> bytes(chunks.num_chunks());
+  std::vector<uint64_t> docs(chunks.num_chunks());
+  std::vector<uint64_t> points(chunks.num_chunks());
+  for (const auto& shard : cluster.shards()) {
+    shard->records().ForEach(
+        [&](storage::RecordId rid, const bson::Document& doc) {
+          const size_t i =
+              chunks.FindChunkIndex(cluster.shard_key().KeyOf(doc));
+          EXPECT_EQ(chunks.chunk(i).shard_id, shard->id())
+              << "record " << rid << " sits outside its owner";
+          bytes[i] += doc.ApproxBsonSize();
+          docs[i] += 1;
+          points[i] += storage::StoredPointCount(doc);
+        });
+  }
+  for (size_t i = 0; i < chunks.num_chunks(); ++i) {
+    EXPECT_EQ(chunks.chunk(i).docs, docs[i]) << "chunk " << i;
+    EXPECT_EQ(chunks.chunk(i).bytes, bytes[i]) << "chunk " << i;
+    EXPECT_EQ(chunks.chunk(i).points, points[i]) << "chunk " << i;
+  }
+}
+
+// The config journal carries chunk bounds and owners only; recovery counts
+// every surviving document into its chunk. Inserts after the last split,
+// a delete and a crashed migration's swept orphans must all leave the
+// recovered accounting equal to what the owners store — the balancer and
+// the split trigger act on it.
+TEST_F(RecoveryScenarioTest, RecoveredChunkAccountingMatchesStoredDocuments) {
+  for (const bool bucketed : {false, true}) {
+    SCOPED_TRACE(bucketed ? "bucketed" : "row");
+    StStoreOptions options = DurableOptions(
+        dir_.path() + (bucketed ? "/bucket" : "/row"), bucketed);
+    options.cluster.balance_every_inserts = 0;  // migrate only on Balance()
+    uint64_t stored = 0;
+    {
+      StStore store(options);
+      ASSERT_TRUE(store.Setup().ok());
+      int64_t id = 0;
+      for (; id < 1500; ++id) {
+        ASSERT_TRUE(store.Insert(ScenarioDoc(id, 0.5 + (id * 7 % 95) / 10.0,
+                                             0.5 + (id * 3 % 89) / 10.0))
+                        .ok());
+      }
+      ASSERT_TRUE(store.FlushBuckets().ok());
+      const size_t chunks_after_load = store.cluster().chunks().num_chunks();
+      ASSERT_GT(chunks_after_load, 3u);
+      // A few more inserts that split nothing: accounting the last
+      // journaled chunk table never saw.
+      for (; id < 1510; ++id) {
+        ASSERT_TRUE(store.Insert(ScenarioDoc(id, 0.5 + (id * 7 % 95) / 10.0,
+                                             0.5 + (id * 3 % 89) / 10.0))
+                        .ok());
+      }
+      ASSERT_TRUE(store.FlushBuckets().ok());
+      ASSERT_EQ(store.cluster().chunks().num_chunks(), chunks_after_load);
+      const Result<uint64_t> removed =
+          store.Delete({{0, 0}, {4, 10}}, 0, 30000LL * 1000000);
+      ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+      ASSERT_GT(*removed, 0u);
+      ASSERT_TRUE(store.Checkpoint().ok());
+      stored = store.cluster().total_documents();
+    }
+
+    {
+      const Result<std::unique_ptr<StStore>> recovered =
+          StStore::Recover(options);
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      EXPECT_EQ((*recovered)->cluster().total_documents(), stored);
+      ExpectChunkAccountingMatchesStore((*recovered)->cluster());
+
+      // Let the first migration's recipient batch commit, then crash
+      // journaling its flip: the recipient's copies stay on its disk as
+      // orphans of the donor's chunk.
+      FailPoint* crash = FailPointRegistry::Instance().Find("walBeforeCommit");
+      ASSERT_NE(crash, nullptr);
+      FailPoint::Config after_recipient;
+      after_recipient.mode = FailPoint::Mode::kSkip;
+      after_recipient.count = 1;
+      after_recipient.error_code = StatusCode::kInternal;
+      crash->Enable(after_recipient);
+      (*recovered)->cluster().Balance();
+      crash->Disable();
+      ASSERT_GE(crash->times_fired(), 1u);
+    }
+
+    Counter& swept =
+        MetricsRegistry::Instance().GetCounter("recovery.orphans_swept");
+    const uint64_t swept_before = swept.value();
+    const Result<std::unique_ptr<StStore>> recovered =
+        StStore::Recover(options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_GT(swept.value(), swept_before) << "no orphan to sweep";
+    EXPECT_EQ((*recovered)->cluster().total_documents(), stored);
+    ExpectChunkAccountingMatchesStore((*recovered)->cluster());
+  }
+}
+
+/// Every index of every shard: name, multikey flag and (key, rid) entries
+/// in tree order.
+struct IndexImage {
+  std::string name;
+  bool multikey = false;
+  std::vector<std::pair<std::string, storage::RecordId>> entries;
+
+  bool operator==(const IndexImage&) const = default;
+};
+
+std::vector<std::vector<IndexImage>> IndexImages(
+    const cluster::Cluster& cluster) {
+  std::vector<std::vector<IndexImage>> out;
+  for (const auto& shard : cluster.shards()) {
+    std::vector<IndexImage>& images = out.emplace_back();
+    for (const auto& idx : shard->catalog().indexes()) {
+      IndexImage image{idx->descriptor().name(), idx->is_multikey(), {}};
+      for (storage::BTree::Cursor c = idx->btree().First(); c.Valid();
+           c.Next()) {
+        image.entries.emplace_back(c.key(), c.rid());
+      }
+      images.push_back(std::move(image));
+    }
+  }
+  return out;
+}
+
+// Checkpoints hold documents only; recovery indexes each restored record.
+// The rebuilt indexes must equal the ones the store shut down with, entry
+// for entry, multikey flags included (the bsl approaches' compound
+// 2dsphere index turns multikey on the LineString documents).
+TEST_F(RecoveryScenarioTest, CheckpointRecoveryRebuildsIdenticalIndexes) {
+  for (const ApproachKind kind : {ApproachKind::kBslST, ApproachKind::kBslTS,
+                                  ApproachKind::kHil, ApproachKind::kHilStar}) {
+    SCOPED_TRACE(KindLabel(kind));
+    StStoreOptions options =
+        DurableOptions(dir_.path() + "/" + KindLabel(kind), false);
+    options.approach.kind = kind;
+    const bool lines = kind == ApproachKind::kBslST ||
+                       kind == ApproachKind::kBslTS;
+    std::vector<std::vector<IndexImage>> before;
+    {
+      StStore store(options);
+      ASSERT_TRUE(store.Setup().ok());
+      for (int64_t id = 0; id < 400; ++id) {
+        const double lon = 0.5 + (id * 7 % 95) / 10.0;
+        const double lat = 0.5 + (id * 3 % 89) / 10.0;
+        bson::Document doc = ScenarioDoc(id, lon, lat);
+        if (lines && id % 10 == 0) {
+          doc.Set("location",
+                  Value::MakeDocument(bson::GeoJsonLineString(
+                      {{lon, lat}, {lon + 0.3, lat + 0.2}})));
+        }
+        ASSERT_TRUE(store.Insert(std::move(doc)).ok());
+      }
+      ASSERT_TRUE(store.FinishLoad().ok());
+      ASSERT_TRUE(store.Delete({{0, 0}, {2, 10}}, 0, 30000LL * 1000000).ok());
+      ASSERT_TRUE(store.Checkpoint().ok());
+      before = IndexImages(store.cluster());
+    }
+    bool any_multikey = false;
+    for (const std::vector<IndexImage>& shard : before) {
+      for (const IndexImage& image : shard) any_multikey |= image.multikey;
+    }
+    EXPECT_EQ(any_multikey, lines);
+
+    const Result<std::unique_ptr<StStore>> recovered =
+        StStore::Recover(options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    const std::vector<std::vector<IndexImage>> after =
+        IndexImages((*recovered)->cluster());
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t s = 0; s < before.size(); ++s) {
+      ASSERT_EQ(after[s].size(), before[s].size()) << "shard " << s;
+      for (size_t i = 0; i < before[s].size(); ++i) {
+        EXPECT_TRUE(after[s][i] == before[s][i])
+            << "shard " << s << " index " << before[s][i].name;
+      }
+    }
+  }
+}
 
 // ---------- the checkpoint image as the whole-store format ----------
 
@@ -828,6 +1013,19 @@ TEST_F(SnapshotTest, RejectsWrongMagicAndMissingFile) {
   // A directory that never held a store has nothing to recover.
   const stix::testing::TempDir empty;
   EXPECT_FALSE(StStore::Recover(DurableOptions(empty.path(), false)).ok());
+}
+
+// The document blocks end a checkpoint. A tail after them (where a
+// version 1 image kept its index section) is damage, not data.
+TEST_F(SnapshotTest, RejectsBytesAfterTheDocumentBlocks) {
+  ExpectDamagedCheckpointIsCorruption(
+      dir_.path(), [](std::string* b) { b->append(4, '\0'); });
+}
+
+TEST_F(SnapshotTest, RejectsVersionOneImage) {
+  ExpectDamagedCheckpointIsCorruption(dir_.path(), [](std::string* b) {
+    (*b)[8] = 1;  // the u32 version follows the 8-byte magic
+  });
 }
 
 // Skipping a damaged image is legal while the WAL covers the gap back to

@@ -406,7 +406,7 @@ TEST(ReshardTest, EveryDocumentLandsOnItsChunkOwner) {
 
   const cluster::Cluster& cluster = store->cluster();
   for (const auto& shard : cluster.shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& doc) {
           const std::string key = cluster.shard_key().KeyOf(doc);
           const cluster::ChunkManager& chunks = cluster.chunks();

@@ -396,7 +396,7 @@ TEST_P(StStoreParamTest, InsertedDocsGetDriverStyleIds) {
   ASSERT_TRUE(store.Insert(std::move(doc)).ok());
   uint64_t found = 0;
   for (const auto& shard : store.cluster().shards()) {
-    shard->collection().records().ForEach(
+    shard->records().ForEach(
         [&](storage::RecordId, const bson::Document& d) {
           ++found;
           ASSERT_TRUE(d.Has("_id"));

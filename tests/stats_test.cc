@@ -506,7 +506,7 @@ TEST(StoreStatsTest, MigrationMarksStaleAndRebuildRestoresCounts) {
   for (const auto& shard : store.cluster().shards()) {
     EXPECT_TRUE(shard->statistics().ReliableForEstimation());
     EXPECT_EQ(shard->statistics().total_docs(),
-              shard->collection().records().num_records());
+              shard->records().num_records());
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "storage/btree.h"
-#include "storage/collection.h"
 #include "storage/record_store.h"
 
 namespace stix::storage {
@@ -294,16 +293,16 @@ TEST(BTreeTest, SeekLandsOnFirstDuplicate) {
 // ---------- Collection stats ----------
 
 TEST(CollectionTest, StatsCountAndCompress) {
-  Collection coll;
+  RecordStore records;
   for (int i = 0; i < 2000; ++i) {
-    coll.records().Insert(bson::DocBuilder()
-                              .Field("i", i)
-                              .Field("payload",
-                                     "sensor=ok;rpm=1200;din=1;"
-                                     "sensor=ok;rpm=1200;din=1;")
-                              .Build());
+    records.Insert(bson::DocBuilder()
+                       .Field("i", i)
+                       .Field("payload",
+                              "sensor=ok;rpm=1200;din=1;"
+                              "sensor=ok;rpm=1200;din=1;")
+                       .Build());
   }
-  const CollectionStats stats = coll.ComputeStats();
+  const CollectionStats stats = ComputeStats(records);
   EXPECT_EQ(stats.num_documents, 2000u);
   EXPECT_GT(stats.logical_bytes, 0u);
   // Repetitive payloads must compress.
@@ -312,8 +311,7 @@ TEST(CollectionTest, StatsCountAndCompress) {
 }
 
 TEST(CollectionTest, EmptyCollectionStats) {
-  Collection coll;
-  const CollectionStats stats = coll.ComputeStats();
+  const CollectionStats stats = ComputeStats(RecordStore());
   EXPECT_EQ(stats.num_documents, 0u);
   EXPECT_EQ(stats.logical_bytes, 0u);
   EXPECT_EQ(stats.compressed_bytes, 0u);

@@ -56,6 +56,7 @@
 #include "common/rng.h"
 #include "geo/curve_registry.h"
 #include "st/st_store.h"
+#include "storage/bucket.h"
 
 namespace stix {
 namespace {
@@ -982,6 +983,46 @@ bool CheckDelete(const std::vector<StStore*>& stores,
   return true;
 }
 
+// Chunk accounting is derived at recovery: the config journal holds chunk
+// bounds and owners only, and the recovery pass counts every stored
+// document into its chunk. Recovers the cluster alone and returns how many
+// chunks' bytes/docs/points differ from a recount of the documents in
+// their range on their owner, plus one per document off its owner (1 when
+// recovery fails). The store's own recovery is not checked directly:
+// its bucket-catalog replay may flush a bucket that splits a chunk, and a
+// split divides the accounting evenly rather than exactly.
+int ChunkAccountingMismatches(const cluster::ClusterOptions& options) {
+  const Result<std::unique_ptr<cluster::Cluster>> recovered =
+      cluster::RecoverCluster(options);
+  if (!recovered.ok()) {
+    std::fprintf(stderr, "cluster recovery failed: %s\n",
+                 recovered.status().ToString().c_str());
+    return 1;
+  }
+  const cluster::Cluster& c = **recovered;
+  const cluster::ChunkManager& chunks = c.chunks();
+  std::vector<cluster::Chunk> recount(chunks.num_chunks());
+  int mismatches = 0;
+  for (const auto& shard : c.shards()) {
+    shard->records().ForEach(
+        [&](storage::RecordId, const bson::Document& doc) {
+          const size_t i = chunks.FindChunkIndex(c.shard_key().KeyOf(doc));
+          if (chunks.chunk(i).shard_id != shard->id()) ++mismatches;
+          recount[i].bytes += doc.ApproxBsonSize();
+          recount[i].docs += 1;
+          recount[i].points += storage::StoredPointCount(doc);
+        });
+  }
+  for (size_t i = 0; i < chunks.num_chunks(); ++i) {
+    const cluster::Chunk& got = chunks.chunk(i);
+    if (got.bytes != recount[i].bytes || got.docs != recount[i].docs ||
+        got.points != recount[i].points) {
+      ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
 // Crash-recovery phase (--crash): one durable store per seed, killed at a
 // sampled crash point mid-load, then recovered from disk. The oracle is the
 // durability contract rather than a query result:
@@ -995,8 +1036,11 @@ bool CheckDelete(const std::vector<StStore*>& stores,
 // Recovery must additionally be idempotent (a second recovery yields the
 // identical set), produce no duplicate fids, answer sub-rectangle queries
 // that agree with a brute-force oracle over the recovered set, and accept
-// new writes afterwards (including a balancer pass). The scratch directory
-// is deleted on success and kept as a repro artifact when the seed diverges.
+// new writes afterwards (including a balancer pass). After the first
+// recovery and again after the post-recovery writes, a cluster recovered
+// from the directory must account each chunk exactly as its owner stores
+// it. The scratch directory is deleted on success and kept as a repro
+// artifact when the seed diverges.
 bool RunCrashSeed(uint64_t seed, const FuzzConfig& config) {
   SeedContext ctx{seed, &config};
   Rng rng(seed);
@@ -1176,6 +1220,12 @@ bool RunCrashSeed(uint64_t seed, const FuzzConfig& config) {
       return false;
     }
 
+    if (const int bad = ChunkAccountingMismatches(options.cluster); bad != 0) {
+      ctx.Report("crash", "chunk-accounting", full, 0,
+                 static_cast<size_t>(bad));
+      return false;
+    }
+
     // Second recovery: replay must be idempotent — bit-for-bit the same
     // logical contents, then the store must keep working (new writes, a
     // balancer pass, zone migrations) with exact oracle agreement.
@@ -1234,6 +1284,12 @@ bool RunCrashSeed(uint64_t seed, const FuzzConfig& config) {
     }
     return true;
   }();
+  if (ok) {
+    if (const int bad = ChunkAccountingMismatches(options.cluster); bad != 0) {
+      ctx.Report("crash", "chunk-accounting-after-writes", full, 0,
+                 static_cast<size_t>(bad));
+    }
+  }
   FailPointRegistry::Instance().DisableAll();
 
   if (ok && ctx.divergences == 0) {
