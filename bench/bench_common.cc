@@ -425,8 +425,7 @@ void MeasureColdScan(const st::StStore& store, const DatasetInfo& info,
           matches += selection.rows.size();
           continue;
         }
-        if (Status s = reader.Build(layout, &selection.rows, &points);
-            !s.ok()) {
+        if (Status s = reader.Build(&selection.rows, &points); !s.ok()) {
           die("bucket decode", s);
         }
         for (const bson::Document& point : points) {

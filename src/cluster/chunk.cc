@@ -105,28 +105,6 @@ size_t ChunkManager::FindChunkIndex(const std::string& key) const {
   return static_cast<size_t>(it - chunks_.begin()) - 1;
 }
 
-Status ChunkManager::Split(size_t i, const std::string& split_key) {
-  Chunk& left = chunks_[i];
-  if (split_key <= left.min || split_key >= left.max) {
-    return Status::InvalidArgument("split key outside chunk range");
-  }
-  Chunk right;
-  right.min = split_key;
-  right.max = left.max;
-  right.shard_id = left.shard_id;
-  right.bytes = left.bytes / 2;
-  right.docs = left.docs / 2;
-  right.points = left.points / 2;
-  right.writes = left.writes / 2;
-  left.max = split_key;
-  left.bytes -= right.bytes;
-  left.docs -= right.docs;
-  left.points -= right.points;
-  left.writes -= right.writes;
-  chunks_.insert(chunks_.begin() + i + 1, std::move(right));
-  return Status::OK();
-}
-
 Status ChunkManager::MultiSplit(size_t i,
                                 const std::vector<std::string>& bounds) {
   if (bounds.empty()) return Status::OK();

@@ -102,10 +102,6 @@ class ChunkManager {
   /// Index of the chunk owning this key.
   size_t FindChunkIndex(const std::string& key) const;
 
-  /// Splits chunk `i` at `split_key` (strictly inside its range); byte/doc
-  /// accounting is halved between the parts. Fails on out-of-range keys.
-  Status Split(size_t i, const std::string& split_key);
-
   /// Splits chunk `i` at every boundary in `bounds` (ascending, strictly
   /// inside its range), dividing the byte/doc/point/write accounting evenly
   /// across the resulting `bounds.size() + 1` parts — the multi-way split a

@@ -53,7 +53,7 @@ Status Cluster::AttachDurability() {
   for (auto& shard : shards_) {
     const Status s = shard->AttachWal(
         d.data_dir + "/shard-" + std::to_string(shard->id()), d.wal,
-        d.checkpoint_wal_bytes, /*fresh=*/true);
+        d.checkpoint_wal_bytes);
     if (!s.ok()) return s;
   }
   // Topology changes are rare and must never sit in a group-commit window:
@@ -61,8 +61,8 @@ Status Cluster::AttachDurability() {
   storage::WalOptions config_opts;
   config_opts.sync_every_commits = 1;
   Result<std::unique_ptr<storage::WriteAheadLog>> wal =
-      storage::WriteAheadLog::Open(d.data_dir + "/config.wal", config_opts,
-                                   /*fresh=*/true);
+      storage::WriteAheadLog::Rewrite(d.data_dir + "/config.wal",
+                                      config_opts);
   if (!wal.ok()) return wal.status();
   config_wal_ = std::move(*wal);
   durability_attached_ = true;
@@ -457,7 +457,7 @@ Status Cluster::SetZones(std::vector<ZoneRange> zones) {
         }
         const size_t ci = chunks_->FindChunkIndex(*boundary);
         if (chunks_->chunk(ci).min != *boundary) {
-          const Status s = chunks_->Split(ci, *boundary);
+          const Status s = chunks_->MultiSplit(ci, {*boundary});
           if (!s.ok()) {
             PublishRouting();  // the splits made so far stand
             return s;
@@ -591,31 +591,17 @@ Status Cluster::CompactConfigWalLocked() {
   if (config_wal_->dead()) {
     return Status::Internal("config journal is dead");
   }
-  const std::string path = config_wal_->path();
-  const std::string tmp = path + ".tmp";
   storage::WalOptions config_opts;
   config_opts.sync_every_commits = 1;
-  {
-    Result<std::unique_ptr<storage::WriteAheadLog>> fresh =
-        storage::WriteAheadLog::Open(tmp, config_opts, /*fresh=*/true);
-    if (!fresh.ok()) return fresh.status();
-    const std::string meta = bson::EncodeBson(ClusterMetadataDoc(*this));
-    if (Result<uint64_t> a = (*fresh)->Append(
-            storage::WalRecordType::kConfigMeta, 0, meta);
-        !a.ok()) {
-      return a.status();
-    }
-    const Result<uint64_t> lsn = (*fresh)->Commit();
-    if (!lsn.ok()) return lsn.status();
-  }
-  // The journal only shrinks via an atomic swap: a crash before the rename
-  // keeps the old journal, after it the compacted one — never neither.
-  config_wal_.reset();
-  if (Status s = RenameFile(tmp, path); !s.ok()) return s;
-  Result<std::unique_ptr<storage::WriteAheadLog>> reopened =
-      storage::WriteAheadLog::Open(path, config_opts, /*fresh=*/false);
-  if (!reopened.ok()) return reopened.status();
-  config_wal_ = std::move(*reopened);
+  const std::string meta = bson::EncodeBson(ClusterMetadataDoc(*this));
+  Result<std::unique_ptr<storage::WriteAheadLog>> compacted =
+      storage::WriteAheadLog::Rewrite(
+          config_wal_->path(), config_opts,
+          [&meta](const storage::WriteAheadLog::AppendFn& append) {
+            append(storage::WalRecordType::kConfigMeta, 0, meta);
+          });
+  if (!compacted.ok()) return compacted.status();
+  config_wal_ = std::move(*compacted);
   return Status::OK();
 }
 
@@ -729,9 +715,7 @@ Result<uint64_t> Cluster::Delete(const query::ExprPtr& expr) {
         if (Status s = reader.Select(spec, &selection); !s.ok()) return s;
         if (selection.rows.empty()) continue;
         std::vector<bson::Document> points;
-        if (Status s = reader.Build(*layout, nullptr, &points); !s.ok()) {
-          return s;
-        }
+        if (Status s = reader.Build(nullptr, &points); !s.ok()) return s;
         std::vector<bson::Document> survivors;
         size_t next = 0;  // cursor into the ascending selected rows
         for (uint32_t row = 0; row < points.size(); ++row) {

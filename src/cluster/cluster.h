@@ -32,13 +32,15 @@ namespace stix::cluster {
 /// the directory after a crash. Layout:
 ///
 ///   <data_dir>/config.wal            — full-metadata topology journal
-///   <data_dir>/shard-<i>/wal.log     — per-shard write-ahead log
-///   <data_dir>/shard-<i>/checkpoint-<lsn>.ckpt
+///   <data_dir>/shard-<i>/wal.log     — per-shard write-ahead log: its
+///                                      first batch is an image of the
+///                                      shard's records, the rest the
+///                                      writes since
 struct DurabilityOptions {
   std::string data_dir;
   storage::WalOptions wal;
-  /// Auto-checkpoint a shard when its WAL outgrows this many bytes
-  /// (0 = checkpoint only on explicit Checkpoint() calls).
+  /// Auto-checkpoint a shard once its WAL has logged this many bytes past
+  /// its image (0 = checkpoint only on explicit Checkpoint() calls).
   uint64_t checkpoint_wal_bytes = 0;
 };
 
@@ -153,8 +155,9 @@ class Cluster {
   /// True between StartBalancer() and StopBalancer().
   bool balancer_running() const;
 
-  /// Checkpoints every shard (records persisted, shard WAL truncated) and
-  /// compacts the config journal down to one current metadata record.
+  /// Checkpoints every shard (its log rewritten as an image of its
+  /// records) and compacts the config journal down to one current metadata
+  /// record.
   /// No-op for an in-memory cluster.
   Status Checkpoint();
 
@@ -337,17 +340,18 @@ class Cluster {
   /// flag. Every routing change calls it before it releases topology_mu_
   /// (or, in single-threaded setup, before it returns).
   void PublishRouting();
-  /// First-time durable setup: creates the data directory, attaches a fresh
-  /// WAL to every shard and opens the config journal. No-op when
-  /// durability is off or already attached (the recovery path attaches its
-  /// own WALs with history intact).
+  /// First-time durable setup: creates the data directory, attaches a WAL
+  /// holding an (empty) image to every shard and opens an empty config
+  /// journal. No-op when durability is off or already attached (the
+  /// recovery path attaches its own WALs with history intact).
   Status AttachDurability();
   /// Journals the full current metadata document to the config WAL (no-op
   /// when not durable). Callers hold topology_mu_ exclusive or are in
   /// single-threaded setup.
   Status LogTopology();
-  /// Rewrites the config journal as one current metadata record (tmp +
-  /// rename — a crash mid-compaction keeps the old journal).
+  /// Rewrites the config journal as one current metadata record
+  /// (WriteAheadLog::Rewrite — a crash mid-compaction keeps the old
+  /// journal).
   Status CompactConfigWalLocked();
   void BalancerMain(int interval_ms);
   static std::string IndexNameForPattern(const ShardKeyPattern& pattern);
@@ -465,7 +469,7 @@ Result<ClusterMeta> ParseClusterMetadata(const bson::Document& meta);
 
 /// Rebuilds a durable cluster from options.durability.data_dir: parses the
 /// last journaled metadata record, restores the sharding state, recovers
-/// every shard (checkpoint + WAL replay), sweeps orphans left by a crashed
+/// every shard (its log's image + replay), sweeps orphans left by a crashed
 /// migration (documents whose owning chunk maps to another shard), and
 /// reopens every WAL for new writes. Defined in durability.cc.
 Result<std::unique_ptr<Cluster>> RecoverCluster(const ClusterOptions& options);

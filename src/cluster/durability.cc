@@ -150,7 +150,7 @@ Result<ClusterMeta> ParseClusterMetadata(const bson::Document& meta) {
 // Whole-cluster crash recovery. The config journal is the root of trust:
 // its last committed kConfigMeta record names the shard count, shard key,
 // chunk bounds and owners, zones and index set. Shards then recover
-// independently (checkpoint records + WAL replay, each record indexed as
+// independently (the log's image batch + replay, each record indexed as
 // it lands), and a final pass over every stored document reconciles the
 // two. A document sitting on a shard that the journaled chunk table does
 // not assign it to belongs to a migration that crashed before its
@@ -241,7 +241,7 @@ Result<std::unique_ptr<Cluster>> RecoverCluster(const ClusterOptions& options) {
   storage::WalOptions config_opts;
   config_opts.sync_every_commits = 1;
   Result<std::unique_ptr<storage::WriteAheadLog>> wal =
-      storage::WriteAheadLog::Open(config_path, config_opts, /*fresh=*/false);
+      storage::WriteAheadLog::Open(config_path, config_opts, *scan);
   if (!wal.ok()) return wal.status();
   cluster->config_wal_ = std::move(*wal);
   STIX_METRIC_COUNTER(recoveries, "recovery.cluster_recoveries");

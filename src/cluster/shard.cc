@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <sstream>
 
 #include "bson/codec.h"
@@ -199,16 +198,13 @@ Result<std::vector<storage::RecordId>> Shard::WriteBatchLocked(
 }
 
 Status Shard::AttachWal(const std::string& dir, storage::WalOptions options,
-                        uint64_t checkpoint_wal_bytes, bool fresh) {
+                        uint64_t checkpoint_wal_bytes) {
   if (Status s = CreateDirs(dir); !s.ok()) return s;
-  Result<std::unique_ptr<storage::WriteAheadLog>> wal =
-      storage::WriteAheadLog::Open(dir + "/wal.log", options, fresh);
-  if (!wal.ok()) return wal.status();
   const std::unique_lock<std::shared_mutex> lock = LockExclusive(data_mu_);
-  wal_ = std::move(*wal);
-  dir_ = dir;
+  wal_path_ = dir + "/wal.log";
+  wal_options_ = options;
   checkpoint_wal_bytes_ = checkpoint_wal_bytes;
-  return Status::OK();
+  return WriteImageLocked();
 }
 
 Status Shard::Checkpoint() {
@@ -218,27 +214,41 @@ Status Shard::Checkpoint() {
 
 Status Shard::CheckpointLocked() {
   if (wal_ == nullptr) return Status::OK();
+  // The old log holds every acknowledged write before the rewrite starts,
+  // so a rewrite that dies leaves it whole.
   if (Status s = wal_->Sync(); !s.ok()) return s;
-  const uint64_t lsn = wal_->last_commit_lsn();
-  if (Status s = storage::WriteCheckpoint(records_, lsn, dir_); !s.ok()) {
-    // A failed checkpoint (crash point or IO error) leaves at worst a
-    // `.tmp`; acked writes stay covered by the prior checkpoint + the
-    // untruncated WAL. Kill the log so this process takes no more writes.
-    wal_->Kill();
-    return s;
+  return WriteImageLocked();
+}
+
+Status Shard::WriteImageLocked() {
+  Result<std::unique_ptr<storage::WriteAheadLog>> rewritten =
+      storage::WriteAheadLog::Rewrite(
+          wal_path_, wal_options_,
+          [this](const storage::WriteAheadLog::AppendFn& append) {
+            append(storage::WalRecordType::kImage, records_.max_record_id(),
+                   storage::EncodeImageCount(records_.num_records()));
+            records_.ForEach(
+                [&](storage::RecordId rid, const bson::Document& doc) {
+                  append(storage::WalRecordType::kInsert, rid,
+                         bson::EncodeBson(doc));
+                });
+          });
+  if (!rewritten.ok()) {
+    // A failed rewrite (crash point or IO error) left the old log in place;
+    // kill it so this process takes no more writes.
+    if (wal_ != nullptr) wal_->Kill();
+    return rewritten.status();
   }
-  ckpt_lsn_ = lsn;
-  // The WAL only shrinks after the checkpoint is durably renamed in —
-  // crash between the two just replays records the checkpoint already
-  // holds, which the ckpt_lsn filter in Recover skips.
-  if (Status s = wal_->Truncate(); !s.ok()) return s;
-  storage::RemoveStaleCheckpoints(dir_, lsn);
+  wal_ = std::move(*rewritten);
+  image_bytes_ = wal_->log_bytes();
+  STIX_METRIC_COUNTER(written, "checkpoint.written");
+  written.Increment();
   return Status::OK();
 }
 
 void Shard::MaybeCheckpointLocked() {
   if (checkpoint_wal_bytes_ == 0 || wal_ == nullptr || wal_->dead()) return;
-  if (wal_->log_bytes() < checkpoint_wal_bytes_) return;
+  if (wal_->log_bytes() - image_bytes_ < checkpoint_wal_bytes_) return;
   // The triggering write is already durable and acknowledged; a checkpoint
   // failure must not retroactively fail it.
   (void)CheckpointLocked();
@@ -247,55 +257,31 @@ void Shard::MaybeCheckpointLocked() {
 Status Shard::Recover(const std::string& dir, storage::WalOptions options,
                       uint64_t checkpoint_wal_bytes) {
   const std::unique_lock<std::shared_mutex> lock = LockExclusive(data_mu_);
-  dir_ = dir;
+  wal_path_ = dir + "/wal.log";
+  wal_options_ = options;
   checkpoint_wal_bytes_ = checkpoint_wal_bytes;
 
-  const Result<storage::WalScan> scan = storage::ReadWal(dir + "/wal.log");
+  const Result<storage::WalScan> scan = storage::ReadWal(wal_path_);
   if (!scan.ok()) return scan.status();
-
-  // Newest intact checkpoint wins. Skipping a damaged image is legal only
-  // when the log still covers every record between the image installed
-  // instead and the damaged one. A clean checkpoint prunes the older images
-  // and truncates the log, so usually nothing covers that gap and skipping
-  // would recover a shard that silently lost the damaged image's data.
-  const std::vector<storage::CheckpointRef> refs =
-      storage::ListCheckpoints(dir);
-  const storage::CheckpointRef* damaged = nullptr;  // newest unreadable
-  uint64_t ckpt_lsn = 0;
-  for (const storage::CheckpointRef& ref : refs) {
-    Result<storage::CheckpointImage> image = storage::LoadCheckpoint(ref.path);
-    if (!image.ok()) {
-      if (damaged == nullptr) damaged = &ref;
-      continue;
-    }
-    storage::RecordStore& loaded = image->records;
-    const storage::RecordId max_rid = loaded.max_record_id();
-    for (storage::RecordId rid = 1; rid <= max_rid; ++rid) {
-      std::optional<bson::Document> doc = loaded.Remove(rid);
-      if (!doc.has_value()) continue;
-      if (Status s = RestoreRecordLocked(rid, std::move(*doc)); !s.ok()) {
-        return s;
-      }
-    }
-    records_.PadToRecordId(max_rid);
-    ckpt_lsn = image->lsn;
-    break;
+  // The log's first committed batch is its image. A damaged image stops
+  // the scan before that batch's commit marker, so nothing is committed.
+  const std::vector<storage::WalRecord>& log = scan->committed;
+  if (log.empty() || log.front().type != storage::WalRecordType::kImage) {
+    return Status::Corruption("shard log does not open with an image: " +
+                              wal_path_);
   }
-  if (damaged != nullptr) {
-    // The log only ever loses a prefix (truncation at a checkpoint), so it
-    // holds every record from its first one to its commit horizon.
-    const bool covered = !scan->committed.empty() &&
-                         scan->committed.front().lsn <= ckpt_lsn + 1 &&
-                         scan->last_lsn >= damaged->lsn;
-    if (!covered) {
-      return Status::Corruption(
-          "damaged checkpoint not covered by the wal: " +
-          damaged->path);
-    }
+  const Result<uint64_t> image_records =
+      storage::DecodeImageCount(log.front().payload);
+  if (!image_records.ok()) return image_records.status();
+  if (log.size() <= *image_records) {
+    return Status::Corruption("shard image is missing records: " + wal_path_);
   }
-  ckpt_lsn_ = ckpt_lsn;
-  for (const storage::WalRecord& record : scan->committed) {
-    if (record.lsn <= ckpt_lsn) continue;  // already inside the checkpoint
+  records_.PadToRecordId(log.front().rid);
+  for (size_t i = 1; i < log.size(); ++i) {
+    const storage::WalRecord& record = log[i];
+    if (i <= *image_records && record.type != storage::WalRecordType::kInsert) {
+      return Status::Corruption("shard image holds a non-insert record");
+    }
     switch (record.type) {
       case storage::WalRecordType::kInsert: {
         Result<bson::Document> doc = bson::DecodeBson(record.payload);
@@ -327,15 +313,10 @@ Status Shard::Recover(const std::string& dir, storage::WalOptions options,
   RebuildStatsFromStorage();
 
   Result<std::unique_ptr<storage::WriteAheadLog>> wal =
-      storage::WriteAheadLog::Open(dir + "/wal.log", options,
-                                   /*fresh=*/false);
+      storage::WriteAheadLog::Open(wal_path_, options, *scan);
   if (!wal.ok()) return wal.status();
   wal_ = std::move(*wal);
-  // The log was truncated at the checkpoint, so Open resumed its LSNs from
-  // whatever tail remained — possibly nothing. Lift the counter past the
-  // checkpoint horizon, or new writes would reuse LSNs the next recovery's
-  // `lsn <= ckpt_lsn` filter skips.
-  wal_->EnsureLsnPast(ckpt_lsn);
+  image_bytes_ = scan->first_batch_bytes;
   STIX_METRIC_COUNTER(recoveries, "shard.recoveries");
   recoveries.Increment();
   return Status::OK();
@@ -347,6 +328,8 @@ Status Shard::RestoreRecordLocked(storage::RecordId rid, bson::Document doc) {
 }
 
 Status Shard::SyncWal() {
+  // Shared: an auto-checkpoint replaces wal_ under the exclusive lock.
+  const std::shared_lock<std::shared_mutex> lock = LockShared(data_mu_);
   if (wal_ == nullptr) return Status::OK();
   return wal_->Sync();
 }

@@ -12,7 +12,6 @@
 #include "query/explain.h"
 #include "query/plan_cache.h"
 #include "query/stats/shard_stats.h"
-#include "storage/checkpoint.h"
 #include "storage/record_store.h"
 #include "storage/wal.h"
 
@@ -225,40 +224,37 @@ class Shard {
   //
   // With a WAL attached every write batch is logged and committed before
   // it is acknowledged; without one the shard is the original in-memory
-  // store. Recovery = last intact checkpoint + WAL replay to the commit
-  // horizon (see DESIGN.md §5i).
+  // store. The log is the shard's only durable file: its first committed
+  // batch is an image of the record store, and the batches after it are
+  // the writes since (see DESIGN.md §5i).
 
-  /// Attaches a write-ahead log living at `dir`/wal.log. `fresh` starts an
-  /// empty log (brand-new store); otherwise the existing log is opened and
-  /// its torn tail truncated (use after Recover). A non-zero
-  /// `checkpoint_wal_bytes` auto-checkpoints whenever the log grows past it.
+  /// Attaches a write-ahead log living at `dir`/wal.log, replacing any log
+  /// there with an image of the shard's current records. A non-zero
+  /// `checkpoint_wal_bytes` auto-checkpoints whenever the log has grown
+  /// that many bytes past its image.
   Status AttachWal(const std::string& dir, storage::WalOptions options,
-                   uint64_t checkpoint_wal_bytes, bool fresh);
+                   uint64_t checkpoint_wal_bytes);
 
-  /// Persists the records as a checkpoint at the WAL's current commit
-  /// horizon, then truncates the WAL and deletes older checkpoints. Indexes
-  /// are not persisted: recovery rebuilds them from the records. No-op
-  /// without a WAL.
+  /// Rewrites the log as one image batch of the records (WriteAheadLog::
+  /// Rewrite), which drops every batch logged before it. Indexes are not
+  /// persisted: recovery rebuilds them from the records. No-op without a
+  /// WAL.
   Status Checkpoint();
   /// Checkpoint body for callers already holding data_mutex() exclusively.
   Status CheckpointLocked();
 
-  /// Rebuilds this shard's state from `dir`: restores the newest intact
-  /// checkpoint's records, replays committed WAL records past the
-  /// checkpoint's LSN, discards the torn tail, and reattaches the WAL for
-  /// new writes. Every restored record is indexed as it lands, so the
-  /// indexes follow from the records alone. A
-  /// damaged checkpoint is skipped only when the WAL covers everything up
-  /// to its LSN; otherwise Corruption. Must run after the shard's indexes
-  /// are declared (empty) and before any insert.
+  /// Rebuilds this shard's state from `dir`/wal.log: restores the image
+  /// batch's records, replays the committed batches after it, discards the
+  /// torn tail, and reattaches the log for new writes. Every restored
+  /// record is indexed as it lands, so the indexes follow from the records
+  /// alone. A log that does not open with a complete image (damaged,
+  /// missing, or from an older format) is Corruption. Must run after the
+  /// shard's indexes are declared (empty) and before any insert.
   Status Recover(const std::string& dir, storage::WalOptions options,
                  uint64_t checkpoint_wal_bytes);
 
   /// Flushes any buffered group-commit window to the log file.
   Status SyncWal();
-
-  storage::WriteAheadLog* wal() { return wal_.get(); }
-  bool durable() const { return wal_ != nullptr; }
 
  private:
   // Cursors share the shard's plan cache, like getMore continuations share
@@ -270,8 +266,12 @@ class Shard {
   const geo::GeoHash* StatsGeoHash() const;
 
   /// Stores `doc` at `rid` and indexes it: the one step recovery rebuilds
-  /// a shard with, for checkpoint records and replayed inserts alike.
+  /// a shard with, for image records and replayed inserts alike.
   Status RestoreRecordLocked(storage::RecordId rid, bson::Document doc);
+
+  /// Replaces the log with an image of records_ and attaches the result; a
+  /// failed rewrite kills the old log.
+  Status WriteImageLocked();
 
   /// Auto-checkpoint trigger; failures don't fail the triggering write (it
   /// is already durable) — a failed checkpoint kills the WAL instead.
@@ -280,11 +280,13 @@ class Shard {
   int id_;
   storage::RecordStore records_;
   index::IndexCatalog catalog_;
-  // Durability (null/empty when the shard runs in-memory only).
+  // Durability (null/empty when the shard runs in-memory only). wal_ is
+  // replaced by every checkpoint, under the exclusive data lock.
   std::unique_ptr<storage::WriteAheadLog> wal_;
-  std::string dir_;
+  std::string wal_path_;
+  storage::WalOptions wal_options_;
   uint64_t checkpoint_wal_bytes_ = 0;
-  uint64_t ckpt_lsn_ = 0;
+  uint64_t image_bytes_ = 0;  // log bytes of the image batch
   // Guards records_ + catalog_ (see class comment). The plan cache and
   // metrics lock themselves.
   mutable std::shared_mutex data_mu_;

@@ -10,8 +10,8 @@
 namespace stix {
 
 /// Thin std::filesystem wrappers returning Status instead of throwing —
-/// the durable storage layer (WAL, checkpoints) and the test TempDir
-/// fixture share them so error handling stays uniform.
+/// the durable storage layer (WAL) and the test TempDir fixture share them
+/// so error handling stays uniform.
 
 /// Creates `path` and any missing parents (OK if it already exists).
 Status CreateDirs(const std::string& path);

@@ -99,7 +99,7 @@ ExprPtr WidenForBuckets(const ExprPtr& expr,
     }
     case MatchExpr::Kind::kCmp: {
       const auto& cmp = static_cast<const CmpExpr&>(*expr);
-      if (cmp.path() == layout.time_field &&
+      if (cmp.path() == storage::kTimeField &&
           cmp.value().type() == bson::Type::kDateTime) {
         return WidenTimeCmp(cmp, layout);
       }
@@ -107,7 +107,7 @@ ExprPtr WidenForBuckets(const ExprPtr& expr,
     }
     case MatchExpr::Kind::kRangeSet: {
       const auto& rs = static_cast<const RangeSetExpr&>(*expr);
-      if (rs.path() == layout.hilbert_field) {
+      if (rs.path() == storage::kHilbertField) {
         return WidenHilbertRangeSet(rs, layout);
       }
       return nullptr;
@@ -137,7 +137,7 @@ bool ExtractInto(const ExprPtr& expr, const storage::BucketLayout& layout,
     }
     case MatchExpr::Kind::kCmp: {
       const auto& cmp = static_cast<const CmpExpr&>(*expr);
-      if (cmp.path() != layout.time_field ||
+      if (cmp.path() != storage::kTimeField ||
           cmp.value().type() != bson::Type::kDateTime) {
         return false;
       }
@@ -184,7 +184,7 @@ bool ExtractInto(const ExprPtr& expr, const storage::BucketLayout& layout,
         path = g.path();
         lossless = false;
       }
-      if (path != layout.location_field) return false;
+      if (path != storage::kLocationField) return false;
       if (!spec->rect.has_value()) {
         spec->rect = box;
       } else {
@@ -199,7 +199,7 @@ bool ExtractInto(const ExprPtr& expr, const storage::BucketLayout& layout,
     }
     case MatchExpr::Kind::kRangeSet: {
       const auto& rs = static_cast<const RangeSetExpr&>(*expr);
-      if (rs.path() != layout.hilbert_field || !spec->hil_ranges.empty()) {
+      if (rs.path() != storage::kHilbertField || !spec->hil_ranges.empty()) {
         return false;
       }
       for (const RangeSetExpr::Range& r : rs.ranges()) {
@@ -226,13 +226,12 @@ BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
   return spec;
 }
 
-BucketUnpackStage::BucketUnpackStage(
-    std::unique_ptr<PlanStage> child, ExprPtr point_expr,
-    std::shared_ptr<const storage::BucketLayout> layout)
+BucketUnpackStage::BucketUnpackStage(std::unique_ptr<PlanStage> child,
+                                     ExprPtr point_expr,
+                                     const storage::BucketLayout& layout)
     : child_(std::move(child)),
       point_expr_(std::move(point_expr)),
-      layout_(std::move(layout)),
-      prune_(ExtractBucketPredicates(point_expr_, *layout_)) {}
+      prune_(ExtractBucketPredicates(point_expr_, layout)) {}
 
 BucketUnpackStage::~BucketUnpackStage() {
   // Once per stage execution, not per bucket: the hot loop touches only
@@ -284,7 +283,7 @@ PlanStage::State BucketUnpackStage::Work(storage::RecordId* rid_out,
   points_scanned_ += selection_.scanned;
   if (selection_.rows.empty()) return State::kNeedTime;
 
-  if (Status b = reader_.Build(*layout_, &selection_.rows, &built_);
+  if (Status b = reader_.Build(&selection_.rows, &built_);
       !b.ok()) {
     status_ = std::move(b);
     return State::kEof;

@@ -19,10 +19,10 @@ namespace stix::query {
 ///
 /// The rewrite follows MongoDB's time-series $_internalUnpackBucket
 /// predicate mapping, specialised to this engine's expression subset:
-///  - time_field comparisons widen their lower bound by window_ms - 1
+///  - kTimeField comparisons widen their lower bound by window_ms - 1
 ///    (a bucket's date carries the window start, and points lie in
 ///    [date, date + window)); $eq becomes the widened closed range.
-///  - hilbert_field RangeSets widen each range's lower bound by
+///  - kHilbertField RangeSets widen each range's lower bound by
 ///    2^hilbert_shift - 1 (a bucket's hilbertIndex carries its cell base),
 ///    then re-merge overlaps so the result is again sorted and disjoint.
 ///  - $and maps over its children; anything else (geo predicates,
@@ -73,7 +73,7 @@ BucketPruneSpec ExtractBucketPredicates(const ExprPtr& expr,
 class BucketUnpackStage : public PlanStage {
  public:
   BucketUnpackStage(std::unique_ptr<PlanStage> child, ExprPtr point_expr,
-                    std::shared_ptr<const storage::BucketLayout> layout);
+                    const storage::BucketLayout& layout);
   ~BucketUnpackStage() override;
 
   State Work(storage::RecordId* rid_out,
@@ -93,7 +93,6 @@ class BucketUnpackStage : public PlanStage {
  private:
   std::unique_ptr<PlanStage> child_;
   ExprPtr point_expr_;
-  std::shared_ptr<const storage::BucketLayout> layout_;
   BucketPruneSpec prune_;
 
   /// Pointer-stable arena of every matching decoded point (deque: grows

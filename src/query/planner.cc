@@ -104,7 +104,7 @@ std::vector<CandidatePlan> Planner::Plan(const storage::RecordStore& records,
       auto fetch =
           std::make_unique<FetchStage>(records, std::move(scan), nullptr);
       plan.root = std::make_unique<BucketUnpackStage>(std::move(fetch), expr,
-                                                      ctx.bucket_layout);
+                                                      *ctx.bucket_layout);
       plan.transient_docs = true;
     } else {
       plan.root = std::make_unique<FetchStage>(records, std::move(scan), expr);
@@ -120,7 +120,7 @@ std::vector<CandidatePlan> Planner::Plan(const storage::RecordStore& records,
     if (bucketed) {
       auto scan = std::make_unique<CollScanStage>(records, nullptr);
       plan.root = std::make_unique<BucketUnpackStage>(std::move(scan), expr,
-                                                      ctx.bucket_layout);
+                                                      *ctx.bucket_layout);
       plan.transient_docs = true;
     } else {
       plan.root = std::make_unique<CollScanStage>(records, expr);

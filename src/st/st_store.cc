@@ -8,6 +8,7 @@
 
 #include "bson/codec.h"
 #include "common/metrics.h"
+#include "query/bucket_unpack.h"
 
 namespace stix::st {
 namespace {
@@ -67,12 +68,15 @@ StStore::StStore(StStoreOptions resolved,
   }
 }
 
-Status StStore::OpenCatalogJournal(bool fresh) {
+Status StStore::OpenCatalogJournal(const storage::WalScan* recovered) {
   const std::string& dir = options_.cluster.durability.data_dir;
   if (dir.empty() || catalog_ == nullptr) return Status::OK();
+  const std::string path = dir + "/catalog.wal";
+  const storage::WalOptions& options = options_.cluster.durability.wal;
   Result<std::unique_ptr<storage::WriteAheadLog>> wal =
-      storage::WriteAheadLog::Open(dir + "/catalog.wal",
-                                   options_.cluster.durability.wal, fresh);
+      recovered == nullptr
+          ? storage::WriteAheadLog::Rewrite(path, options)
+          : storage::WriteAheadLog::Open(path, options, *recovered);
   if (!wal.ok()) return wal.status();
   journal_ = std::move(*wal);
   return Status::OK();
@@ -85,7 +89,7 @@ Status StStore::Setup() {
   // are buckets keyed by window start (and cell base), which the shard-key
   // index already serves; a 2dsphere index over compressed columns would
   // index nothing useful.
-  if (bucketed()) return OpenCatalogJournal(/*fresh=*/true);
+  if (bucketed()) return OpenCatalogJournal(nullptr);
   for (const index::IndexDescriptor& desc : approach_->secondary_indexes()) {
     s = cluster_->CreateIndex(desc);
     if (!s.ok()) return s;
@@ -232,7 +236,7 @@ Result<std::unique_ptr<StStore>> StStore::Recover(
     recovered_points += replayed;
     STIX_METRIC_COUNTER(points, "recovery.catalog_points_replayed");
     points.Increment(replayed);
-    if (Status s = store->OpenCatalogJournal(/*fresh=*/false); !s.ok()) {
+    if (Status s = store->OpenCatalogJournal(&*scan); !s.ok()) {
       return s;
     }
     // The journal may have been truncated (every point covered) right
@@ -438,16 +442,13 @@ std::optional<double> StStore::MinBucketDistanceM(geo::Point center,
                                                   int64_t t_end_ms) const {
   if (catalog_ == nullptr) return std::nullopt;
   (void)FlushBuckets();
-  const storage::BucketLayout& layout = *options_.bucket;
-
-  // Bucket-level time window: stored documents carry window starts, so the
-  // lower bound widens by window_ms - 1 (Router::RoutingExpr's rewrite,
-  // phrased directly since this cursor streams raw buckets).
-  query::ExprPtr expr = query::MakeAnd(
-      {query::MakeCmp(layout.time_field, query::CmpOp::kGte,
-                      bson::Value::DateTime(t_begin_ms - layout.window_ms + 1)),
-       query::MakeCmp(layout.time_field, query::CmpOp::kLte,
-                      bson::Value::DateTime(t_end_ms))});
+  const query::ExprPtr expr = query::WidenForBuckets(
+      query::MakeAnd(
+          {query::MakeCmp(storage::kTimeField, query::CmpOp::kGte,
+                          bson::Value::DateTime(t_begin_ms)),
+           query::MakeCmp(storage::kTimeField, query::CmpOp::kLte,
+                          bson::Value::DateTime(t_end_ms))}),
+      *options_.bucket);
 
   cluster::CursorOptions cursor_options;
   cursor_options.batch_size = 0;

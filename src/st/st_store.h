@@ -128,8 +128,8 @@ class StStore {
   Status Setup();
 
   /// Reopens a durable store from its data directory after a crash or a
-  /// clean shutdown: recovers the cluster (config journal, per-shard
-  /// checkpoints + WAL replay, orphan sweep), then — for bucketed layouts —
+  /// clean shutdown: recovers the cluster (config journal, per-shard log
+  /// image + replay, orphan sweep), then — for bucketed layouts —
   /// replays the catalog journal, re-buffering every acknowledged point
   /// that never reached a flushed bucket. `options` must match the ones the
   /// store was Setup() with (approach, layout, data_dir); an approach whose
@@ -137,8 +137,8 @@ class StStore {
   static Result<std::unique_ptr<StStore>> Recover(
       const StStoreOptions& options);
 
-  /// Durable stores: flushes buffered buckets, persists every shard's data
-  /// as a checkpoint (truncating its WAL) and compacts the config journal.
+  /// Durable stores: flushes buffered buckets, rewrites every shard's WAL
+  /// as an image of its data and compacts the config journal.
   /// No-op (OK) otherwise.
   Status Checkpoint();
 
@@ -242,9 +242,10 @@ class StStore {
   /// `resolved` already went through ResolveOptions.
   StStore(StStoreOptions resolved, std::unique_ptr<cluster::Cluster> cluster);
 
-  /// Opens (or reopens) the catalog journal for a durable bucketed store;
-  /// no-op for row layouts or non-durable stores.
-  Status OpenCatalogJournal(bool fresh);
+  /// Opens the catalog journal for a durable bucketed store: a new, empty
+  /// one when `recovered` is null, else the journal `recovered` (its
+  /// ReadWal) describes. No-op for row layouts or non-durable stores.
+  Status OpenCatalogJournal(const storage::WalScan* recovered);
 
   /// Durable bucketed stores, journal_mu_ held: flushes every buffered
   /// bucket and, once every journaled point sits in a flushed bucket,
@@ -282,7 +283,7 @@ class StStore {
   /// Durable bucketed stores: every point is journaled here (kCatalogAdd)
   /// before it is acknowledged, closing the durability gap while the point
   /// sits in an open in-memory bucket. Truncated once every buffered point
-  /// has reached a flushed bucket inside some shard's own WAL/checkpoint.
+  /// has reached a flushed bucket inside some shard's own WAL.
   std::unique_ptr<storage::WriteAheadLog> journal_;
   /// Orders (journal append+commit, catalog add) pairs against the
   /// flush-then-truncate sequence in FlushBuckets — without it a point

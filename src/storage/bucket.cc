@@ -278,20 +278,20 @@ void ReplaceBucketBlob(bson::Document* bucket, std::string blob) {
 
 Result<BucketKey> ComputeBucketKey(const bson::Document& point,
                                    const BucketLayout& layout) {
-  const bson::Value* ts = point.Get(layout.time_field);
+  const bson::Value* ts = point.Get(kTimeField);
   if (ts == nullptr || ts->type() != bson::Type::kDateTime) {
     return Status::InvalidArgument(
-        "bucketed store requires a DateTime '" + layout.time_field +
+        std::string("bucketed store requires a DateTime '") + kTimeField +
         "' field on every document");
   }
   BucketKey key;
   key.window = layout.WindowBase(ts->AsDateTime());
-  if (const bson::Value* v = point.Get(layout.vehicle_field)) {
+  if (const bson::Value* v = point.Get(kVehicleField)) {
     if (v->type() == bson::Type::kInt32) key.vehicle = v->AsInt32();
     if (v->type() == bson::Type::kInt64) key.vehicle = v->AsInt64();
   }
   if (layout.use_hilbert) {
-    if (const bson::Value* h = point.Get(layout.hilbert_field);
+    if (const bson::Value* h = point.Get(kHilbertField);
         h != nullptr && h->type() == bson::Type::kInt64) {
       key.cell = h->AsInt64() >> layout.hilbert_shift;
     }
@@ -322,12 +322,12 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
     bool got_ts = false, got_loc = false, got_id = false, got_hil = false;
     for (size_t fi = 0; fi < p.size(); ++fi) {
       const auto& [name, value] = p.field(fi);
-      if (!got_ts && name == layout.time_field &&
+      if (!got_ts && name == kTimeField &&
           value.type() == bson::Type::kDateTime) {
         ts[i] = value.AsDateTime();
         positions[i * kNumSlots + kSlotTs] = static_cast<int64_t>(fi);
         got_ts = true;
-      } else if (!got_loc && name == layout.location_field &&
+      } else if (!got_loc && name == kLocationField &&
                  IsCanonicalGeoPoint(value, &lon[i], &lat[i])) {
         positions[i * kNumSlots + kSlotLoc] = static_cast<int64_t>(fi);
         got_loc = true;
@@ -337,7 +337,7 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
         ids.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
         positions[i * kNumSlots + kSlotId] = static_cast<int64_t>(fi);
         got_id = true;
-      } else if (!got_hil && name == layout.hilbert_field &&
+      } else if (!got_hil && name == kHilbertField &&
                  value.type() == bson::Type::kInt64) {
         hil[i] = value.AsInt64();
         positions[i * kNumSlots + kSlotHil] = static_cast<int64_t>(fi);
@@ -346,7 +346,8 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
     }
     if (!got_ts) {
       return Status::InvalidArgument(
-          "bucketed point lacks a DateTime '" + layout.time_field + "' field");
+          std::string("bucketed point lacks a DateTime '") + kTimeField +
+          "' field");
     }
     has_loc = has_loc && got_loc;
     has_id = has_id && got_id;
@@ -559,9 +560,9 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
     // in exactly one bucket).
     bucket.Append("_id", *points[0].Get("_id"));
   }
-  bucket.Append(layout.time_field, bson::Value::DateTime(window_base));
+  bucket.Append(kTimeField, bson::Value::DateTime(window_base));
   if (layout.use_hilbert && has_hil) {
-    bucket.Append(layout.hilbert_field,
+    bucket.Append(kHilbertField,
                   bson::Value::Int64((hil[0] >> layout.hilbert_shift)
                                      << layout.hilbert_shift));
   }
@@ -963,8 +964,7 @@ Status BucketReader::LoadRowColumns() {
   return Status::OK();
 }
 
-Status BucketReader::Build(const BucketLayout& layout,
-                           const std::vector<uint32_t>* rows,
+Status BucketReader::Build(const std::vector<uint32_t>* rows,
                            std::vector<bson::Document>* out) {
   out->clear();
   const size_t n = meta_.num_points;
@@ -1005,9 +1005,9 @@ Status BucketReader::Build(const BucketLayout& layout,
     size_t res_next = 0;
     for (size_t fi = 0; fi < total_fields; ++fi) {
       if (pos[kSlotTs] == static_cast<int64_t>(fi)) {
-        point.Append(layout.time_field, bson::Value::DateTime(ts_[i]));
+        point.Append(kTimeField, bson::Value::DateTime(ts_[i]));
       } else if (pos[kSlotLoc] == static_cast<int64_t>(fi)) {
-        point.Append(layout.location_field,
+        point.Append(kLocationField,
                      bson::Value::MakeDocument(
                          bson::GeoJsonPoint(lon_[i], lat_[i])));
       } else if (pos[kSlotId] == static_cast<int64_t>(fi)) {
@@ -1016,7 +1016,7 @@ Status BucketReader::Build(const BucketLayout& layout,
                     bytes.size());
         point.Append("_id", bson::Value::Id(bson::ObjectId(bytes)));
       } else if (pos[kSlotHil] == static_cast<int64_t>(fi)) {
-        point.Append(layout.hilbert_field, bson::Value::Int64(hil_[i]));
+        point.Append(kHilbertField, bson::Value::Int64(hil_[i]));
       } else {
         if (res_next >= res_count) {
           out->clear();
@@ -1036,12 +1036,11 @@ Status BucketReader::Build(const BucketLayout& layout,
   return Status::OK();
 }
 
-Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
-                                                 const BucketLayout& layout) {
+Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket) {
   BucketReader reader;
   if (Status s = reader.Reset(bucket); !s.ok()) return s;
   std::vector<bson::Document> points;
-  if (Status s = reader.Build(layout, nullptr, &points); !s.ok()) return s;
+  if (Status s = reader.Build(nullptr, &points); !s.ok()) return s;
   return points;
 }
 

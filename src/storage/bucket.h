@@ -14,6 +14,14 @@
 
 namespace stix::storage {
 
+/// The point fields the bucketed layout reads and writes: a point's time
+/// (a bucket's carries its window start), location, hilbertIndex (a
+/// bucket's carries its cell base) and vehicle.
+inline constexpr char kTimeField[] = "date";
+inline constexpr char kLocationField[] = "location";
+inline constexpr char kHilbertField[] = "hilbertIndex";
+inline constexpr char kVehicleField[] = "vehicleId";
+
 /// Shape of the bucketed time-series collection layout (MongoDB's
 /// time-series buckets, specialised to the paper's trajectory workload):
 /// one stored document per (vehicle, time window[, Hilbert cell]) holding
@@ -35,11 +43,6 @@ struct BucketLayout {
   /// invariant the hilbertIndex range widening relies on.
   int hilbert_shift = 12;
   bool use_hilbert = false;
-
-  std::string time_field = "date";
-  std::string location_field = "location";
-  std::string hilbert_field = "hilbertIndex";
-  std::string vehicle_field = "vehicleId";
 
   /// Start of the window containing `ts` (floor to window_ms, correct for
   /// negative timestamps).
@@ -114,8 +117,7 @@ Result<bson::Document> EncodeBucket(const std::vector<bson::Document>& points,
 
 /// Reverses EncodeBucket, reproducing the original point documents in
 /// insertion order (BucketReader::Build over every row).
-Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket,
-                                                 const BucketLayout& layout);
+Result<std::vector<bson::Document>> DecodeBucket(const bson::Document& bucket);
 
 /// Decodes only the pruning metadata from the blob's header (no column
 /// access).
@@ -129,7 +131,7 @@ uint64_t StoredPointCount(const bson::Document& doc);
 /// check: on its metadata (whole-bucket pruning) and on its predicate
 /// columns (per-row selection). Built by query::ExtractBucketPredicates.
 struct BucketPruneSpec {
-  /// Closed time bounds on the points (from time_field comparisons).
+  /// Closed time bounds on the points (from kTimeField comparisons).
   std::optional<int64_t> min_ts;
   std::optional<int64_t> max_ts;
   /// Spatial bound: the query rect, or a polygon's bounding box.
@@ -228,7 +230,7 @@ class BucketReader {
   /// time extent, MBR and hil ranges are checked against the columns, so a
   /// damaged bucket fails with Corruption whichever rows are asked for;
   /// only the asked-for rows become documents.
-  Status Build(const BucketLayout& layout, const std::vector<uint32_t>* rows,
+  Status Build(const std::vector<uint32_t>* rows,
                std::vector<bson::Document>* out);
 
   /// The ts/lon/lat columns, valid after Select or Build decoded them; lon

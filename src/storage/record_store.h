@@ -42,8 +42,9 @@ class RecordStore {
   /// keeps it as its undo copy); nullopt if already gone.
   std::optional<bson::Document> Remove(RecordId id);
 
-  /// Re-creates a record at a specific id — checkpoint load and WAL replay
-  /// must reproduce the exact RecordIds the indexes point at. Grows the
+  /// Re-creates a record at a specific id — WAL replay (a log's image
+  /// batch and the batches after it) must reproduce the exact RecordIds
+  /// the indexes point at. Grows the
   /// store with tombstoned slots as needed; InvalidArgument for id 0,
   /// AlreadyExists if the slot is live (a replay bug, not a data race).
   Status RestoreAt(RecordId id, bson::Document doc);

@@ -56,13 +56,14 @@ uint64_t GetU64(const char* p) {
 
 /// `u32 len | u32 crc | body` with body = `u8 type | u64 lsn | u64 rid |
 /// payload` — the one frame shape shared by writer and reader.
-std::string EncodeFrame(const WalRecord& record) {
+std::string EncodeFrame(WalRecordType type, uint64_t lsn, uint64_t rid,
+                        std::string_view payload) {
   std::string body;
-  body.reserve(kBodyHeader + record.payload.size());
-  body.push_back(static_cast<char>(record.type));
-  PutU64(record.lsn, &body);
-  PutU64(record.rid, &body);
-  body += record.payload;
+  body.reserve(kBodyHeader + payload.size());
+  body.push_back(static_cast<char>(type));
+  PutU64(lsn, &body);
+  PutU64(rid, &body);
+  body += payload;
 
   std::string frame;
   frame.reserve(kFrameHeader + body.size());
@@ -74,6 +75,19 @@ std::string EncodeFrame(const WalRecord& record) {
 
 }  // namespace
 
+std::string EncodeImageCount(uint64_t num_records) {
+  std::string out;
+  PutU64(num_records, &out);
+  return out;
+}
+
+Result<uint64_t> DecodeImageCount(std::string_view payload) {
+  if (payload.size() != 8) {
+    return Status::Corruption("image record payload is not a u64 count");
+  }
+  return GetU64(payload.data());
+}
+
 uint32_t Crc32(std::string_view data) {
   static const std::array<uint32_t, 256> table = MakeCrcTable();
   uint32_t crc = 0xFFFFFFFFu;
@@ -83,11 +97,13 @@ uint32_t Crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-// The three crash points of the commit path (see wal.h). Arm with an error
-// action; the configured Status is what the dying operation returns.
+// The three crash points of the commit path and the one of Rewrite (see
+// wal.h). Arm with an error action; the configured Status is what the dying
+// operation returns.
 STIX_FAIL_POINT_DEFINE(walBeforeCommit);
 STIX_FAIL_POINT_DEFINE(walAfterCommitBeforeAck);
 STIX_FAIL_POINT_DEFINE(walTornTail);
+STIX_FAIL_POINT_DEFINE(checkpointMidWrite);
 
 Result<WalScan> ReadWal(const std::string& path) {
   WalScan scan;
@@ -118,6 +134,7 @@ Result<WalScan> ReadWal(const std::string& path) {
       batch.clear();
       scan.last_lsn = record.lsn;
       scan.committed_bytes = offset;
+      if (scan.first_batch_bytes == 0) scan.first_batch_bytes = offset;
     } else {
       batch.push_back(std::move(record));
     }
@@ -135,27 +152,59 @@ WriteAheadLog::~WriteAheadLog() {
   if (!dead_ && file_.is_open()) (void)SyncLocked();
 }
 
-Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(std::string path,
-                                                           WalOptions options,
-                                                           bool fresh) {
+Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Rewrite(
+    std::string path, WalOptions options,
+    const std::function<void(const AppendFn&)>& fill) {
   std::unique_ptr<WriteAheadLog> wal(
       new WriteAheadLog(std::move(path), options));
-  if (fresh) {
-    wal->file_.open(wal->path_, std::ios::binary | std::ios::trunc);
-  } else {
-    // Scan to the commit horizon and truncate the torn/uncommitted tail
-    // away permanently — replaying twice must see the same log.
-    Result<WalScan> scan = ReadWal(wal->path_);
-    if (!scan.ok()) return scan.status();
-    if (FileExists(wal->path_)) {
-      const Status s = ResizeFile(wal->path_, scan->committed_bytes);
-      if (!s.ok()) return s;
+  const std::string tmp = wal->path_ + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out.is_open()) {
+      return Status::Internal("cannot create wal file: " + tmp);
     }
-    wal->next_lsn_ = scan->last_lsn + 1;
-    wal->last_commit_lsn_ = scan->last_lsn;
-    wal->log_bytes_ = scan->committed_bytes;
-    wal->file_.open(wal->path_, std::ios::binary | std::ios::app);
+    const auto write = [&](WalRecordType type, uint64_t rid,
+                           std::string_view payload) {
+      const std::string frame =
+          EncodeFrame(type, wal->next_lsn_++, rid, payload);
+      out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+      wal->log_bytes_ += frame.size();
+    };
+    if (fill) fill(write);
+    if (wal->log_bytes_ > 0) {
+      // The crash leaves a `.tmp` without its commit marker, never renamed.
+      if (Status s = CheckFailPoint(checkpointMidWrite); !s.ok()) {
+        out.flush();
+        return s;
+      }
+      wal->last_commit_lsn_ = wal->next_lsn_;
+      write(WalRecordType::kCommit, 0, {});
+    }
+    out.flush();
+    if (!out.good()) return Status::Internal("wal write failed: " + tmp);
   }
+  if (Status s = RenameFile(tmp, wal->path_); !s.ok()) return s;
+  wal->file_.open(wal->path_, std::ios::binary | std::ios::app);
+  if (!wal->file_.is_open()) {
+    return Status::Internal("cannot open wal file: " + wal->path_);
+  }
+  return wal;
+}
+
+Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
+    std::string path, WalOptions options, const WalScan& scan) {
+  std::unique_ptr<WriteAheadLog> wal(
+      new WriteAheadLog(std::move(path), options));
+  // Truncate the torn/uncommitted tail away permanently — replaying twice
+  // must see the same log.
+  if (FileExists(wal->path_)) {
+    const Status s = ResizeFile(wal->path_, scan.committed_bytes);
+    if (!s.ok()) return s;
+  }
+  wal->next_lsn_ = scan.last_lsn + 1;
+  wal->last_commit_lsn_ = scan.last_lsn;
+  wal->log_bytes_ = scan.committed_bytes;
+  wal->file_.open(wal->path_, std::ios::binary | std::ios::app);
   if (!wal->file_.is_open()) {
     return Status::Internal("cannot open wal file: " + wal->path_);
   }
@@ -198,7 +247,9 @@ Result<uint64_t> WriteAheadLog::Commit() {
   if (staged_.empty()) return last_commit_lsn_;
 
   std::string batch;
-  for (const WalRecord& record : staged_) batch += EncodeFrame(record);
+  for (const WalRecord& record : staged_) {
+    batch += EncodeFrame(record.type, record.lsn, record.rid, record.payload);
+  }
 
   // Crash point 1: the batch's record frames reach the file, the commit
   // marker never does. Recovery sees an uncommitted tail and discards it.
@@ -207,10 +258,9 @@ Result<uint64_t> WriteAheadLog::Commit() {
     return s;
   }
 
-  WalRecord commit;
-  commit.type = WalRecordType::kCommit;
-  commit.lsn = next_lsn_++;
-  const std::string commit_frame = EncodeFrame(commit);
+  const uint64_t commit_lsn = next_lsn_++;
+  const std::string commit_frame =
+      EncodeFrame(WalRecordType::kCommit, commit_lsn, 0, {});
 
   // Crash point 2: the commit marker is cut mid-frame — a torn write.
   // Recovery must CRC-reject the partial frame and truncate it away.
@@ -222,7 +272,7 @@ Result<uint64_t> WriteAheadLog::Commit() {
   tail_ += batch;
   tail_ += commit_frame;
   log_bytes_ += batch.size() + commit_frame.size();
-  last_commit_lsn_ = commit.lsn;
+  last_commit_lsn_ = commit_lsn;
   staged_.clear();
   ++commits_since_sync_;
 
@@ -240,7 +290,7 @@ Result<uint64_t> WriteAheadLog::Commit() {
   if (commits_since_sync_ >= options_.sync_every_commits) {
     if (Status s = SyncLocked(); !s.ok()) return s;
   }
-  return commit.lsn;
+  return commit_lsn;
 }
 
 Status WriteAheadLog::SyncLocked() {
@@ -286,10 +336,6 @@ Status WriteAheadLog::Truncate() {
 void WriteAheadLog::EnsureLsnPast(uint64_t lsn) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (next_lsn_ <= lsn) next_lsn_ = lsn + 1;
-  // Keep last_commit_lsn() monotonic across recoveries too — a checkpoint
-  // taken right after recovery must not carry an LSN below the horizon of
-  // the checkpoint it was recovered from.
-  if (last_commit_lsn_ < lsn) last_commit_lsn_ = lsn;
 }
 
 void WriteAheadLog::Kill() {
@@ -301,11 +347,6 @@ void WriteAheadLog::Kill() {
 bool WriteAheadLog::dead() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return dead_;
-}
-
-uint64_t WriteAheadLog::last_commit_lsn() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return last_commit_lsn_;
 }
 
 uint64_t WriteAheadLog::log_bytes() const {

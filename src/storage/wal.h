@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,7 +15,7 @@
 namespace stix::storage {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) — the frame checksum of the
-/// write-ahead log and the checkpoint block format.
+/// write-ahead log.
 uint32_t Crc32(std::string_view data);
 
 /// What a WAL record describes. Data records (insert/remove/catalog-add)
@@ -26,7 +27,16 @@ enum class WalRecordType : uint8_t {
   kCommit = 3,      ///< Batch boundary: everything staged before it commits.
   kCatalogAdd = 4,  ///< Point BSON journaled by the bucket catalog.
   kConfigMeta = 5,  ///< Full cluster metadata BSON (config journal).
+  /// Opens a shard log's first batch, the image of its record store: rid =
+  /// the highest RecordId ever issued, payload = the live record count
+  /// (EncodeImageCount). One kInsert per live record follows in the batch.
+  kImage = 6,
 };
+
+/// The kImage payload: the image's live record count, u64 little-endian.
+std::string EncodeImageCount(uint64_t num_records);
+/// Inverse of EncodeImageCount; Corruption unless the payload is 8 bytes.
+Result<uint64_t> DecodeImageCount(std::string_view payload);
 
 /// One decoded log record. `rid` is meaningful for kInsert/kRemove;
 /// `payload` carries BSON bytes for kInsert/kCatalogAdd/kConfigMeta.
@@ -57,6 +67,9 @@ struct WalScan {
   /// Byte offset of the commit horizon — everything past it is an
   /// uncommitted or torn tail that recovery discards.
   uint64_t committed_bytes = 0;
+  /// Byte offset where the first committed batch ends (a rewritten log's
+  /// image); 0 if none.
+  uint64_t first_batch_bytes = 0;
   /// True when bytes existed past the horizon (torn frame, bad CRC, or a
   /// batch with no commit marker).
   bool torn = false;
@@ -90,16 +103,35 @@ Result<WalScan> ReadWal(const std::string& path);
 ///   walAfterCommitBeforeAck— the batch is fully durable but the caller
 ///                            still sees an error: an unacknowledged write
 ///                            that MAY legitimately survive recovery.
-/// Any crash point kills the log: every later Append/Commit/Sync fails,
-/// modeling the process being gone. Thread-safe (internally locked).
+///   checkpointMidWrite     — Rewrite dies after the new batch's records
+///                            reached `.tmp` and before its commit marker:
+///                            the rename never happens and the old log
+///                            stays in place (a shard then kills it).
+/// The commit-path crash points kill the log: every later Append/Commit/
+/// Sync fails, modeling the process being gone. Thread-safe (internally
+/// locked).
 class WriteAheadLog {
  public:
-  /// Opens `path` for appending. `fresh` truncates (a brand-new store);
-  /// otherwise the file is scanned, the torn tail is truncated away, and
-  /// the LSN counter resumes after the last committed LSN.
+  /// Stages one record of the batch a Rewrite writes.
+  using AppendFn = std::function<void(WalRecordType type, uint64_t rid,
+                                      std::string_view payload)>;
+
+  /// Replaces the log at `path` (if any) with a log whose one committed
+  /// batch holds the records `fill` appends, and opens it for appending;
+  /// a null or silent `fill` leaves an empty log. The batch is written to
+  /// `<path>.tmp`, flushed and renamed over `path`: the rename is the
+  /// truncation, so a crash before it leaves the old log whole and a crash
+  /// after it the new one. LSNs restart at 1.
+  static Result<std::unique_ptr<WriteAheadLog>> Rewrite(
+      std::string path, WalOptions options,
+      const std::function<void(const AppendFn&)>& fill = nullptr);
+
+  /// Opens the log at `path` for appending, given `scan` = ReadWal(path):
+  /// truncates the torn tail past its commit horizon away and resumes the
+  /// LSN counter after its last committed LSN.
   static Result<std::unique_ptr<WriteAheadLog>> Open(std::string path,
                                                      WalOptions options,
-                                                     bool fresh);
+                                                     const WalScan& scan);
 
   ~WriteAheadLog();
 
@@ -120,16 +152,15 @@ class WriteAheadLog {
   /// Flushes every buffered commit to the file immediately.
   Status Sync();
 
-  /// Drops all log content (after a checkpoint made it redundant). The LSN
-  /// counter keeps counting — LSNs are never reused.
+  /// Drops all log content (the catalog journal, once flushed buckets
+  /// cover it). The LSN counter keeps counting — LSNs are never reused.
   Status Truncate();
 
   /// Raises the LSN counter so the next assigned LSN is at least lsn + 1.
-  /// Recovery calls this with the highest LSN any *other* durable artifact
-  /// references (a shard's checkpoint horizon, a bucket document's wlsns):
-  /// the reopened log file may be empty — truncated at exactly that horizon
-  /// — and without the floor new records would reuse LSNs at or below it,
-  /// which the next recovery's replay filters would silently skip.
+  /// Catalog-journal recovery calls this with the highest LSN a flushed
+  /// bucket document's wlsns references: the reopened journal may be empty
+  /// — truncated once those buckets covered it — and without the floor new
+  /// records would reuse covered LSNs, which the next recovery would skip.
   void EnsureLsnPast(uint64_t lsn);
 
   /// Simulates process death: every later write refuses. ReadWal of the
@@ -137,9 +168,8 @@ class WriteAheadLog {
   void Kill();
 
   bool dead() const;
-  uint64_t last_commit_lsn() const;
-  /// Bytes of committed frames in the log since the last Truncate
-  /// (flushed + buffered) — the checkpoint trigger reads this.
+  /// Bytes of committed frames in the log file (flushed + buffered) — the
+  /// checkpoint trigger reads this.
   uint64_t log_bytes() const;
   const std::string& path() const { return path_; }
 

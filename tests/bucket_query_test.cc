@@ -179,11 +179,11 @@ TEST(BucketPruneSpecTest, CoversOnlyWhenExactAndContained) {
   const int64_t t0 = 1530403200000;
   std::vector<query::ExprPtr> conjuncts;
   conjuncts.push_back(query::MakeCmp(
-      layout.time_field, query::CmpOp::kGte, bson::Value::DateTime(t0)));
-  conjuncts.push_back(query::MakeCmp(layout.time_field, query::CmpOp::kLte,
+      storage::kTimeField, query::CmpOp::kGte, bson::Value::DateTime(t0)));
+  conjuncts.push_back(query::MakeCmp(storage::kTimeField, query::CmpOp::kLte,
                                      bson::Value::DateTime(t0 + kHourMs)));
   conjuncts.push_back(query::MakeGeoWithinBox(
-      layout.location_field, geo::Rect{{23.0, 37.0}, {24.0, 38.0}}));
+      storage::kLocationField, geo::Rect{{23.0, 37.0}, {24.0, 38.0}}));
   const query::ExprPtr expr = query::MakeAnd(std::move(conjuncts));
   const query::BucketPruneSpec spec =
       query::ExtractBucketPredicates(expr, layout);
@@ -223,7 +223,7 @@ TEST(BucketPruneSpecTest, CoversOnlyWhenExactAndContained) {
 
   // A polygon captures only its bounding box — never exact, never covers.
   const query::ExprPtr poly_expr = query::MakeGeoWithinPolygon(
-      layout.location_field,
+      storage::kLocationField,
       geo::Polygon{{{23.0, 37.0}, {24.0, 37.0}, {23.5, 38.0}}});
   const query::BucketPruneSpec poly_spec =
       query::ExtractBucketPredicates(poly_expr, layout);
@@ -370,7 +370,7 @@ TEST(BucketKernelTest, SelectionAndBuiltRowsEqualDecodePlusMatches) {
     no_hil += reader.column(storage::BucketColumn::kHil).empty();
     res += !reader.uniform_residuals();
     const Result<std::vector<bson::Document>> all =
-        storage::DecodeBucket(*bucket, layout);
+        storage::DecodeBucket(*bucket);
     ASSERT_TRUE(all.ok()) << all.status().ToString();
 
     for (const query::ExprPtr& expr : KernelExpressions(rng, base)) {
@@ -389,7 +389,7 @@ TEST(BucketKernelTest, SelectionAndBuiltRowsEqualDecodePlusMatches) {
       std::vector<std::string> got;
       if (!selection.rows.empty()) {
         std::vector<bson::Document> built;
-        const Status b = reader.Build(layout, &selection.rows, &built);
+        const Status b = reader.Build(&selection.rows, &built);
         ASSERT_TRUE(b.ok()) << b.ToString();
         ASSERT_EQ(built.size(), selection.rows.size());
         for (size_t k = 0; k < built.size(); ++k) {

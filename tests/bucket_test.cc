@@ -61,7 +61,7 @@ TEST(BucketCodecTest, RoundTripIsBitExact) {
   ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
   EXPECT_TRUE(IsBucketDocument(*bucket));
   const Result<std::vector<bson::Document>> back =
-      DecodeBucket(*bucket, layout);
+      DecodeBucket(*bucket);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ExpectBitExact(points, *back);
 }
@@ -90,11 +90,11 @@ TEST(BucketCodecTest, UniformSchemaUsesColumnarResiduals) {
   EXPECT_FALSE(reader.column(BucketColumn::kResidual).empty());
 
   const Result<std::vector<bson::Document>> back_cols =
-      DecodeBucket(*cols_bucket, layout);
+      DecodeBucket(*cols_bucket);
   ASSERT_TRUE(back_cols.ok());
   ExpectBitExact(uniform, *back_cols);
   const Result<std::vector<bson::Document>> back_res =
-      DecodeBucket(*res_bucket, layout);
+      DecodeBucket(*res_bucket);
   ASSERT_TRUE(back_res.ok()) << back_res.status().ToString();
   ExpectBitExact(mixed, *back_res);
 }
@@ -137,13 +137,13 @@ TEST(BucketCodecTest, TimeLocColumnsAreBitExactWithDecodedPoints) {
   ASSERT_EQ(cols->lon().size(), points.size());
   ASSERT_EQ(cols->lat().size(), points.size());
   const Result<std::vector<bson::Document>> back =
-      DecodeBucket(*bucket, layout);
+      DecodeBucket(*bucket);
   ASSERT_TRUE(back.ok());
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(cols->ts()[i], (*back)[i].Get(layout.time_field)->AsDateTime());
+    EXPECT_EQ(cols->ts()[i], (*back)[i].Get(kTimeField)->AsDateTime());
     double lon = 0, lat = 0;
     ASSERT_TRUE(bson::ExtractGeoJsonPoint(
-        *(*back)[i].Get(layout.location_field), &lon, &lat));
+        *(*back)[i].Get(kLocationField), &lon, &lat));
     // Bit-exact, not just approximately equal: a columnar predicate must
     // agree with one evaluated on the reconstructed documents.
     EXPECT_EQ(std::memcmp(&cols->lon()[i], &lon, sizeof lon), 0);
@@ -206,10 +206,8 @@ bson::Document WithBlob(const bson::Document& bucket, std::string blob) {
   return out;
 }
 
-void ExpectCorruption(const bson::Document& bucket, const BucketLayout& layout,
-                      const std::string& what) {
-  const Result<std::vector<bson::Document>> result =
-      DecodeBucket(bucket, layout);
+void ExpectCorruption(const bson::Document& bucket, const std::string& what) {
+  const Result<std::vector<bson::Document>> result = DecodeBucket(bucket);
   ASSERT_FALSE(result.ok()) << what;
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
       << what << ": " << result.status().ToString();
@@ -221,7 +219,7 @@ std::vector<bson::Document> MakeHilbertPoints(const BucketLayout& layout,
   for (int i = 0; i < n; ++i) {
     // Two runs of consecutive values: two hil ranges in the header.
     points[static_cast<size_t>(i)].Append(
-        layout.hilbert_field, bson::Value::Int64(4096 + i + (i >= n / 2) * 9));
+        kHilbertField, bson::Value::Int64(4096 + i + (i >= n / 2) * 9));
   }
   return points;
 }
@@ -236,11 +234,11 @@ TEST(BucketCodecTest, CorruptedColumnsFailCleanly) {
   const Result<bson::Document> bucket = EncodeBucket(points, layout);
   ASSERT_TRUE(bucket.ok());
   const std::string blob = *BucketBlob(*bucket);
-  ASSERT_TRUE(DecodeBucket(*bucket, layout).ok());
+  ASSERT_TRUE(DecodeBucket(*bucket).ok());
   ASSERT_EQ(static_cast<uint8_t>(blob[kNumHilOffset]), 2);
 
   for (size_t cut = 0; cut < blob.size(); ++cut) {
-    ExpectCorruption(WithBlob(*bucket, blob.substr(0, cut)), layout,
+    ExpectCorruption(WithBlob(*bucket, blob.substr(0, cut)),
                      "blob cut at " + std::to_string(cut));
   }
 
@@ -256,7 +254,7 @@ TEST(BucketCodecTest, CorruptedColumnsFailCleanly) {
       for (size_t b = 0; b < 4; ++b) {
         mutated[table + 4 * c + b] = static_cast<char>(keep >> (8 * b));
       }
-      ExpectCorruption(WithBlob(*bucket, std::move(mutated)), layout,
+      ExpectCorruption(WithBlob(*bucket, std::move(mutated)),
                        "column " + std::to_string(c) + " cut to " +
                            std::to_string(keep));
     }
@@ -274,7 +272,7 @@ TEST(BucketCodecTest, CorruptedColumnsFailCleanly) {
   for (const size_t at : flips) {
     std::string mutated = blob;
     mutated[at] = static_cast<char>(~static_cast<uint8_t>(mutated[at]));
-    ExpectCorruption(WithBlob(*bucket, std::move(mutated)), layout,
+    ExpectCorruption(WithBlob(*bucket, std::move(mutated)),
                      "byte " + std::to_string(at) + " flipped");
   }
 }
@@ -305,7 +303,7 @@ TEST(BucketCodecTest, PointCountIsCheckedBeforeAnyColumn) {
     EXPECT_EQ(ParseBucketMeta(mutated).status().code(),
               StatusCode::kCorruption)
         << "n = " << n;
-    ExpectCorruption(mutated, layout, "n = " + std::to_string(n));
+    ExpectCorruption(mutated, "n = " + std::to_string(n));
   }
 }
 
@@ -342,7 +340,7 @@ TEST(BucketCodecTest, RandomizedRoundTrip) {
     const Result<bson::Document> bucket = EncodeBucket(points, layout);
     ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
     const Result<std::vector<bson::Document>> back =
-        DecodeBucket(*bucket, layout);
+        DecodeBucket(*bucket);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectBitExact(points, *back);
   }
@@ -361,10 +359,10 @@ TEST(BucketCodecTest, GoldenBucketShape) {
   EXPECT_TRUE(IsBucketDocument(*bucket));
   ASSERT_EQ(bucket->size(), 4u);  // _id, date, hilbertIndex, blob
   EXPECT_EQ(bucket->field(0).first, "_id");
-  const bson::Value* time = bucket->Get(layout.time_field);
+  const bson::Value* time = bucket->Get(kTimeField);
   ASSERT_NE(time, nullptr);
   EXPECT_EQ(time->AsDateTime(), layout.WindowBase(1530403200000));
-  const bson::Value* cell = bucket->Get(layout.hilbert_field);
+  const bson::Value* cell = bucket->Get(kHilbertField);
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->AsInt64(), 4096);  // the cell base, 4096 >> 12 << 12
 
@@ -406,7 +404,7 @@ TEST(BucketCodecTest, GoldenBucketShape) {
     EXPECT_EQ(reader.column(static_cast<BucketColumn>(c)).data(),
               blob.data() + spans[c].first);
   }
-  ExpectBitExact(points, *DecodeBucket(*bucket, layout));
+  ExpectBitExact(points, *DecodeBucket(*bucket));
 
   // Without hilbert values: no hil flag, ranges or column.
   const Result<bson::Document> plain =
@@ -506,7 +504,7 @@ TEST(BucketCatalogTest, HilbertCellSplitsBuckets) {
   for (const int64_t hil : {int64_t{0}, int64_t{1} << 20}) {
     for (int i = 0; i < 3; ++i) {
       bson::Document p = MakePoint(1, base + i, 23.7, 37.9, i);
-      p.Append(layout.hilbert_field, bson::Value::Int64(hil + i));
+      p.Append(kHilbertField, bson::Value::Int64(hil + i));
       ASSERT_TRUE(catalog.Add(std::move(p)).ok());
     }
   }

@@ -77,8 +77,8 @@ TEST(ChunkManagerTest, SplitAndFind) {
   ChunkManager cm(0);
   const std::string k10 = keystring::Encode(Value::Int64(10));
   const std::string k20 = keystring::Encode(Value::Int64(20));
-  ASSERT_TRUE(cm.Split(0, k10).ok());
-  ASSERT_TRUE(cm.Split(1, k20).ok());
+  ASSERT_TRUE(cm.MultiSplit(0, {k10}).ok());
+  ASSERT_TRUE(cm.MultiSplit(1, {k20}).ok());
   EXPECT_EQ(cm.num_chunks(), 3u);
   EXPECT_TRUE(cm.CheckInvariants());
   EXPECT_EQ(cm.FindChunkIndex(keystring::Encode(Value::Int64(5))), 0u);
@@ -90,16 +90,16 @@ TEST(ChunkManagerTest, SplitAndFind) {
 TEST(ChunkManagerTest, SplitRejectsOutOfRangeKeys) {
   ChunkManager cm(0);
   const std::string k = keystring::Encode(Value::Int64(10));
-  ASSERT_TRUE(cm.Split(0, k).ok());
-  EXPECT_FALSE(cm.Split(1, k).ok());  // equals chunk 1's min
-  EXPECT_FALSE(cm.Split(0, keystring::MinKey()).ok());
+  ASSERT_TRUE(cm.MultiSplit(0, {k}).ok());
+  EXPECT_FALSE(cm.MultiSplit(1, {k}).ok());  // equals chunk 1's min
+  EXPECT_FALSE(cm.MultiSplit(0, {keystring::MinKey()}).ok());
 }
 
 TEST(ChunkManagerTest, IntersectingChunks) {
   ChunkManager cm(0);
   for (int v : {10, 20, 30}) {
-    cm.Split(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
-             keystring::Encode(Value::Int64(v)));
+    cm.MultiSplit(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
+                  {keystring::Encode(Value::Int64(v))});
   }
   // Range [15, 25] touches chunks [10,20) and [20,30); targeting asks the
   // routing snapshot of the table.
@@ -116,7 +116,7 @@ TEST(ChunkManagerTest, SplitAccountingHalves) {
   ChunkManager cm(0);
   cm.chunk(0).bytes = 1000;
   cm.chunk(0).docs = 10;
-  cm.Split(0, keystring::Encode(Value::Int64(0)));
+  cm.MultiSplit(0, {keystring::Encode(Value::Int64(0))});
   EXPECT_EQ(cm.chunk(0).bytes + cm.chunk(1).bytes, 1000u);
   EXPECT_EQ(cm.chunk(0).docs + cm.chunk(1).docs, 10u);
 }
@@ -147,7 +147,7 @@ TEST(ZonesTest, GapsAreDetected) {
 
 TEST(BalancerTest, NoMoveWhenBalanced) {
   ChunkManager cm(0);
-  cm.Split(0, keystring::Encode(Value::Int64(10)));
+  cm.MultiSplit(0, {keystring::Encode(Value::Int64(10))});
   cm.chunk(1).shard_id = 1;
   Rng rng(1);
   EXPECT_FALSE(PickNextMigration(cm, 2, {}, /*weigh_by_points=*/false, &rng)
@@ -157,8 +157,8 @@ TEST(BalancerTest, NoMoveWhenBalanced) {
 TEST(BalancerTest, MovesFromLoadedToEmpty) {
   ChunkManager cm(0);
   for (int v : {10, 20, 30}) {
-    cm.Split(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
-             keystring::Encode(Value::Int64(v)));
+    cm.MultiSplit(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
+                  {keystring::Encode(Value::Int64(v))});
   }
   // All 4 chunks on shard 0, 2 shards total.
   Rng rng(1);
@@ -169,7 +169,7 @@ TEST(BalancerTest, MovesFromLoadedToEmpty) {
 
 TEST(BalancerTest, ZoneViolationsComeFirst) {
   ChunkManager cm(0);
-  cm.Split(0, keystring::Encode(Value::Int64(10)));
+  cm.MultiSplit(0, {keystring::Encode(Value::Int64(10))});
   std::vector<ZoneRange> zones;
   zones.push_back({keystring::MinKey(), keystring::Encode(Value::Int64(10)), 0});
   zones.push_back({keystring::Encode(Value::Int64(10)), keystring::MaxKey(), 1});
@@ -188,8 +188,8 @@ TEST(BalancerTest, StraddlingChunkIsPinnedByOverlapNotMinKey) {
   // (min-key classification saw no violation and left it stranded) but its
   // range overlaps the zone, so it is pinned to shard 1.
   ChunkManager cm(0);
-  cm.Split(0, keystring::Encode(Value::Int64(10)));
-  cm.Split(1, keystring::Encode(Value::Int64(30)));
+  cm.MultiSplit(0, {keystring::Encode(Value::Int64(10))});
+  cm.MultiSplit(1, {keystring::Encode(Value::Int64(30))});
   cm.chunk(2).shard_id = 1;  // [30,Max) already compliant
   std::vector<ZoneRange> zones;
   zones.push_back(
@@ -212,8 +212,8 @@ TEST(BalancerTest, PinnedChunksDoNotMaskMovableImbalance) {
   // over movable chunks only must find that move.
   ChunkManager cm(2);
   for (int v : {10, 20, 30, 40, 50, 60}) {
-    cm.Split(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
-             keystring::Encode(Value::Int64(v)));
+    cm.MultiSplit(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
+                  {keystring::Encode(Value::Int64(v))});
   }
   // Chunks: [Min,10) [10,20) [20,30) [30,40) on shard 2 (pinned);
   //         [40,50) [50,60) [60,Max) on shard 1 (movable).
@@ -235,8 +235,8 @@ TEST(BalancerTest, PinnedChunksDoNotMaskMovableImbalance) {
 ChunkManager UnevenPointChunks(std::vector<ZoneRange>* zones) {
   ChunkManager cm(0);
   for (int v : {10, 20, 30}) {
-    cm.Split(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
-             keystring::Encode(Value::Int64(v)));
+    cm.MultiSplit(cm.FindChunkIndex(keystring::Encode(Value::Int64(v))),
+                  {keystring::Encode(Value::Int64(v))});
   }
   const uint64_t points[] = {5, 900, 40, 5000};
   for (size_t i = 0; i < 4; ++i) cm.chunk(i).points = points[i];

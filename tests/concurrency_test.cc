@@ -472,7 +472,11 @@ TEST_F(ConcurrencyTest, IntrospectionDuringReshardIsRaceFree) {
   std::atomic<int> rounds{0};
   std::atomic<int> miscounts{0};
   std::thread reader([&] {
-    while (!done.load()) {
+    int nq = 0;
+  bool printed = false;
+  while (!done.load()) {
+    ++nq;
+    { Status fs = store.FlushBuckets(); if (!fs.ok() && !printed) { printed = true; fprintf(stderr, "DBG flush error: %s\n", fs.ToString().c_str()); } }
       if (cluster.total_documents() != kDocs) miscounts.fetch_add(1);
       if (cluster.ComputeDataStats().num_documents != kDocs) {
         miscounts.fetch_add(1);
@@ -490,6 +494,67 @@ TEST_F(ConcurrencyTest, IntrospectionDuringReshardIsRaceFree) {
   EXPECT_EQ(miscounts.load(), 0);
   EXPECT_EQ(cluster.total_documents(), static_cast<uint64_t>(kDocs));
   EXPECT_GT(cluster.ComputeIndexSizes().count("hilbertIndex_1_date_1"), 0u);
+}
+
+// An auto-checkpoint replaces a shard's log under the shard's exclusive
+// data lock, while a durable bucketed query's bucket flush syncs every
+// shard's log (Cluster::SyncWals), so the sync takes the lock shared.
+// Background-balancer migrations checkpoint outside the store's journal
+// lock, beside the querying thread's flushes.
+TEST_F(ConcurrencyTest, AutoCheckpointBesideBucketFlushes) {
+  const stix::testing::TempDir dir;
+  st::StStoreOptions options;
+  options.approach.kind = st::ApproachKind::kHil;
+  options.cluster.num_shards = 3;
+  options.cluster.chunk_max_bytes = 4 * 1024;
+  options.cluster.balance_every_inserts = 0;  // the background balancer
+  options.cluster.balancer.background_interval_ms = 1;
+  options.cluster.durability.data_dir = dir.path();
+  options.cluster.durability.checkpoint_wal_bytes = 1024;
+  storage::BucketLayout layout;
+  layout.window_ms = 3600 * 1000;
+  layout.max_points = 8;
+  options.bucket = layout;
+  st::StStore store(options);
+  ASSERT_TRUE(store.Setup().ok());
+  Counter& written =
+      MetricsRegistry::Instance().GetCounter("checkpoint.written");
+  const uint64_t written_before = written.value();
+  store.cluster().StartBalancer();
+
+  constexpr int kPoints = 600;
+  const geo::Rect everywhere{{-1, -1}, {11, 11}};
+  const int64_t t_end = 60000LL * kPoints;
+  std::atomic<int> queries{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    Rng rng(5);
+    for (int i = 0; i < kPoints; ++i) {
+      bson::Document doc;
+      doc.Append(st::kLocationField,
+                 Value::MakeDocument(bson::GeoJsonPoint(
+                     rng.NextDouble(0, 10), rng.NextDouble(0, 10))));
+      doc.Append(st::kDateField, Value::DateTime(60000LL * i));
+      doc.Append("vehicleId", Value::Int32(i % 7));
+      EXPECT_TRUE(store.Insert(std::move(doc)).ok()) << "point " << i;
+      // Every 50 points, wait for one more query: its bucket flush moves
+      // the buffered points into the shards while migrations run.
+      if (i % 50 == 49) {
+        const int seen = queries.load();
+        while (queries.load() == seen) std::this_thread::yield();
+      }
+    }
+    done.store(true);
+  });
+  while (!done.load()) {
+    EXPECT_TRUE(store.Query(everywhere, 0, t_end).cluster.status.ok());
+    queries.fetch_add(1);
+  }
+  writer.join();
+  store.cluster().StopBalancer();
+  EXPECT_GT(written.value(), written_before);
+  EXPECT_EQ(store.Query(everywhere, 0, t_end).cluster.docs.size(),
+            static_cast<size_t>(kPoints));
 }
 
 }  // namespace

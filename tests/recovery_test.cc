@@ -9,7 +9,7 @@
 // crash was armed — a write may die before its journal commit (lost) or
 // after it (durable but unacknowledged), and both outcomes are legal.
 // Clean-shutdown round trips, delete replay, recover-twice idempotence,
-// recover-then-{balance,migrate} interleavings, damaged checkpoints and
+// recover-then-{balance,migrate} interleavings, damaged shard logs and
 // approach mismatches ride on the same fixture.
 
 #include <algorithm>
@@ -21,12 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include "bson/codec.h"
 #include "common/failpoint.h"
+#include "common/fs.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "st/st_store.h"
 #include "storage/bucket.h"
-#include "storage/checkpoint.h"
+#include "storage/wal.h"
 #include "temp_dir.h"
 
 namespace stix::st {
@@ -466,21 +468,59 @@ TEST_F(RecoveryScenarioTest, CheckpointFilesAppearAndPruneOnCleanShutdown) {
   for (int shard = 0; shard < 3; ++shard) {
     const std::string shard_dir =
         dir_.path() + "/shard-" + std::to_string(shard);
-    const std::vector<storage::CheckpointRef> refs =
-        storage::ListCheckpoints(shard_dir);
-    ASSERT_EQ(refs.size(), 1u) << "stale checkpoints not pruned, shard "
-                               << shard;
-    // The WAL was truncated behind the checkpoint.
-    const Result<storage::WalScan> scan =
-        storage::ReadWal(shard_dir + "/wal.log");
+    const std::string log_path = shard_dir + "/wal.log";
+    EXPECT_EQ(ListDir(shard_dir), std::vector<std::string>{log_path})
+        << "shard " << shard;
+    // The log's only batch is the image: one kImage, one kInsert per
+    // record, and no batch logged before the last checkpoint survives.
+    const Result<storage::WalScan> scan = storage::ReadWal(log_path);
     ASSERT_TRUE(scan.ok());
-    EXPECT_TRUE(scan->committed.empty()) << "shard " << shard;
+    ASSERT_FALSE(scan->committed.empty()) << "shard " << shard;
+    EXPECT_EQ(scan->first_batch_bytes, scan->committed_bytes)
+        << "shard " << shard;
+    const storage::WalRecord& image = scan->committed.front();
+    ASSERT_EQ(image.type, storage::WalRecordType::kImage);
+    const Result<uint64_t> count = storage::DecodeImageCount(image.payload);
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(*count + 1, scan->committed.size()) << "shard " << shard;
   }
   const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   const StQueryResult res =
       (*recovered)->Query(kEverywhere, 0, 30000LL * 1000000);
   EXPECT_EQ(res.cluster.docs.size(), 80u);
+}
+
+// A checkpoint rewrites a shard's log as its image, so the auto-checkpoint
+// trigger must count the bytes logged since that image, not the log's
+// size: with a threshold below the image size, the log would otherwise be
+// rewritten on every write.
+TEST_F(RecoveryScenarioTest, AutoCheckpointCountsBytesLoggedSinceTheImage) {
+  constexpr uint64_t kThreshold = 2 * 1024;
+  StStoreOptions options = DurableOptions(dir_.path(), false);
+  options.cluster.durability.checkpoint_wal_bytes = kThreshold;
+  Counter& written =
+      MetricsRegistry::Instance().GetCounter("checkpoint.written");
+  Counter& logged = MetricsRegistry::Instance().GetCounter("wal.bytes_written");
+  std::vector<int64_t> acked;
+  {
+    StStore store(options);
+    ASSERT_TRUE(store.Setup().ok());
+    const uint64_t written_before = written.value();
+    const uint64_t logged_before = logged.value();
+    for (int64_t id = 0; id < 600; ++id) {
+      ASSERT_TRUE(store.Insert(ScenarioDoc(id, 1.0 + (id % 9), 5.0)).ok());
+      acked.push_back(id);
+    }
+    const uint64_t checkpoints = written.value() - written_before;
+    const uint64_t bytes = logged.value() - logged_before;
+    EXPECT_GT(checkpoints, 0u);
+    EXPECT_LE(checkpoints, bytes / kThreshold + 1)
+        << bytes << " bytes logged";
+  }  // dirty shutdown: the last writes live only after the last image
+  const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(QueriedIds(**recovered), acked);
 }
 
 TEST_F(RecoveryScenarioTest, RecoverThenMigrateViaZones) {
@@ -515,13 +555,12 @@ TEST_F(RecoveryScenarioTest, RecoverThenMigrateViaZones) {
   EXPECT_EQ(res2.cluster.docs.size(), 120u);
 }
 
-// Regression: WAL LSNs must stay monotonic *across* recoveries. A shard's
-// log is truncated at each checkpoint, so the reopened (empty) log would
-// restart numbering at 1 — below the checkpoint horizon — and writes made
-// after a recovery would be skipped by the next recovery's `lsn <= ckpt`
-// replay filter as "already inside the checkpoint". Same trap for the
-// catalog journal vs the wlsns arrays of already-flushed buckets. Found by
-// stix_fuzz --crash (seed 20004); both layouts covered here.
+// Regression: writes made after a recovery must survive the next one. Found
+// by stix_fuzz --crash (seed 20004): a reopened log restarted its LSNs
+// below a horizon that recovery filtered replay by. Shard logs now carry
+// their image and filter nothing; the catalog journal still replays only
+// LSNs no flushed bucket's wlsns covers, so its counter must stay past
+// them. Both layouts covered here.
 TEST_F(RecoveryScenarioTest, WritesAfterRecoverySurviveNextRecovery) {
   for (const bool bucketed : {false, true}) {
     const stix::testing::TempDir dir;
@@ -532,8 +571,8 @@ TEST_F(RecoveryScenarioTest, WritesAfterRecoverySurviveNextRecovery) {
       for (int64_t id = 0; id < 60; ++id) {
         ASSERT_TRUE(store.Insert(ScenarioDoc(id, 1.0 + (id % 9), 5.0)).ok());
       }
-      // Checkpoint (truncates the shard WALs) and, on the bucketed layout,
-      // flush (truncates the catalog journal) so both logs reopen empty.
+      // Checkpoint (rewrites the shard logs as images) and, on the bucketed
+      // layout, flush (truncates the catalog journal, which reopens empty).
       ASSERT_TRUE(store.Checkpoint().ok());
     }
     {
@@ -556,7 +595,7 @@ TEST_F(RecoveryScenarioTest, WritesAfterRecoverySurviveNextRecovery) {
   }
 }
 
-// Regression: recovery replays the WAL/checkpoint straight into the record
+// Regression: recovery replays the shard log straight into the record
 // store without feeding ShardStatistics::Observe, so a recovered shard's
 // statistics report zero documents. MarkStale() alone cannot repair that —
 // zero-doc statistics take the "empty shard" short-circuit and claim to be
@@ -746,7 +785,7 @@ std::vector<std::vector<IndexImage>> IndexImages(
   return out;
 }
 
-// Checkpoints hold documents only; recovery indexes each restored record.
+// Images hold documents only; recovery indexes each restored record.
 // The rebuilt indexes must equal the ones the store shut down with, entry
 // for entry, multikey flags included (the bsl approaches' compound
 // 2dsphere index turns multikey on the LineString documents).
@@ -801,8 +840,6 @@ TEST_F(RecoveryScenarioTest, CheckpointRecoveryRebuildsIdenticalIndexes) {
   }
 }
 
-// ---------- the checkpoint image as the whole-store format ----------
-
 std::vector<int64_t> SortedIds(const StQueryResult& res) {
   std::vector<int64_t> ids;
   for (const bson::Document& doc : res.cluster.docs) {
@@ -812,7 +849,7 @@ std::vector<int64_t> SortedIds(const StQueryResult& res) {
   return ids;
 }
 
-// ---------- the whole-store image: checkpoints + config journal ----------
+// ---------- the whole-store image: shard logs + config journal ----------
 //
 // A clean Checkpoint() is the store's one persisted image. These cases pin
 // what that image must carry through StStore::Recover, and that a damaged
@@ -944,8 +981,8 @@ TEST_F(RecoveryScenarioTest, HashedShardKeyRecoversAsHashed) {
 }
 
 /// Loads 300 points into a durable hil store, checkpoints it cleanly and
-/// closes it. Returns a shard that holds documents: its only checkpoint
-/// is the image the corruption tests damage.
+/// closes it. Returns a shard that holds documents: its log, whose only
+/// batch is the image, is what the corruption tests damage.
 int BuildCheckpointedStore(const StStoreOptions& options) {
   StStore store(options);
   EXPECT_TRUE(store.Setup().ok());
@@ -962,17 +999,14 @@ int BuildCheckpointedStore(const StStoreOptions& options) {
   return 0;
 }
 
-std::string OnlyCheckpoint(const std::string& data_dir, int shard) {
-  const std::vector<storage::CheckpointRef> refs = storage::ListCheckpoints(
-      data_dir + "/shard-" + std::to_string(shard));
-  EXPECT_EQ(refs.size(), 1u);
-  return refs.empty() ? std::string() : refs.front().path;
+std::string ShardLog(const std::string& data_dir, int shard) {
+  return data_dir + "/shard-" + std::to_string(shard) + "/wal.log";
 }
 
 void ExpectRecoverCorruption(const StStoreOptions& options) {
   const Result<std::unique_ptr<StStore>> recovered = StStore::Recover(options);
   ASSERT_FALSE(recovered.ok())
-      << "a damaged checkpoint recovered as "
+      << "a damaged image recovered as "
       << (*recovered)->Query(kEverywhere, 0, 30000LL * 1000000)
              .cluster.docs.size()
       << " documents";
@@ -980,15 +1014,13 @@ void ExpectRecoverCorruption(const StStoreOptions& options) {
       << recovered.status().ToString();
 }
 
-/// Checkpoints a store into `data_dir`, rewrites one shard's only
-/// checkpoint through `damage` and expects recovery to fail with
-/// Corruption: the clean checkpoint truncated the WAL, so nothing covers
-/// the image.
-void ExpectDamagedCheckpointIsCorruption(const std::string& data_dir,
-                                         void (*damage)(std::string*)) {
+/// Checkpoints a store into `data_dir`, rewrites one shard's log through
+/// `damage` and expects recovery to fail with Corruption: the damage lands
+/// inside the image batch, and nothing else holds the shard's records.
+void ExpectDamagedImageIsCorruption(const std::string& data_dir,
+                                    void (*damage)(std::string*)) {
   const StStoreOptions options = DurableOptions(data_dir, false);
-  const std::string path =
-      OnlyCheckpoint(data_dir, BuildCheckpointedStore(options));
+  const std::string path = ShardLog(data_dir, BuildCheckpointedStore(options));
   std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 64u);
   damage(&bytes);
@@ -997,79 +1029,53 @@ void ExpectDamagedCheckpointIsCorruption(const std::string& data_dir,
 }
 
 TEST_F(SnapshotTest, DetectsCorruption) {
-  ExpectDamagedCheckpointIsCorruption(
+  ExpectDamagedImageIsCorruption(
       dir_.path(), [](std::string* b) { (*b)[b->size() / 2] ^= 0x5A; });
 }
 
 TEST_F(SnapshotTest, RejectsTruncatedFile) {
-  ExpectDamagedCheckpointIsCorruption(
+  ExpectDamagedImageIsCorruption(
       dir_.path(), [](std::string* b) { b->resize(b->size() * 2 / 3); });
 }
 
 TEST_F(SnapshotTest, RejectsWrongMagicAndMissingFile) {
-  ExpectDamagedCheckpointIsCorruption(
-      dir_.path(), [](std::string* b) { *b = "not a checkpoint"; });
+  // The first frame (the kImage record) overwritten.
+  ExpectDamagedImageIsCorruption(dir_.path(), [](std::string* b) {
+    b->replace(0, 16, "not a shard log!");
+  });
+
+  // A shard whose log is gone.
+  const stix::testing::TempDir missing;
+  const StStoreOptions options = DurableOptions(missing.path(), false);
+  const std::string path =
+      ShardLog(missing.path(), BuildCheckpointedStore(options));
+  ASSERT_TRUE(RemoveFile(path).ok());
+  ExpectRecoverCorruption(options);
 
   // A directory that never held a store has nothing to recover.
   const stix::testing::TempDir empty;
   EXPECT_FALSE(StStore::Recover(DurableOptions(empty.path(), false)).ok());
 }
 
-// The document blocks end a checkpoint. A tail after them (where a
-// version 1 image kept its index section) is damage, not data.
-TEST_F(SnapshotTest, RejectsBytesAfterTheDocumentBlocks) {
-  ExpectDamagedCheckpointIsCorruption(
-      dir_.path(), [](std::string* b) { b->append(4, '\0'); });
-}
-
+// The format before shard logs carried their image: a shard's records sat
+// in a `checkpoint-<lsn>.ckpt` file and its log held only the writes made
+// since. Recovery reads no such file, so the log must not pass for whole.
 TEST_F(SnapshotTest, RejectsVersionOneImage) {
-  ExpectDamagedCheckpointIsCorruption(dir_.path(), [](std::string* b) {
-    (*b)[8] = 1;  // the u32 version follows the 8-byte magic
-  });
-}
-
-// Skipping a damaged image is legal while the WAL covers the gap back to
-// the older image; past the WAL's horizon it is not.
-TEST_F(RecoveryScenarioTest, DamagedCheckpointFallsBackWhenWalCoversIt) {
   const StStoreOptions options = DurableOptions(dir_.path(), false);
-  {
-    StStore store(options);
-    ASSERT_TRUE(store.Setup().ok());
-    for (int64_t id = 0; id < 300; ++id) {
-      ASSERT_TRUE(
-          store.Insert(ScenarioDoc(id, 0.5 + (id % 95) / 10.0, 5.0)).ok());
-      if (id == 149) {
-        ASSERT_TRUE(store.Checkpoint().ok());
-      }
-    }
-  }
-  std::string shard_dir;
-  uint64_t horizon = 0;
-  for (int shard = 0; shard < 3 && shard_dir.empty(); ++shard) {
-    const std::string dir = dir_.path() + "/shard-" + std::to_string(shard);
-    const Result<storage::WalScan> scan = storage::ReadWal(dir + "/wal.log");
-    ASSERT_TRUE(scan.ok());
-    if (scan->committed.empty()) continue;
-    ASSERT_EQ(storage::ListCheckpoints(dir).size(), 1u);
-    shard_dir = dir;
-    horizon = scan->last_lsn;
-  }
-  ASSERT_FALSE(shard_dir.empty()) << "no shard logged writes after the "
-                                     "checkpoint";
-
-  WriteFileBytes(storage::CheckpointPath(shard_dir, horizon), "damaged image");
-  {
-    const Result<std::unique_ptr<StStore>> recovered =
-        StStore::Recover(options);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    EXPECT_EQ((*recovered)
-                  ->Query(kEverywhere, 0, 30000LL * 1000000)
-                  .cluster.docs.size(),
-              300u);
-  }
-
-  WriteFileBytes(storage::CheckpointPath(shard_dir, horizon + 1000),
-                 "damaged image");
+  const int shard = BuildCheckpointedStore(options);
+  const std::string path = ShardLog(dir_.path(), shard);
+  const std::string shard_dir =
+      dir_.path() + "/shard-" + std::to_string(shard);
+  ASSERT_TRUE(RenameFile(path, shard_dir + "/checkpoint-601.ckpt").ok());
+  Result<std::unique_ptr<storage::WriteAheadLog>> old_log =
+      storage::WriteAheadLog::Rewrite(
+          path, storage::WalOptions{},
+          [](const storage::WriteAheadLog::AppendFn& append) {
+            append(storage::WalRecordType::kInsert, 301,
+                   bson::EncodeBson(ScenarioDoc(301, 5.0, 5.0)));
+          });
+  ASSERT_TRUE(old_log.ok()) << old_log.status().ToString();
+  old_log->reset();
   ExpectRecoverCorruption(options);
 }
 

@@ -1,7 +1,7 @@
 // Unit tests of the write-ahead log: pinned frame encoding (golden vector),
 // group-commit flush batching, CRC rejection of arbitrary bit flips, the
-// every-prefix torn-tail property, replay idempotence, and one disk-image
-// check per simulated crash point.
+// every-prefix torn-tail property, replay idempotence, one disk-image
+// check per simulated crash point, and the all-or-nothing log rewrite.
 
 #include <cstdint>
 #include <string>
@@ -71,7 +71,7 @@ TEST_F(WalTest, GoldenFrameEncoding) {
   const std::string path = dir_ / "wal.log";
   {
     Result<std::unique_ptr<WriteAheadLog>> wal =
-        WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+        WriteAheadLog::Rewrite(path, WalOptions{});
     ASSERT_TRUE(wal.ok());
     const Result<uint64_t> lsn =
         (*wal)->Append(WalRecordType::kInsert, 7, "hi");
@@ -93,7 +93,7 @@ TEST_F(WalTest, RoundTripPreservesArbitraryPayloadBytes) {
   for (int i = 0; i < 512; ++i) payload.push_back(static_cast<char>(i % 256));
   {
     Result<std::unique_ptr<WriteAheadLog>> wal =
-        WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+        WriteAheadLog::Rewrite(path, WalOptions{});
     ASSERT_TRUE(wal.ok());
     ASSERT_TRUE((*wal)->Append(WalRecordType::kInsert, 11, payload).ok());
     ASSERT_TRUE((*wal)->Append(WalRecordType::kRemove, 3, "").ok());
@@ -117,7 +117,7 @@ TEST_F(WalTest, RoundTripPreservesArbitraryPayloadBytes) {
 TEST_F(WalTest, EmptyCommitWritesNothing) {
   const std::string path = dir_ / "wal.log";
   Result<std::unique_ptr<WriteAheadLog>> wal =
-      WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+      WriteAheadLog::Rewrite(path, WalOptions{});
   ASSERT_TRUE(wal.ok());
   const Result<uint64_t> commit = (*wal)->Commit();
   ASSERT_TRUE(commit.ok());
@@ -131,7 +131,7 @@ TEST_F(WalTest, GroupCommitFlushesEveryNthCommit) {
   WalOptions options;
   options.sync_every_commits = 4;
   Result<std::unique_ptr<WriteAheadLog>> wal =
-      WriteAheadLog::Open(path, options, /*fresh=*/true);
+      WriteAheadLog::Rewrite(path, options);
   ASSERT_TRUE(wal.ok());
 
   const auto commit_one = [&](uint64_t rid) {
@@ -174,7 +174,7 @@ TEST_F(WalTest, CrcRejectsBitFlipsAnywhere) {
   std::vector<uint64_t> rids;
   {
     Result<std::unique_ptr<WriteAheadLog>> wal =
-        WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+        WriteAheadLog::Rewrite(path, WalOptions{});
     ASSERT_TRUE(wal.ok());
     for (uint64_t rid = 1; rid <= 5; ++rid) {
       ASSERT_TRUE(
@@ -210,7 +210,7 @@ TEST_F(WalTest, EveryPrefixLengthRecoversCleanly) {
   const std::string path = dir_ / "wal.log";
   {
     Result<std::unique_ptr<WriteAheadLog>> wal =
-        WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+        WriteAheadLog::Rewrite(path, WalOptions{});
     ASSERT_TRUE(wal.ok());
     for (uint64_t rid = 1; rid <= 4; ++rid) {
       ASSERT_TRUE((*wal)->Append(WalRecordType::kInsert, rid, "abc").ok());
@@ -233,7 +233,7 @@ TEST_F(WalTest, EveryPrefixLengthRecoversCleanly) {
     // Opening for append repairs the tail permanently and resumes LSNs
     // above everything that ever existed in the prefix.
     Result<std::unique_ptr<WriteAheadLog>> reopened =
-        WriteAheadLog::Open(torn_path, WalOptions{}, /*fresh=*/false);
+        WriteAheadLog::Open(torn_path, WalOptions{}, *scan);
     ASSERT_TRUE(reopened.ok()) << "len " << len;
     EXPECT_EQ(*FileSize(torn_path), scan->committed_bytes) << "len " << len;
     const Result<uint64_t> lsn =
@@ -253,7 +253,7 @@ TEST_F(WalTest, ReplayIsIdempotent) {
   const std::string path = dir_ / "wal.log";
   {
     Result<std::unique_ptr<WriteAheadLog>> wal =
-        WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+        WriteAheadLog::Rewrite(path, WalOptions{});
     ASSERT_TRUE(wal.ok());
     for (uint64_t rid = 1; rid <= 3; ++rid) {
       ASSERT_TRUE((*wal)->Append(WalRecordType::kInsert, rid, "v").ok());
@@ -267,10 +267,16 @@ TEST_F(WalTest, ReplayIsIdempotent) {
 
   // Recover once (open truncates the tear), then recover again: both scans
   // and both file images must be identical.
-  { ASSERT_TRUE(WriteAheadLog::Open(path, WalOptions{}, false).ok()); }
+  {
+    ASSERT_TRUE(
+        WriteAheadLog::Open(path, WalOptions{}, *ReadWal(path)).ok());
+  }
   const std::string after_first = ReadFileBytes(path);
   const Result<WalScan> first = ReadWal(path);
-  { ASSERT_TRUE(WriteAheadLog::Open(path, WalOptions{}, false).ok()); }
+  {
+    ASSERT_TRUE(
+        WriteAheadLog::Open(path, WalOptions{}, *ReadWal(path)).ok());
+  }
   const std::string after_second = ReadFileBytes(path);
   const Result<WalScan> second = ReadWal(path);
 
@@ -286,7 +292,7 @@ TEST_F(WalTest, ReplayIsIdempotent) {
 TEST_F(WalTest, TruncateKeepsLsnsMonotonic) {
   const std::string path = dir_ / "wal.log";
   Result<std::unique_ptr<WriteAheadLog>> wal =
-      WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+      WriteAheadLog::Rewrite(path, WalOptions{});
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE((*wal)->Append(WalRecordType::kInsert, 1, "a").ok());
   const Result<uint64_t> before = (*wal)->Commit();
@@ -310,7 +316,7 @@ TEST_F(WalTest, TruncateKeepsLsnsMonotonic) {
 TEST_F(WalTest, CrashBeforeCommitLeavesRecordsWithoutMarker) {
   const std::string path = dir_ / "wal.log";
   Result<std::unique_ptr<WriteAheadLog>> wal =
-      WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+      WriteAheadLog::Rewrite(path, WalOptions{});
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE((*wal)->Append(WalRecordType::kInsert, 1, "ok").ok());
   ASSERT_TRUE((*wal)->Commit().ok());
@@ -333,7 +339,7 @@ TEST_F(WalTest, CrashBeforeCommitLeavesRecordsWithoutMarker) {
 TEST_F(WalTest, CrashTornTailIsCrcRejectedAndTruncated) {
   const std::string path = dir_ / "wal.log";
   Result<std::unique_ptr<WriteAheadLog>> wal =
-      WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+      WriteAheadLog::Rewrite(path, WalOptions{});
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE((*wal)->Append(WalRecordType::kInsert, 1, "ok").ok());
   ASSERT_TRUE((*wal)->Commit().ok());
@@ -352,14 +358,14 @@ TEST_F(WalTest, CrashTornTailIsCrcRejectedAndTruncated) {
 
   wal->reset();
   FailPointRegistry::Instance().DisableAll();
-  ASSERT_TRUE(WriteAheadLog::Open(path, WalOptions{}, false).ok());
+  ASSERT_TRUE(WriteAheadLog::Open(path, WalOptions{}, *ReadWal(path)).ok());
   EXPECT_EQ(*FileSize(path), horizon);
 }
 
 TEST_F(WalTest, CrashAfterCommitIsDurableButUnacknowledged) {
   const std::string path = dir_ / "wal.log";
   Result<std::unique_ptr<WriteAheadLog>> wal =
-      WriteAheadLog::Open(path, WalOptions{}, /*fresh=*/true);
+      WriteAheadLog::Rewrite(path, WalOptions{});
   ASSERT_TRUE(wal.ok());
 
   ArmCrash("walAfterCommitBeforeAck");
@@ -372,6 +378,46 @@ TEST_F(WalTest, CrashAfterCommitIsDurableButUnacknowledged) {
   ASSERT_EQ(scan->committed.size(), 1u);
   EXPECT_EQ(scan->committed[0].rid, 42u);
   EXPECT_EQ(scan->committed[0].payload, "kept");
+}
+
+TEST_F(WalTest, RewriteReplacesTheLogOrLeavesItWhole) {
+  const std::string path = dir_ / "wal.log";
+  {
+    Result<std::unique_ptr<WriteAheadLog>> wal =
+        WriteAheadLog::Rewrite(path, WalOptions{});
+    ASSERT_TRUE(wal.ok());
+    for (uint64_t rid = 1; rid <= 3; ++rid) {
+      ASSERT_TRUE((*wal)->Append(WalRecordType::kInsert, rid, "old").ok());
+      ASSERT_TRUE((*wal)->Commit().ok());
+    }
+  }
+  const std::string old_log = ReadFileBytes(path);
+  const auto fill = [](const WriteAheadLog::AppendFn& append) {
+    append(WalRecordType::kInsert, 7, "new");
+    append(WalRecordType::kInsert, 8, "new");
+  };
+
+  // Dying before the new batch's commit marker leaves the old log as it was.
+  ArmCrash("checkpointMidWrite");
+  EXPECT_FALSE(WriteAheadLog::Rewrite(path, WalOptions{}, fill).ok());
+  FailPointRegistry::Instance().DisableAll();
+  EXPECT_EQ(ReadFileBytes(path), old_log);
+
+  // A clean rewrite holds exactly one committed batch, and appends follow it.
+  Result<std::unique_ptr<WriteAheadLog>> wal =
+      WriteAheadLog::Rewrite(path, WalOptions{}, fill);
+  ASSERT_TRUE(wal.ok());
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  EXPECT_EQ((*wal)->log_bytes(), *FileSize(path));
+  ASSERT_TRUE((*wal)->Append(WalRecordType::kRemove, 7, "").ok());
+  ASSERT_TRUE((*wal)->Commit().ok());
+  const Result<WalScan> scan = ReadWal(path);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->committed.size(), 3u);
+  EXPECT_EQ(scan->committed[0].rid, 7u);
+  EXPECT_EQ(scan->committed[1].rid, 8u);
+  EXPECT_EQ(scan->committed[2].type, WalRecordType::kRemove);
+  EXPECT_LT(scan->first_batch_bytes, scan->committed_bytes);
 }
 
 }  // namespace

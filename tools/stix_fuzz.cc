@@ -1109,8 +1109,8 @@ bool RunCrashSeed(uint64_t seed, const FuzzConfig& config) {
   }
 
   // Crash somewhere in the last three quarters of the load, with one clean
-  // checkpoint at a random point before it (so recovery exercises both the
-  // checkpoint image and the WAL tail behind it).
+  // checkpoint at a random point before it (so recovery exercises both a
+  // shard log's image batch and the batches logged behind it).
   const size_t quarter = docs.size() / 4;
   const size_t crash_at =
       quarter +
@@ -1153,9 +1153,9 @@ bool RunCrashSeed(uint64_t seed, const FuzzConfig& config) {
           fpc.error_message = std::string("injected crash at ") + crash_point;
           fp->Enable(fpc);
           if (std::strcmp(crash_point, "checkpointMidWrite") == 0) {
-            // The checkpoint writer dies mid-image; every insert so far was
-            // acknowledged and must survive via the previous checkpoint
-            // plus the WAL tail, never via the torn image.
+            // The log rewrite dies mid-image; every insert so far was
+            // acknowledged and must survive via the old log, which the
+            // torn `.tmp` never replaced.
             if (store.Checkpoint().ok()) {
               ctx.Report("crash", "checkpoint-survived-fault", full, 0, 1);
               return false;
